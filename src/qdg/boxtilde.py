@@ -317,7 +317,10 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
             cent = add_central(m1.central, m2.central)
             if not m1.odd or not m2.even:
                 # concatenation is already normal
-                mono = NormalMono(m1.even + m2.even, m1.odd + m2.odd, cent)
+                even, odd = m1.even + m2.even, m1.odd + m2.odd
+                if len(even) + len(odd) > LIMITS.word_cap:
+                    raise ReductionBudgetError("reduction budget")
+                mono = NormalMono(even, odd, cent)
                 s = out.get(mono, ring.zero()) + coeff
                 if s:
                     out[mono] = s

@@ -14,8 +14,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from . import boxtilde as bt
@@ -27,74 +26,26 @@ DEFAULT_SEED = 20260810
 
 
 def build_checks(seed: int = DEFAULT_SEED) -> Dict[str, Callable[[], identities.CheckResult]]:
-    """The full named check registry, in deterministic order."""
-    checks: Dict[str, Callable[[], identities.CheckResult]] = {}
-
-    def add_batch(results_fn, names):
-        # group functions return full lists; memoize one run per batch
-        cache = {}
-
-        def run(name):
-            if not cache:
-                for r in results_fn():
-                    cache[r.name] = r
-            return cache[name]
-
-        for name in names:
-            checks[name] = lambda name=name: run(name)
-
-    s_names = ["s_commutation.i%d.%s" % (i, side) for i in range(4) for side in ("right", "left")]
-    add_batch(identities.check_s_commutation, s_names)
-
-    for table in identities.ALL_TABLES:
-        for column in table.columns:
-            checks["tables.%s" % column] = (
-                lambda table=table, column=column: identities.check_table_column(table, column)
-            )
-
-    add_batch(identities.check_qdg_error_terms, ["qdg_error_terms.first", "qdg_error_terms.second"])
-
-    general_names = []
-    for label, _, side in identities.GENERAL_QDG_CONFIGS:
-        general_names += ["general_qdg.%s.first" % label, "general_qdg.%s.second" % label]
-        if side:
-            general_names.append("general_qdg.%s.side_condition" % label)
-    add_batch(identities.check_general_qdg, general_names)
-
-    pres_names = (
-        ["presentation_maps.rho.i%d" % i for i in range(4)]
-        + ["presentation_maps.scaling.weyl.i%d" % i for i in range(4)]
-        + ["presentation_maps.scaling.serre.i%d" % i for i in range(4)]
-        + ["presentation_maps.tet.weyl.i%d" % i for i in range(4)]
-        + ["presentation_maps.tet.serre.i%d" % i for i in range(4)]
-    )
-    add_batch(identities.check_presentation_maps, pres_names)
-
-    for name, thunk in identities.engine_checks(seed):
-        checks[name] = thunk
-    for name, thunk in gradings.gradings_checks(seed):
-        checks[name] = thunk
-    for name, thunk in identities.negative_controls():
-        checks[name] = thunk
-    return checks
+    """The full named check registry."""
+    return dict(identities.checks(seed) + gradings.gradings_checks(seed))
 
 
-def run_checks(names: List[str], registry, jobs: int):
-    def run_one(name):
+def run_checks(names: List[str], registry) -> List[Tuple[str, identities.CheckResult, float]]:
+    """Runs the named checks one at a time, in sorted order, and times each
+    alone.  A check that exceeds an engine budget is reported with status
+    `error` and the budget message as its witness."""
+    rows = []
+    for name in sorted(names):
         start = time.perf_counter()
-        result = registry[name]()
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return name, result, elapsed
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, names))
-    else:
-        rows = [run_one(name) for name in names]
-    return sorted(rows, key=lambda r: r[0])
+        try:
+            result = registry[name]()
+        except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
+            result = identities.CheckResult(name, "error", exc)
+        rows.append((name, result, (time.perf_counter() - start) * 1000.0))
+    return rows
 
 
-def _report(rows, jobs: int, seed: int) -> dict:
+def _report(rows, seed: int) -> dict:
     checks = []
     passed = failed = 0
     for name, result, ms in rows:
@@ -112,7 +63,6 @@ def _report(rows, jobs: int, seed: int) -> dict:
             "ring": list(DEFAULT_RING.symbols),
             "term_budget": bt.LIMITS.term_budget,
             "word_cap": bt.LIMITS.word_cap,
-            "jobs": jobs,
             "seed": seed,
         },
         "checks": checks,
@@ -122,14 +72,14 @@ def _report(rows, jobs: int, seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     registry = build_checks(args.seed)
-    names = sorted(registry)
+    names = list(registry)
     if args.check:
         names = [n for n in names if fnmatch.fnmatchcase(n, args.check)]
         if not names:
             print("no check matches %r" % args.check, file=sys.stderr)
             return 2
-    rows = run_checks(names, registry, args.jobs)
-    report = _report(rows, args.jobs, args.seed)
+    rows = run_checks(names, registry)
+    report = _report(rows, args.seed)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -137,12 +87,14 @@ def cmd_verify(args) -> int:
         for entry in report["checks"]:
             line = "%-*s  %-4s  %8.1f ms" % (width, entry["name"], entry["status"], entry["ms"])
             print(line)
-            if entry["status"] == "fail" and "witness" in entry:
+            if "witness" in entry:
                 print("    witness: %s" % entry["witness"])
         print(
             "%d checks: %d pass, %d fail"
             % (len(names), report["summary"]["pass"], report["summary"]["fail"])
         )
+    if any(entry["status"] == "error" for entry in report["checks"]):
+        return 3
     return 0 if report["summary"]["fail"] == 0 else 1
 
 
@@ -163,9 +115,9 @@ def cmd_nf(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    if args.max > freealg.DEGREE_CAP:
+    if not 0 <= args.max <= freealg.DEGREE_CAP:
         print(
-            "max degree %d exceeds the cap %d" % (args.max, freealg.DEGREE_CAP),
+            "max degree %d is outside 0..%d (the cap)" % (args.max, freealg.DEGREE_CAP),
             file=sys.stderr,
         )
         return 2
@@ -216,13 +168,21 @@ def cmd_dims(args) -> int:
     return 0
 
 
-def _apply_env_limits() -> None:
-    term = os.environ.get("QDG_TERM_BUDGET")
-    word = os.environ.get("QDG_WORD_CAP")
-    if term:
-        bt.LIMITS.term_budget = int(term)
-    if word:
-        bt.LIMITS.word_cap = int(word)
+def _apply_env_limits() -> Optional[str]:
+    """Applies QDG_TERM_BUDGET and QDG_WORD_CAP to the engine limits; returns
+    a message for a value that is not a positive integer."""
+    for var, field in (("QDG_TERM_BUDGET", "term_budget"), ("QDG_WORD_CAP", "word_cap")):
+        text = os.environ.get(var)
+        if not text:
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value <= 0:
+            return "%s must be a positive integer, not %r" % (var, text)
+        setattr(bt.LIMITS, field, value)
+    return None
 
 
 def main(argv=None) -> int:
@@ -237,7 +197,6 @@ def main(argv=None) -> int:
     group.add_argument("--all", action="store_true", help="run every check (default)")
     group.add_argument("--check", metavar="GLOB", help="run checks matching a name glob")
     p_verify.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -252,7 +211,10 @@ def main(argv=None) -> int:
     p_dims.set_defaults(func=cmd_dims)
 
     args = parser.parse_args(argv)
-    _apply_env_limits()
+    error = _apply_env_limits()
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

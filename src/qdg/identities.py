@@ -62,6 +62,28 @@ class CheckResult:
         return CheckResult(name, "pass") if ok else CheckResult(name, "fail", witness)
 
 
+Check = Tuple[str, Callable[[], CheckResult]]
+
+
+def _run(checks: Sequence[Check]) -> List[CheckResult]:
+    return [thunk() for _, thunk in checks]
+
+
+def _diff_check(name: str, diff: Callable[..., BoxElem], *args) -> Check:
+    """A check that passes when diff(*args) is zero."""
+    return name, lambda: CheckResult.from_difference(name, diff(*args))
+
+
+def _bool_check(name: str, holds: Callable[..., bool], witness: str, *args) -> Check:
+    return name, lambda: CheckResult.from_bool(name, holds(*args), witness)
+
+
+def _control(name: str, diff: Callable[..., object], *args) -> Check:
+    """A negative control: passes when diff(*args), a perturbed twin of a
+    check, is nonzero."""
+    return name, lambda: CheckResult.from_bool(name, bool(diff(*args)), "perturbation was not detected")
+
+
 # ---------------------------------------------------------------------------
 # Fixture tables
 # ---------------------------------------------------------------------------
@@ -487,18 +509,24 @@ def _fixture_elem(table: CoeffTable, column: str, perturb: bool = False) -> BoxE
     return BoxElem(RING, terms)
 
 
+def _table_diff(table: CoeffTable, column: str, perturb: bool = False) -> BoxElem:
+    return _column_product(column) - _fixture_elem(table, column, perturb=perturb)
+
+
+def _table_check(table: CoeffTable, column: str, perturb: bool = False) -> Check:
+    return _diff_check("tables.%s" % column, _table_diff, table, column, perturb)
+
+
+def _table_checks() -> List[Check]:
+    return [_table_check(table, column) for table in ALL_TABLES for column in table.columns]
+
+
 def check_table_column(table: CoeffTable, column: str, perturb: bool = False) -> CheckResult:
-    actual = _column_product(column)
-    expected = _fixture_elem(table, column, perturb=perturb)
-    return CheckResult.from_difference("tables.%s" % column, actual - expected)
+    return _table_check(table, column, perturb)[1]()
 
 
 def check_expansion_tables() -> List[CheckResult]:
-    out = []
-    for table in ALL_TABLES:
-        for column in table.columns:
-            out.append(check_table_column(table, column))
-    return out
+    return _run(_table_checks())
 
 
 # ---------------------------------------------------------------------------
@@ -515,25 +543,23 @@ def _s_commutation_diff(i: int, side: str, exponent: int) -> BoxElem:
     return x * s - _qp(exponent) * (s * x)
 
 
+def _s_commutation_checks() -> List[Check]:
+    return [
+        _diff_check("s_commutation.i%d.%s" % (i, side), _s_commutation_diff, i, side, exponent)
+        for i in range(4)
+        for side, exponent in (("right", 4), ("left", -4))
+    ]
+
+
 def check_s_commutation() -> List[CheckResult]:
-    out = []
-    for i in range(4):
-        out.append(
-            CheckResult.from_difference(
-                "s_commutation.i%d.right" % i, _s_commutation_diff(i, "right", 4)
-            )
-        )
-        out.append(
-            CheckResult.from_difference(
-                "s_commutation.i%d.left" % i, _s_commutation_diff(i, "left", -4)
-            )
-        )
-    return out
+    return _run(_s_commutation_checks())
 
 
 # ---------------------------------------------------------------------------
 # The q-Dolan/Grady combination with its exact error terms
 # ---------------------------------------------------------------------------
+
+_SIDES = ("first", "second")
 
 
 def _serre_comb(p: BoxElem, r: BoxElem) -> BoxElem:
@@ -541,59 +567,48 @@ def _serre_comb(p: BoxElem, r: BoxElem) -> BoxElem:
     return p2 * p * r - _THREE * (p2 * r * p) + _THREE * (p * r * p2) - r * p * p2
 
 
-def _qdg_diff(drop_central: bool = False) -> Tuple[BoxElem, BoxElem]:
-    A, B = _A(), _B()
-    factor = (_qp(2) - _qp(-2)) ** 2
-    comm1 = A * B - B * A
-    comm2 = B * A - A * B
-    c0 = bt.central_gen(0)
-    c2 = bt.central_gen(2)
-    if drop_central:
-        first = _serre_comb(A, B) + factor * comm1
-        second = _serre_comb(B, A) + factor * comm2
-    else:
-        first = _serre_comb(A, B) + factor * (c0 * comm1)
-        second = _serre_comb(B, A) + factor * (c2 * comm2)
-    first = first - s_element(0) - s_element(1)
-    second = second - s_element(2) - s_element(3)
-    return first, second
-
-
-def check_qdg_error_terms() -> List[CheckResult]:
-    first, second = _qdg_diff()
-    return [
-        CheckResult.from_difference("qdg_error_terms.first", first),
-        CheckResult.from_difference("qdg_error_terms.second", second),
-    ]
-
-
 def _central_box(alpha: CentralElement) -> BoxElem:
     return BoxElem(RING, {NormalMono((), (), alpha.central): alpha.coeff})
 
 
-def _general_qdg_diffs(alphas: Sequence[CentralElement], wrong_serre: bool = False):
-    a0, a1, a2, a3 = alphas
-    A = _central_box(a0) * generator(0) + _central_box(a1) * generator(1)
-    B = _central_box(a2) * generator(2) + _central_box(a3) * generator(3)
-    factor = (_qp(2) - _qp(-2)) ** 2
-    c0 = bt.central_gen(0)
-    c2 = bt.central_gen(2)
-    s0_coeff = _central_box((a0 ** 3) * a2)
+def _qdg_diff(
+    k: int,
+    alphas: Optional[Sequence[CentralElement]] = None,
+    drop_central: bool = False,
+    wrong_serre: bool = False,
+) -> BoxElem:
+    """Side k (0 or 1) of the scaled q-Dolan/Grady identity; zero when it holds.
+
+    With A = a0 x0 + a1 x1 and B = a2 x2 + a3 x3 (every alpha 1 when alphas
+    is None), side 0 is the combination in (A, B) with error terms in S0, S1
+    and side 1 the one in (B, A) with S2, S3.  drop_central and wrong_serre
+    are the perturbations of the negative controls.
+    """
+    i, j = 2 * k, (2 * k + 2) % 4
+    c = [_central_box(a) for a in alphas] if alphas else [bt.one()] * 4
+    p = c[i] * generator(i) + c[i + 1] * generator(i + 1)
+    r = c[j] * generator(j) + c[j + 1] * generator(j + 1)
+    comm = p * r - r * p
+    if not drop_central:
+        comm = bt.central_gen(i) * comm
+    serre_coeff = c[i] ** 3 * c[j]
     if wrong_serre:
-        s0_coeff = s0_coeff * _qp(1)
-    first = (
-        _serre_comb(A, B)
-        + factor * (_central_box(a0 * a1) * c0 * (A * B - B * A))
-        - s0_coeff * s_element(0)
-        - _central_box((a1 ** 3) * a3) * s_element(1)
+        serre_coeff = serre_coeff * _qp(1)
+    factor = (_qp(2) - _qp(-2)) ** 2
+    return (
+        _serre_comb(p, r)
+        + factor * (c[i] * c[i + 1] * comm)
+        - serre_coeff * s_element(i)
+        - c[i + 1] ** 3 * c[j + 1] * s_element(i + 1)
     )
-    second = (
-        _serre_comb(B, A)
-        + factor * (_central_box(a2 * a3) * c2 * (B * A - A * B))
-        - _central_box((a2 ** 3) * a0) * s_element(2)
-        - _central_box((a3 ** 3) * a1) * s_element(3)
-    )
-    return first, second
+
+
+def _qdg_error_terms_checks() -> List[Check]:
+    return [_diff_check("qdg_error_terms.%s" % side, _qdg_diff, k) for k, side in enumerate(_SIDES)]
+
+
+def check_qdg_error_terms() -> List[CheckResult]:
+    return _run(_qdg_error_terms_checks())
 
 
 GENERAL_QDG_CONFIGS = (
@@ -616,6 +631,31 @@ GENERAL_QDG_CONFIGS = (
 )
 
 
+def _general_qdg_checks(label: str, build: Callable[[], Sequence[CentralElement]], side_condition: bool) -> List[Check]:
+    """The two sides for the alphas that build() returns and, when asked,
+    the side condition that makes the commutator coefficient collapse to 1."""
+
+    def alphas():
+        alpha = build()
+        if not all(a.is_unit() for a in alpha):
+            raise bt.NotInvertibleError("not invertible")
+        return alpha
+
+    def side_condition_holds():
+        a = alphas()
+        return all((a[i] * a[i + 1] * central_unit(i)).is_identity() for i in (0, 2))
+
+    prefix = "general_qdg.%s." % label
+    out = [_diff_check(prefix + side, lambda k: _qdg_diff(k, alphas()), k) for k, side in enumerate(_SIDES)]
+    if side_condition:
+        out.append(_bool_check(prefix + "side_condition", side_condition_holds, "commutator coefficient is not 1"))
+    return out
+
+
+def _registered_general_qdg_checks() -> List[Check]:
+    return [c for config in GENERAL_QDG_CONFIGS for c in _general_qdg_checks(*config)]
+
+
 def check_general_qdg(alphas: Sequence = None, label: str = "custom") -> List[CheckResult]:
     """The scaled q-Dolan/Grady identity with its exact error terms.
 
@@ -623,31 +663,9 @@ def check_general_qdg(alphas: Sequence = None, label: str = "custom") -> List[Ch
     "natural" one also asserts the side condition that makes the commutator
     coefficient collapse to 1.
     """
-    configs = (
-        [(label, lambda: tuple(central_element(a) for a in alphas), False)]
-        if alphas is not None
-        else list(GENERAL_QDG_CONFIGS)
-    )
-    out = []
-    for name, build, check_side in configs:
-        alpha = build()
-        for a in alpha:
-            if not a.is_unit():
-                raise bt.NotInvertibleError("not invertible")
-        first, second = _general_qdg_diffs(alpha)
-        out.append(CheckResult.from_difference("general_qdg.%s.first" % name, first))
-        out.append(CheckResult.from_difference("general_qdg.%s.second" % name, second))
-        if check_side:
-            cond1 = alpha[0] * alpha[1] * central_unit(0)
-            cond2 = alpha[2] * alpha[3] * central_unit(2)
-            out.append(
-                CheckResult.from_bool(
-                    "general_qdg.%s.side_condition" % name,
-                    cond1.is_identity() and cond2.is_identity(),
-                    "commutator coefficient is not 1",
-                )
-            )
-    return out
+    if alphas is None:
+        return _run(_registered_general_qdg_checks())
+    return _run(_general_qdg_checks(label, lambda: tuple(central_element(a) for a in alphas), False))
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +676,17 @@ def check_general_qdg(alphas: Sequence = None, label: str = "custom") -> List[Ch
 # polynomials: maps from letter tuples to coefficients, with no rewriting.
 # Scaling and relabelling substitutions send each letter to a scalar
 # multiple of a single letter, so images are computed term by term.
+
+
+def _relation_diff(i: int, central: int = 0, sign: int = -1) -> BoxElem:
+    """q x_i x_{i+1} - q^-1 x_{i+1} x_i - (q - q^-1) c_i, which the engine
+    reduces to zero; a central offset or sign=+1 perturbs it."""
+    i, j = i % 4, (i + 1) % 4
+    return (
+        reduce_word((i, j), coeff=_qp(1))
+        + reduce_word((j, i), coeff=sign * _qp(-1))
+        - (_qp(1) - _qp(-1)) * bt.central_gen(i + central)
+    )
 
 
 def _formal(items) -> dict:
@@ -672,133 +701,93 @@ def _formal(items) -> dict:
     return out
 
 
-def _formal_weyl(i, letter=lambda j: j % 4) -> dict:
-    qdiff = _qp(1) - _qp(-1)
-    return _formal(
-        [
-            (_qp(1), (letter(i), letter(i + 1))),
-            (-_qp(-1), (letter(i + 1), letter(i))),
-            (-qdiff, ()),
-        ]
-    )
+def _formal_weyl(a, b) -> dict:
+    """q ab - q^-1 ba - (q - q^-1) in the letters a, b."""
+    return _formal([(_qp(1), (a, b)), (-_qp(-1), (b, a)), (_qp(-1) - _qp(1), ())])
 
 
-def _formal_serre(i, letter=lambda j: j % 4) -> dict:
-    a, b = letter(i), letter(i + 2)
-    return _formal(
-        [
-            (_ONE, (a, a, a, b)),
-            (-_THREE, (a, a, b, a)),
-            (_THREE, (a, b, a, a)),
-            (-_ONE, (b, a, a, a)),
-        ]
-    )
+def _formal_serre(a, b) -> dict:
+    """aaab - [3] aaba + [3] abaa - baaa in the letters a, b."""
+    return _formal([(_ONE, (a, a, a, b)), (-_THREE, (a, a, b, a)), (_THREE, (a, b, a, a)), (-_ONE, (b, a, a, a))])
+
+
+# kind -> (builder, index step from the first letter to the second)
+_RELATIONS = {"weyl": (_formal_weyl, 1), "serre": (_formal_serre, 2)}
+
+
+def _relation(kind: str, i: int, letter=lambda l: l % 4) -> dict:
+    build, step = _RELATIONS[kind]
+    return build(letter(i), letter(i + step))
 
 
 def _formal_substitute(poly: dict, image) -> dict:
     """image: letter -> (new letter, scalar factor)."""
-    out = {}
+    items = []
     for word, coeff in poly.items():
         new_word = []
         for l in word:
             nl, factor = image(l)
             new_word.append(nl)
             coeff = coeff * factor
-        key = tuple(new_word)
-        s = out.get(key, RING.zero()) + coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        items.append((coeff, tuple(new_word)))
+    return _formal(items)
+
+
+def _pair(l: int) -> tuple:
+    return ((l - 1) % 4, l % 4)
+
+
+def _pair_image(l: int):
+    return _pair(l), _ONE
+
+
+def _scales_as_stated(kind: str, i: int) -> bool:
+    """Scaling x_i by a^{+-1} (by parity) multiplies the relation by a
+    monomial: 1 for Weyl, where the a-factors cancel pairwise, and a^{+-4}
+    for Serre."""
+    a = RING.gen("a")
+    relation = _relation(kind, i)
+    image = _formal_substitute(relation, lambda l: (l, a if l % 2 == 0 else a ** -1))
+    power = 0 if kind == "weyl" else (4 if i % 2 == 0 else -4)
+    return image == {w: c * RING.gen("a", power) for w, c in relation.items()}
+
+
+def _relabels_to_schema(kind: str, i: int) -> bool:
+    """Relabelling x_l -> x_{(l-1, l)} carries the relation onto the
+    pair-indexed schema instance with consecutive indices."""
+    return _formal_substitute(_relation(kind, i), _pair_image) == _relation(kind, i, _pair)
+
+
+def _presentation_maps_checks() -> List[Check]:
+    out = []
+    for i in range(4):
+        # the shifted defining relation reduces to zero in the engine,
+        # which is exactly what makes the index shift an algebra map
+        out.append(_diff_check("presentation_maps.rho.i%d" % i, _relation_diff, i + 1))
+        for kind in _RELATIONS:
+            out.append(
+                _bool_check(
+                    "presentation_maps.scaling.%s.i%d" % (kind, i),
+                    _scales_as_stated,
+                    "not the stated multiple",
+                    kind,
+                    i,
+                )
+            )
+            out.append(
+                _bool_check(
+                    "presentation_maps.tet.%s.i%d" % (kind, i),
+                    _relabels_to_schema,
+                    "image is not a schema instance",
+                    kind,
+                    i,
+                )
+            )
     return out
-
-
-def _formal_scale(poly: dict, scalar: LaurentPoly) -> dict:
-    return {w: c * scalar for w, c in poly.items()}
 
 
 def check_presentation_maps() -> List[CheckResult]:
-    out = []
-
-    # (a) index shift: the shifted defining relation reduces to zero in the
-    # engine, which is exactly what makes the shift an algebra map.
-    qdiff = _qp(1) - _qp(-1)
-    for i in range(4):
-        j, k = (i + 1) % 4, (i + 2) % 4
-        diff = (
-            _qp(1) * reduce_word((j, k))
-            - _qp(-1) * reduce_word((k, j))
-            - qdiff * bt.central_gen(j)
-        )
-        out.append(CheckResult.from_difference("presentation_maps.rho.i%d" % i, diff))
-
-    # (b) scaling x_i by a^{+-1}: every substituted relation is a monomial
-    # multiple of the original relation.
-    a_sym = RING.gen("a")
-
-    def scale_image(l):
-        return (l, a_sym if l % 2 == 0 else a_sym ** -1)
-
-    for i in range(4):
-        weyl = _formal_weyl(i)
-        image = _formal_substitute(weyl, scale_image)
-        ok = image == weyl  # the a-factors cancel pairwise
-        out.append(
-            CheckResult.from_bool(
-                "presentation_maps.scaling.weyl.i%d" % i, ok, "not the stated multiple"
-            )
-        )
-        serre = _formal_serre(i)
-        image = _formal_substitute(serre, scale_image)
-        scalar = RING.gen("a", 4 if i % 2 == 0 else -4)
-        ok = image == _formal_scale(serre, scalar)
-        out.append(
-            CheckResult.from_bool(
-                "presentation_maps.scaling.serre.i%d" % i, ok, "not the stated multiple"
-            )
-        )
-
-    # (c) relabelling into the pair-indexed presentation: each relation is
-    # carried onto a schema instance with consecutive indices.
-    def pair_image(l):
-        return (((l - 1) % 4, l % 4), _ONE)
-
-    def weyl_schema(i, j, k):
-        return _formal(
-            [
-                (_qp(1), ((i % 4, j % 4), (j % 4, k % 4))),
-                (-_qp(-1), ((j % 4, k % 4), (i % 4, j % 4))),
-                (-qdiff, ()),
-            ]
-        )
-
-    def serre_schema(i, j, k, l):
-        a, b = (i % 4, j % 4), (k % 4, l % 4)
-        return _formal(
-            [(_ONE, (a, a, a, b)), (-_THREE, (a, a, b, a)), (_THREE, (a, b, a, a)), (-_ONE, (b, a, a, a))]
-        )
-
-    for i in range(4):
-        image = _formal_substitute(_formal_weyl(i), pair_image)
-        target = weyl_schema(i - 1, i, i + 1)
-        indices_ok = (i - (i - 1)) % 4 == 1 and ((i + 1) - i) % 4 == 1
-        out.append(
-            CheckResult.from_bool(
-                "presentation_maps.tet.weyl.i%d" % i,
-                indices_ok and image == target,
-                "image is not a schema instance",
-            )
-        )
-        image = _formal_substitute(_formal_serre(i), pair_image)
-        target = serre_schema(i - 1, i, i + 1, i + 2)
-        out.append(
-            CheckResult.from_bool(
-                "presentation_maps.tet.serre.i%d" % i,
-                image == target,
-                "image is not a schema instance",
-            )
-        )
-    return out
+    return _run(_presentation_maps_checks())
 
 
 # ---------------------------------------------------------------------------
@@ -806,95 +795,39 @@ def check_presentation_maps() -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def negative_controls() -> List[Tuple[str, Callable[[], CheckResult]]]:
+def negative_controls() -> List[Check]:
     """Named controls; each passes exactly when its perturbation is detected."""
-    controls: List[Tuple[str, Callable[[], CheckResult]]] = []
-
-    def detected(name: str, diff) -> CheckResult:
-        return CheckResult.from_bool(name, bool(diff), "perturbation was not detected")
-
-    for i in range(4):
-        for side, exp in (("right", 3), ("left", -3)):
-            name = "negative.s_commutation.i%d.%s" % (i, side)
-            controls.append(
-                (name, lambda name=name, i=i, side=side, exp=exp: detected(name, _s_commutation_diff(i, side, exp)))
-            )
-
-    for table in ALL_TABLES:
-        for column in table.columns:
-            name = "negative.tables.%s" % column
-            controls.append(
-                (
-                    name,
-                    lambda name=name, table=table, column=column: CheckResult.from_bool(
-                        name,
-                        not check_table_column(table, column, perturb=True).ok,
-                        "perturbed fixture still matched",
-                    ),
-                )
-            )
-
-    def qdg_control(name, index):
-        first, second = _qdg_diff(drop_central=True)
-        return detected(name, (first, second)[index])
-
-    controls.append(("negative.qdg_error_terms.first", lambda: qdg_control("negative.qdg_error_terms.first", 0)))
-    controls.append(("negative.qdg_error_terms.second", lambda: qdg_control("negative.qdg_error_terms.second", 1)))
-
-    for label, build, _ in GENERAL_QDG_CONFIGS:
-        name = "negative.general_qdg.%s" % label
-        controls.append(
-            (
-                name,
-                lambda name=name, build=build: detected(
-                    name, _general_qdg_diffs(build(), wrong_serre=True)[0]
-                ),
-            )
-        )
-
-    def rho_control():
+    controls = [
+        _control("negative.s_commutation.i%d.%s" % (i, side), _s_commutation_diff, i, side, exponent)
+        for i in range(4)
+        for side, exponent in (("right", 3), ("left", -3))
+    ]
+    controls += [
+        _control("negative.tables.%s" % column, _table_diff, table, column, True)
+        for table in ALL_TABLES
+        for column in table.columns
+    ]
+    controls += [
+        _control("negative.qdg_error_terms.%s" % side, lambda k: _qdg_diff(k, drop_central=True), k)
+        for k, side in enumerate(_SIDES)
+    ]
+    controls += [
+        _control("negative.general_qdg.%s" % label, lambda build: _qdg_diff(0, build(), wrong_serre=True), build)
+        for label, build, _ in GENERAL_QDG_CONFIGS
+    ]
+    controls += [
         # wrong central relabelling: c_i -> c_{i+3} instead of c_{i+1}
-        qdiff = _qp(1) - _qp(-1)
-        diffs = []
-        for i in range(4):
-            j, k = (i + 1) % 4, (i + 2) % 4
-            diffs.append(
-                _qp(1) * reduce_word((j, k))
-                - _qp(-1) * reduce_word((k, j))
-                - qdiff * bt.central_gen((i + 3) % 4)
-            )
-        return detected("negative.presentation_maps.rho", any(bool(d) for d in diffs))
-
-    controls.append(("negative.presentation_maps.rho", rho_control))
-
-    def scaling_control():
-        a_sym = RING.gen("a")
-        weyl = _formal_weyl(0)
-        image = _formal_substitute(weyl, lambda l: (l, a_sym))
-        return detected("negative.presentation_maps.scaling", image != weyl)
-
-    controls.append(("negative.presentation_maps.scaling", scaling_control))
-
-    def tet_control():
-        image = _formal_substitute(_formal_weyl(0), lambda l: (((l - 1) % 4, l % 4), _ONE))
-        qdiff = _qp(1) - _qp(-1)
-        wrong = _formal(
-            [
-                (_qp(1), ((3, 0), (0, 2))),
-                (-_qp(-1), ((0, 2), (3, 0))),
-                (-qdiff, ()),
-            ]
-        )
-        return detected("negative.presentation_maps.tet", image != wrong)
-
-    controls.append(("negative.presentation_maps.tet", tet_control))
-
-    def engine_sign_control():
-        qdiff = _qp(1) - _qp(-1)
-        diff = _qp(1) * reduce_word((0, 1)) + _qp(-1) * reduce_word((1, 0)) - qdiff * bt.central_gen(0)
-        return detected("negative.engine.relation_sign", diff)
-
-    controls.append(("negative.engine.relation_sign", engine_sign_control))
+        _control("negative.presentation_maps.rho", lambda: any(_relation_diff(i + 1, central=2) for i in range(4))),
+        _control(
+            "negative.presentation_maps.scaling",
+            lambda: _formal_substitute(_relation("weyl", 0), lambda l: (l, RING.gen("a"))) != _relation("weyl", 0),
+        ),
+        _control(
+            "negative.presentation_maps.tet",
+            lambda: _formal_substitute(_relation("weyl", 0), _pair_image) != _formal_weyl((3, 0), (0, 2)),
+        ),
+        _control("negative.engine.relation_sign", _relation_diff, 0, 0, 1),
+    ]
     return controls
 
 
@@ -903,23 +836,8 @@ def negative_controls() -> List[Tuple[str, Callable[[], CheckResult]]]:
 # ---------------------------------------------------------------------------
 
 
-def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -> List[Tuple[str, Callable[[], CheckResult]]]:
-    checks: List[Tuple[str, Callable[[], CheckResult]]] = []
-    qdiff = _qp(1) - _qp(-1)
-
-    for i in range(4):
-        name = "engine.defining_relation.i%d" % i
-        checks.append(
-            (
-                name,
-                lambda name=name, i=i: CheckResult.from_difference(
-                    name,
-                    _qp(1) * reduce_word((i, (i + 1) % 4))
-                    - _qp(-1) * reduce_word(((i + 1) % 4, i))
-                    - qdiff * bt.central_gen(i),
-                ),
-            )
-        )
+def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -> List[Check]:
+    out = [_diff_check("engine.defining_relation.i%d" % i, _relation_diff, i) for i in range(4)]
 
     def free_words():
         rng = random.Random(seed ^ 0xF1EE)
@@ -933,7 +851,7 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
                     return CheckResult("engine.free_words", "fail", got)
         return CheckResult("engine.free_words", "pass")
 
-    checks.append(("engine.free_words", free_words))
+    out.append(("engine.free_words", free_words))
 
     def confluence():
         rng = random.Random(seed)
@@ -945,7 +863,7 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
                 return CheckResult("engine.confluence", "fail", left - right)
         return CheckResult("engine.confluence", "pass")
 
-    checks.append(("engine.confluence", confluence))
+    out.append(("engine.confluence", confluence))
 
     def oracle():
         rng = random.Random(seed + 1)
@@ -957,7 +875,7 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
                 return CheckResult("engine.oracle_equivalence", "fail", direct - via_module)
         return CheckResult("engine.oracle_equivalence", "pass")
 
-    checks.append(("engine.oracle_equivalence", oracle))
+    out.append(("engine.oracle_equivalence", oracle))
 
     def associativity():
         rng = random.Random(seed + 2)
@@ -970,7 +888,7 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
                 return CheckResult("engine.associativity", "fail", diff)
         return CheckResult("engine.associativity", "pass")
 
-    checks.append(("engine.associativity", associativity))
+    out.append(("engine.associativity", associativity))
 
     def rho_laws():
         rng = random.Random(seed + 3)
@@ -987,7 +905,7 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
                 return CheckResult("engine.rho_laws", "fail", "not an algebra map")
         return CheckResult("engine.rho_laws", "pass")
 
-    checks.append(("engine.rho_laws", rho_laws))
+    out.append(("engine.rho_laws", rho_laws))
 
     def scale_laws():
         rng = random.Random(seed + 4)
@@ -1019,5 +937,18 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
                 return CheckResult("engine.scale_inverse", "fail", "not an algebra map")
         return CheckResult("engine.scale_inverse", "pass")
 
-    checks.append(("engine.scale_inverse", scale_laws))
-    return checks
+    out.append(("engine.scale_inverse", scale_laws))
+    return out
+
+
+def checks(seed: int = 20260810) -> List[Check]:
+    """Every identity check, engine law and negative control, as (name, thunk) pairs."""
+    return (
+        _s_commutation_checks()
+        + _table_checks()
+        + _qdg_error_terms_checks()
+        + _registered_general_qdg_checks()
+        + _presentation_maps_checks()
+        + engine_checks(seed)
+        + negative_controls()
+    )

@@ -41,6 +41,10 @@ def test_nf_parse_error_exit_code(capsys):
 
 
 def test_nf_budget_exit_code(capsys, monkeypatch):
+    # a power of one letter stays normal, so only the concatenation path runs
+    code, out, err = run(capsys, ["nf", "x0^70"])
+    assert code == 3
+    assert out == "" and "budget" in err
     monkeypatch.setenv("QDG_WORD_CAP", "2")
     code, _, err = run(capsys, ["nf", "x1*x0*x2*x3"])
     assert code == 3
@@ -54,7 +58,7 @@ def test_term_budget_env(capsys, monkeypatch):
 
 
 def test_verify_filter_and_exit_codes(capsys):
-    code, out, _ = run(capsys, ["verify", "--check", "s_commutation.*", "--jobs", "1"])
+    code, out, _ = run(capsys, ["verify", "--check", "s_commutation.*"])
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("s_commutation")]
     assert len(lines) == 8
@@ -64,24 +68,23 @@ def test_verify_filter_and_exit_codes(capsys):
 
 
 def test_verify_json_schema(capsys):
-    code, out, _ = run(
-        capsys, ["verify", "--check", "qdg_error_terms.*", "--json", "--jobs", "1"]
-    )
+    code, out, _ = run(capsys, ["verify", "--check", "qdg_error_terms.*", "--json"])
     assert code == 0
     report = json.loads(out)
     assert set(report) == {"version", "config", "checks", "summary"}
+    assert set(report["config"]) == {"ring", "term_budget", "word_cap", "seed"}
     assert report["summary"] == {"pass": 2, "fail": 0}
     for entry in report["checks"]:
         assert set(entry) <= {"name", "status", "witness", "ms"}
         assert entry["status"] == "pass"
+        # each check is timed on its own, not as part of a batch
+        assert entry["ms"] > 0
     assert report["config"]["ring"] == ["q", "a", "b"]
 
 
 def test_verify_json_deterministic_apart_from_timing(capsys):
     def normalized():
-        code, out, _ = run(
-            capsys, ["verify", "--check", "tables.*", "--json", "--jobs", "2"]
-        )
+        code, out, _ = run(capsys, ["verify", "--check", "tables.*", "--json"])
         assert code == 0
         report = json.loads(out)
         for entry in report["checks"]:
@@ -91,17 +94,26 @@ def test_verify_json_deterministic_apart_from_timing(capsys):
     assert normalized() == normalized()
 
 
-def test_verify_results_independent_of_jobs(capsys):
-    outs = []
-    for jobs in ("1", "4"):
-        code, out, _ = run(
-            capsys, ["verify", "--check", "general_qdg.*", "--json", "--jobs", jobs]
-        )
-        assert code == 0
-        report = json.loads(out)
-        outs.append([(e["name"], e["status"]) for e in report["checks"]])
-        assert report["config"]["jobs"] == int(jobs)
-    assert outs[0] == outs[1]
+def test_verify_reports_budget_errors(capsys, monkeypatch):
+    monkeypatch.setenv("QDG_TERM_BUDGET", "10")
+    code, out, _ = run(capsys, ["verify", "--check", "tables.*", "--json"])
+    assert code == 3
+    report = json.loads(out)
+    errors = [e for e in report["checks"] if e["status"] == "error"]
+    assert errors and all(e["witness"] == "term budget" for e in errors)
+    assert set(report["summary"]) == {"pass", "fail"}
+    assert report["summary"]["fail"] == len(errors)
+    assert report["summary"]["pass"] + len(errors) == len(report["checks"])
+
+
+def test_malformed_env_limits(capsys, monkeypatch):
+    for var, value in (("QDG_WORD_CAP", "abc"), ("QDG_TERM_BUDGET", "0"), ("QDG_WORD_CAP", "-5")):
+        with monkeypatch.context() as m:
+            m.setenv(var, value)
+            code, out, err = run(capsys, ["nf", "x0"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and var in err
 
 
 def test_dims_table(capsys):
@@ -123,6 +135,9 @@ def test_dims_json_and_cap(capsys):
     code, _, err = run(capsys, ["dims", "--max", "99"])
     assert code == 2
     assert "cap" in err
+    code, out, err = run(capsys, ["dims", "--max", "-1"])
+    assert code == 2
+    assert out == "" and "-1" in err
 
 
 def test_registry_names_are_stable():
@@ -142,3 +157,15 @@ def test_registry_names_are_stable():
         "negative.engine.relation_sign",
     }
     assert expected_subset <= names
+
+
+def test_registry_thunks_carry_their_names_and_controls():
+    registry = build_checks()
+    slow = ("gradings.spread.", "engine.")
+    for name, thunk in registry.items():
+        if not name.startswith(slow):
+            assert thunk().name == name
+    groups = ("s_commutation", "tables", "qdg_error_terms", "general_qdg", "presentation_maps", "engine", "gradings")
+    for group in groups:
+        assert any(n.startswith(group + ".") for n in registry)
+        assert any(n.startswith("negative.%s." % group) for n in registry), group
