@@ -17,6 +17,8 @@ factors are free, so no ordering is applied inside them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError
@@ -55,8 +57,8 @@ LIMITS = EngineLimits()
 
 
 def add_central(c1: tuple, c2: tuple) -> tuple:
-    out = tuple(a + b for a, b in zip(c1, c2))
-    if any(abs(v) >= _CENTRAL_BOUND for v in out):
+    out = tuple(map(add, c1, c2))
+    if max(out) >= _CENTRAL_BOUND or min(out) <= -_CENTRAL_BOUND:
         raise CentralOverflowError("central exponent outside the checked 64-bit range")
     return out
 
@@ -94,6 +96,23 @@ class NormalMono(NamedTuple):
 
 IDENTITY_MONO = NormalMono((), (), ZERO_CENTRAL)
 
+
+def _put(acc: dict, key, value) -> int:
+    """acc[key] += value, dropping the key when the sum vanishes; returns
+    the change in the number of keys."""
+    old = acc.get(key)
+    if old is None:
+        if value:
+            acc[key] = value
+            return 1
+        return 0
+    if old + value:
+        acc[key] = old + value
+        return 0
+    del acc[key]
+    return -1
+
+
 # deterministic term order used by rendering: longer words first, then
 # even-heavy monomials
 def _mono_sort_key(m: NormalMono):
@@ -122,13 +141,11 @@ class BoxElem:
     __hash__ = None
 
     def __add__(self, other: "BoxElem") -> "BoxElem":
+        if other.ring is not self.ring:
+            raise ValueError("mixed coefficient rings")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, self.ring.zero()) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            _put(terms, m, c)
         return BoxElem(self.ring, terms)
 
     def __neg__(self) -> "BoxElem":
@@ -153,9 +170,15 @@ class BoxElem:
     def __pow__(self, n: int) -> "BoxElem":
         if n < 0:
             raise ValueError("negative powers are not defined for algebra elements")
+        # by repeated squaring; powers of one element commute
         result = one(self.ring)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def render(self) -> str:
@@ -218,31 +241,146 @@ def central_gen(i: int, power: int = 1, ring: LaurentRing = DEFAULT_RING) -> Box
 # ---------------------------------------------------------------------------
 
 
-def _find_redex(word: tuple, strategy: str) -> Optional[int]:
-    """Position of an adjacent (odd letter, even letter) pair, or None."""
-    if strategy == "leftmost":
-        rng = range(len(word) - 1)
-    elif strategy == "rightmost":
-        rng = range(len(word) - 2, -1, -1)
-    else:
-        raise ValueError("unknown strategy %r" % strategy)
-    for i in rng:
-        if word[i] in (1, 3) and word[i + 1] in (0, 2):
-            return i
-    return None
+def _check_word_cap(op: str, length: int) -> None:
+    if length > LIMITS.word_cap:
+        raise ReductionBudgetError(
+            "reduction budget: %s reached %d letters (cap %d)" % (op, length, LIMITS.word_cap)
+        )
 
 
-def _qcache(ring: LaurentRing) -> dict:
-    cache = _RING_CACHE.get(id(ring))
-    if cache is None:
-        cache = {
-            e: (ring.qpow(e), ring.one() - ring.qpow(e)) for e in (2, -2)
-        }
-        _RING_CACHE[id(ring)] = cache
-    return cache
+def _check_term_budget(op: str, size: int) -> None:
+    if size > LIMITS.term_budget:
+        raise TermBudgetError(
+            "term budget: %s reached %d terms (limit %d)" % (op, size, LIMITS.term_budget)
+        )
 
 
-_RING_CACHE: dict = {}
+# Words in the rewriting kernel are bytes of letters.  Translated by
+# _PARITY, odd letters read 1 and even ones 0, so a redex is b"\x01\x00";
+# translated by _EVEN, even letters read 1.
+_PARITY = bytes([0, 1, 0, 1]) + bytes(252)
+_EVEN = bytes([1, 0, 1, 0]) + bytes(252)
+_REDEX = b"\x01\x00"
+# redex v u -> (pairing exponent, the swapped pair u v, unit vector of the
+# central correction)
+_RULES = {
+    bytes((v, u)): (
+        PAIRING[(u, v)],
+        bytes((u, v)),
+        tuple(int(i == CORRECTION[(u, v)]) for i in range(4)),
+    )
+    for (u, v) in PAIRING
+}
+
+
+def _potential(word: bytes) -> int:
+    """The sum of the positions of the even letters.  A swap lowers it by
+    one and a drop by at least one, so it orders the rewriting."""
+    return sum(compress(count(), word.translate(_EVEN)))
+
+
+class _Work:
+    """The flat worklist of the rewriting kernel and its normal-form
+    accumulator.
+
+    `levels` maps a potential to a flat map (word, central, exponent
+    vector) -> int, and `out` maps (normal word, central, exponent vector)
+    -> int.  `size` counts the entries of both, which is what the term
+    budget bounds; `op` names the public operation in a budget message.
+    """
+
+    __slots__ = ("levels", "out", "size", "op")
+
+    def __init__(self, op: str):
+        self.levels: dict = {}
+        self.out: dict = {}
+        self.size = 0
+        self.op = op
+
+    def add(self, word: bytes, central: tuple, terms: Iterable, normal: bool = False) -> None:
+        """Adds coeff * word * c^central for the (exps, int) terms of coeff;
+        a word known to be normal goes straight to the accumulator."""
+        level = self.out if normal else self.levels.setdefault(_potential(word), {})
+        for exps, c in terms:
+            self.size += _put(level, (word, central, exps), c)
+        _check_term_budget(self.op, self.size)
+
+    def reduce(self, ring: LaurentRing, strategy: str = "leftmost") -> BoxElem:
+        """Rewrites every pending state into normal form, level by level
+        from the highest potential down, and returns the sum.
+
+        Both rewrite factors, q^e and 1 - q^e, are pure powers of q, so a
+        rewrite only shifts exps[0] and the other ring symbols ride along.
+        Every rewrite lowers the potential, so all contributions to a state
+        have arrived before its level is rewritten, and each state is
+        rewritten once.
+        """
+        levels, out = self.levels, self.out
+        find = bytes.find if strategy == "leftmost" else bytes.rfind
+        limit = LIMITS.term_budget
+        size = self.size
+        for f in range(max(levels, default=-1), -1, -1):
+            level = levels.pop(f, None)
+            while level:
+                key, c = level.popitem()
+                size -= 1
+                w, cent, exps = key
+                parity = w.translate(_PARITY)
+                pos = find(parity, _REDEX)
+                if pos < 0:
+                    size += _put(out, key, c)
+                    continue
+                e, swapped, unit = _RULES[w[pos : pos + 2]]
+                shifted = (exps[0] + e,) + exps[1:]
+                dropped = w[:pos] + w[pos + 2 :]
+                bumped = tuple(map(add, cent, unit))
+                # the dropped even letter was at pos + 1, and the even
+                # letters after it move two places down
+                low = f - pos - 1 - 2 * (len(w) - pos - 2 - parity.count(1, pos + 2))
+                for g, state, k in (
+                    (f - 1, (w[:pos] + swapped + w[pos + 2 :], cent, shifted), c),
+                    (low, (dropped, bumped, exps), c),
+                    (low, (dropped, bumped, shifted), -c),
+                ):
+                    target = levels.get(g)
+                    if target is None:
+                        target = levels[g] = {}
+                    # _put, inlined in the hot loop
+                    old = target.get(state)
+                    if old is None:
+                        target[state] = k
+                        size += 1
+                    elif old + k:
+                        target[state] = old + k
+                    else:
+                        del target[state]
+                        size -= 1
+                if size > limit:
+                    _check_term_budget(self.op, size)
+        return _to_elem(ring, out)
+
+
+def _to_elem(ring: LaurentRing, flat: dict) -> BoxElem:
+    """The element of a flat map (normal word, central, exps) -> int;
+    empties `flat` as it fills the coefficients."""
+    terms: dict = {}
+    coeffs: dict = {}
+    # equal tuples become one object, which keeps the element small
+    shared: dict = {}
+    share = shared.setdefault
+    while flat:
+        (w, cent, exps), c = flat.popitem()
+        coeff = coeffs.get((w, cent))
+        if coeff is None:
+            split = w.translate(_PARITY).find(1)
+            if split < 0:
+                split = len(w)
+            even, odd = tuple(w[:split]), tuple(w[split:])
+            mono = NormalMono(share(even, even), share(odd, odd), share(cent, cent))
+            # filled in place below: every entry of `flat` is nonzero
+            coeff = coeffs[w, cent] = terms[mono] = LaurentPoly(ring, {})
+        coeff.terms[share(exps, exps)] = c
+    return BoxElem(ring, terms)
 
 
 def reduce_word(
@@ -257,88 +395,46 @@ def reduce_word(
 
     Repeatedly rewrites an adjacent (odd, even) pair; each rewrite either
     keeps the length and removes one inversion or shortens the word by two,
-    so the process terminates.  States with equal (word, central) parts are
-    merged as they appear, which keeps the worklist small.
+    so the process terminates.
     """
     word = tuple(int(l) for l in letters)
     if any(l not in (0, 1, 2, 3) for l in word):
         raise ValueError("generator letters must be in {0, 1, 2, 3}")
-    if len(word) > LIMITS.word_cap:
-        raise ReductionBudgetError("reduction budget")
+    _check_word_cap("reduce_word", len(word))
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError("unknown strategy %r" % strategy)
     if coeff is None:
         coeff = ring.one()
-    cache = _qcache(ring)
-    work = {(word, tuple(central)): coeff}
-    out: dict = {}
-    while work:
-        key = next(iter(work))
-        c = work.pop(key)
-        w, cent = key
-        pos = _find_redex(w, strategy)
-        if pos is None:
-            split = 0
-            while split < len(w) and w[split] in (0, 2):
-                split += 1
-            mono = NormalMono(w[:split], w[split:], cent)
-            s = out.get(mono, ring.zero()) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-            continue
-        v, u = w[pos], w[pos + 1]
-        e = PAIRING[(u, v)]
-        qp, one_minus = cache[e]
-        swapped = (w[:pos] + (u, v) + w[pos + 2 :], cent)
-        cidx = CORRECTION[(u, v)]
-        bumped = list(cent)
-        bumped[cidx] += 1
-        dropped = (w[:pos] + w[pos + 2 :], tuple(bumped))
-        for state, factor in ((swapped, qp), (dropped, one_minus)):
-            s = work.get(state, ring.zero()) + c * factor
-            if s:
-                work[state] = s
-            else:
-                work.pop(state, None)
-        if len(work) + len(out) > LIMITS.term_budget:
-            raise TermBudgetError("term budget")
-    return BoxElem(ring, out)
+    work = _Work("reduce_word")
+    work.add(bytes(word), tuple(central), coeff.terms.items())
+    return work.reduce(ring, strategy)
 
 
 def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     """Bilinear extension of concatenate-then-reduce."""
     if lhs.ring is not rhs.ring:
         raise ValueError("mixed coefficient rings")
-    ring = lhs.ring
-    out: dict = {}
+    work = _Work("multiply")
     for m1, c1 in lhs.terms.items():
         for m2, c2 in rhs.terms.items():
-            coeff = c1 * c2
             cent = add_central(m1.central, m2.central)
-            if not m1.odd or not m2.even:
-                # concatenation is already normal
-                even, odd = m1.even + m2.even, m1.odd + m2.odd
-                if len(even) + len(odd) > LIMITS.word_cap:
-                    raise ReductionBudgetError("reduction budget")
-                mono = NormalMono(even, odd, cent)
-                s = out.get(mono, ring.zero()) + coeff
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-                continue
-            part = reduce_word(
-                m1.even + m1.odd + m2.even + m2.odd, cent, coeff, ring=ring
+            normal = not m1.odd or not m2.even
+            if normal:
+                word = m1.even + m2.even + m1.odd + m2.odd
+            else:
+                word = m1.even + m1.odd + m2.even + m2.odd
+            _check_word_cap("multiply", len(word))
+            work.add(
+                bytes(word),
+                cent,
+                (
+                    (tuple(map(add, e1, e2)), k1 * k2)
+                    for e1, k1 in c1.terms.items()
+                    for e2, k2 in c2.terms.items()
+                ),
+                normal,
             )
-            for mono, c in part.terms.items():
-                s = out.get(mono, ring.zero()) + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-            if len(out) > LIMITS.term_budget:
-                raise TermBudgetError("term budget")
-    return BoxElem(ring, out)
+    return work.reduce(lhs.ring)
 
 
 def word_product(letters: Sequence[int], ring: LaurentRing = DEFAULT_RING) -> BoxElem:
@@ -365,13 +461,13 @@ def s_element(i: int, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
 
 def rho(e: BoxElem) -> BoxElem:
     """Index-shift substitution x_i -> x_{i+1}, c_i -> c_{i+1}, renormalized."""
-    ring = e.ring
-    out = zero(ring)
+    work = _Work("rho")
     for m, c in e.terms.items():
         shifted = tuple((l + 1) % 4 for l in m.even + m.odd)
+        _check_word_cap("rho", len(shifted))
         cent = (m.central[3], m.central[0], m.central[1], m.central[2])
-        out = out + reduce_word(shifted, cent, c, ring=ring)
-    return out
+        work.add(bytes(shifted), cent, c.terms.items())
+    return work.reduce(e.ring)
 
 
 class CentralElement(NamedTuple):
@@ -439,11 +535,7 @@ def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem],
                 if n:
                     factor = factor * ((alphas[i] * alphas[(i + 1) % 4]) ** n)
             mono = NormalMono(m.even, m.odd, add_central(m.central, factor.central))
-            s = out.get(mono, e.ring.zero()) + c * factor.coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            _put(out, mono, c * factor.coeff)
         return BoxElem(e.ring, out)
 
     return apply
@@ -469,12 +561,7 @@ def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
         for i, n in enumerate(m.central):
             if n:
                 factor = factor * (vals[i] ** n)
-        mono = NormalMono(m.even, m.odd, factor.central)
-        s = out.get(mono, ring.zero()) + c * factor.coeff
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
+        _put(out, NormalMono(m.even, m.odd, factor.central), c * factor.coeff)
     return BoxElem(ring, out)
 
 
@@ -511,8 +598,8 @@ class TensorElem:
         return "<TensorElem %d terms>" % len(self.terms)
 
 
-def _oracle_apply_letter(state: dict, token, ring: LaurentRing) -> dict:
-    cache = _qcache(ring)
+def _oracle_apply_letter(state: dict, token, ring: LaurentRing, one_minus: dict) -> dict:
+    """One token acting on the oracle module; `one_minus` maps e to 1 - q^e."""
     out: dict = {}
 
     def put(key, value):
@@ -545,7 +632,7 @@ def _oracle_apply_letter(state: dict, token, ring: LaurentRing) -> dict:
                 lam_idx = _ORACLE_LAMBDA[(ch, letter)]
                 new_lam = list(lam)
                 new_lam[lam_idx] += 1
-                factor = ring.qpow(prefix) * cache[e][1]
+                factor = ring.qpow(prefix) * one_minus[e]
                 put((u[:i] + u[i + 1 :], v, tuple(new_lam)), c * factor)
                 prefix += e
     return out
@@ -557,14 +644,12 @@ def module_action_oracle(tokens: Sequence, ring: LaurentRing = DEFAULT_RING) -> 
     Tokens are generator indices 0..3 or ("c", i, +-1).  Left action means
     the rightmost token acts first.
     """
-    gen_count = sum(1 for t in tokens if not isinstance(t, tuple))
-    if gen_count > LIMITS.word_cap:
-        raise ReductionBudgetError("reduction budget")
+    _check_word_cap("module_action_oracle", sum(1 for t in tokens if not isinstance(t, tuple)))
+    one_minus = {e: ring.one() - ring.qpow(e) for e in (2, -2)}
     state = {("", "", ZERO_CENTRAL): ring.one()}
     for token in reversed(list(tokens)):
-        state = _oracle_apply_letter(state, token, ring)
-        if len(state) > LIMITS.term_budget:
-            raise TermBudgetError("term budget")
+        state = _oracle_apply_letter(state, token, ring, one_minus)
+        _check_term_budget("module_action_oracle", len(state))
     return TensorElem(ring, state)
 
 

@@ -2,8 +2,8 @@
 forms, and emit graded-dimension tables.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error,
-3 resource budget exceeded.  QDG_TERM_BUDGET and QDG_WORD_CAP override the
-engine limits.
+3 resource budget exceeded or central-exponent overflow.  QDG_TERM_BUDGET
+and QDG_WORD_CAP override the engine limits.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def cmd_nf(args) -> int:
         return 2
     except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
+        return 3
+    except bt.CentralOverflowError as exc:
+        print("overflow: %s" % exc, file=sys.stderr)
         return 3
     print(render(value))
     return 0

@@ -10,7 +10,7 @@ plus-word monomial.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from . import boxtilde as bt
 from .boxtilde import BoxElem, NormalMono, generator, reduce_word
@@ -95,6 +95,23 @@ def phi_n(word: str, ring: LaurentRing = RING) -> BoxElem:
     return pi(len(word), sharp_lift(word, ring))
 
 
+def ab_lifts(n: int, ring: LaurentRing = RING) -> Iterator[Tuple[str, BoxElem]]:
+    """Every {A, B} word of length n with its sharp lift, in the order of
+    `all_ab_words`.  A depth-first walk: the lift of each prefix is
+    computed once and extended by one factor, and only the lifts along the
+    current path are held."""
+    factors = _split_factors(ring)
+
+    def walk(word: str, lift: BoxElem):
+        if len(word) == n:
+            yield word, lift
+            return
+        for ch in "AB":
+            yield from walk(word + ch, lift * factors[ch])
+
+    return walk("", bt.one(ring))
+
+
 def all_ab_words(n: int) -> List[str]:
     out = [""]
     for _ in range(n):
@@ -109,8 +126,8 @@ def all_ab_words(n: int) -> List[str]:
 
 def check_phi_leading(n: int) -> CheckResult:
     name = "gradings.phi_leading.n%d" % n
-    for word in all_ab_words(n):
-        diff = phi_n(word) - plus_word(word)
+    for word, lift in ab_lifts(n):
+        diff = pi(n, lift) - plus_word(word)
         if diff:
             return CheckResult(name, "fail", diff)
     return CheckResult(name, "pass")
@@ -119,8 +136,9 @@ def check_phi_leading(n: int) -> CheckResult:
 def check_spread(n: int) -> CheckResult:
     """Degrees of the sign-split expansion stay in [-n, n] with parity n."""
     name = "gradings.spread.n%d" % n
-    for word in all_ab_words(n):
-        degrees = zdegrees(sharp_lift(word))
+    for word, lift in ab_lifts(n):
+        degrees = zdegrees(lift)
+        del lift  # not held while the walk computes the next lift
         bad = {d for d in degrees if abs(d) > n or (d - n) % 2}
         if bad:
             return CheckResult(name, "fail", "degrees %s for word %s" % (sorted(bad), word))

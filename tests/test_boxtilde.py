@@ -25,7 +25,7 @@ from qdg.boxtilde import (
     scale_auto,
     specialize_central,
 )
-from qdg.qcoeff import DEFAULT_RING, NotInvertibleError
+from qdg.qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError
 
 R = DEFAULT_RING
 Q = R.gen("q")
@@ -229,16 +229,76 @@ def test_associativity_on_random_elements():
 
 def test_word_cap_and_budget_errors():
     saved = (bt.LIMITS.word_cap, bt.LIMITS.term_budget)
+    lhs, rhs = reduce_word((1, 1, 3)), reduce_word((0, 2, 0, 2))
     try:
+        # a rewrite never lengthens a word, so the cap is checked on the way in
         bt.LIMITS.word_cap = 3
-        with pytest.raises(bt.ReductionBudgetError):
+        with pytest.raises(bt.ReductionBudgetError, match=r"^reduction budget: reduce_word reached 4 letters \(cap 3\)$"):
             reduce_word((1, 1, 0, 0))
+        with pytest.raises(bt.ReductionBudgetError, match=r"^reduction budget: multiply reached 7 letters \(cap 3\)$"):
+            multiply(lhs, rhs)
         bt.LIMITS.word_cap = 64
+        # each input is one normal term, so only the rewriting grows past the budget
         bt.LIMITS.term_budget = 4
-        with pytest.raises(bt.TermBudgetError):
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: reduce_word reached \d+ terms \(limit 4\)$"):
             reduce_word((1, 1, 3, 0, 2, 0, 2, 0))
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached \d+ terms \(limit 4\)$"):
+            multiply(lhs, rhs)
     finally:
         bt.LIMITS.word_cap, bt.LIMITS.term_budget = saved
+
+
+def _coefficients():
+    """Multi-term coefficients in q, a and b."""
+    exps = st.tuples(st.integers(-4, 4), st.integers(-2, 2), st.integers(-2, 2))
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    return terms.map(lambda t: LaurentPoly(R, t))
+
+
+_WORDS = st.lists(st.integers(0, 3), max_size=6).map(tuple)
+_CENTRALS = st.tuples(*[st.integers(-2, 2)] * 4).filter(any)
+
+
+def _via_oracle(word, central, coeff):
+    """coeff * x_word * c^central, computed by the module action alone."""
+    tokens = list(word) + [
+        ("c", i, 1 if n > 0 else -1) for i, n in enumerate(central) for _ in range(abs(n))
+    ]
+    return oracle_as_box(module_action_oracle(tokens)) * coeff
+
+
+@given(_WORDS, _CENTRALS, _coefficients())
+@settings(max_examples=80, deadline=None)
+def test_reduce_word_agrees_with_the_oracle(word, central, coeff):
+    expected = _via_oracle(word, central, coeff)
+    for strategy in ("leftmost", "rightmost"):
+        assert reduce_word(word, central, coeff, strategy=strategy) == expected
+
+
+@given(_WORDS, _CENTRALS, _coefficients(), _WORDS, _CENTRALS, _coefficients())
+@settings(max_examples=60, deadline=None)
+def test_multiply_agrees_with_the_oracle(w1, c1, k1, w2, c2, k2):
+    lhs, rhs = _via_oracle(w1, c1, k1), _via_oracle(w2, c2, k2)
+    central = tuple(a + b for a, b in zip(c1, c2))
+    assert multiply(lhs, rhs) == _via_oracle(w1 + w2, central, k1 * k2)
+
+
+def test_powers_by_squaring():
+    e = generator(1) + R.gen("a") * generator(0) + central_gen(2)
+    power = bt.one()
+    for n in range(7):
+        assert e ** n == power
+        power = power * e
+    # a central power never grows a word, so only squaring keeps it quick
+    assert central_gen(0) ** 1_000_000 == central_gen(0, 1_000_000)
+    with pytest.raises(bt.CentralOverflowError):
+        central_gen(0) ** (2 ** 63)
+
+
+def test_add_rejects_mixed_rings():
+    other = LaurentRing(("q",))
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        generator(0) + generator(0, other)
 
 
 def test_central_overflow_is_checked():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -51,6 +52,17 @@ def test_nf_budget_exit_code(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_nf_large_central_powers(capsys):
+    code, out, _ = run(capsys, ["nf", "c0^1000000*c0"])
+    assert code == 0
+    assert out == "[- | - | c0^1000001]\n"
+    for text in ("c0^-9223372036854775808", "c0^9223372036854775807*c0"):
+        code, out, err = run(capsys, ["nf", text])
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "overflow" in err
+
+
 def test_term_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("QDG_TERM_BUDGET", "3")
     code, _, err = run(capsys, ["nf", "x1*x3*x0*x2*x0*x2"])
@@ -100,7 +112,10 @@ def test_verify_reports_budget_errors(capsys, monkeypatch):
     assert code == 3
     report = json.loads(out)
     errors = [e for e in report["checks"] if e["status"] == "error"]
-    assert errors and all(e["witness"] == "term budget" for e in errors)
+    # the witness names the operation and the size it reached
+    witness = re.compile(r"term budget: (reduce_word|multiply) reached (\d+) terms \(limit 10\)")
+    matches = [witness.fullmatch(e["witness"]) for e in errors]
+    assert errors and all(m and int(m.group(2)) > 10 for m in matches)
     assert set(report["summary"]) == {"pass", "fail"}
     assert report["summary"]["fail"] == len(errors)
     assert report["summary"]["pass"] + len(errors) == len(report["checks"])

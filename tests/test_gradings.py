@@ -5,6 +5,7 @@ import pytest
 from qdg import boxtilde as bt
 from qdg.boxtilde import NormalMono, ZERO_CENTRAL, generator, reduce_word
 from qdg.gradings import (
+    ab_lifts,
     all_ab_words,
     bidegree_components,
     check_grading_multiplicative,
@@ -109,3 +110,11 @@ def test_projection_laws_and_samples():
 def test_all_ab_words():
     assert all_ab_words(0) == [""]
     assert sorted(all_ab_words(2)) == ["AA", "AB", "BA", "BB"]
+
+
+def test_ab_lifts_walk_every_word_in_order():
+    for n in range(5):
+        walked = list(ab_lifts(n))
+        assert [word for word, _ in walked] == all_ab_words(n)
+        for word, lift in walked:
+            assert lift == sharp_lift(word)
