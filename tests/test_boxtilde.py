@@ -248,15 +248,15 @@ def test_word_cap_and_budget_errors():
         bt.LIMITS.word_cap, bt.LIMITS.term_budget = saved
 
 
-def _coefficients():
-    """Multi-term coefficients in q, a and b."""
-    exps = st.tuples(st.integers(-4, 4), st.integers(-2, 2), st.integers(-2, 2))
-    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
-    return terms.map(lambda t: LaurentPoly(R, t))
-
-
 _WORDS = st.lists(st.integers(0, 3), max_size=6).map(tuple)
 _CENTRALS = st.tuples(*[st.integers(-2, 2)] * 4).filter(any)
+# multi-term coefficients in q, a and b
+_COEFFICIENTS = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-2, 2), st.integers(-2, 2)),
+    st.integers(-3, 3).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: LaurentPoly(R, terms))
 
 
 def _via_oracle(word, central, coeff):
@@ -267,7 +267,7 @@ def _via_oracle(word, central, coeff):
     return oracle_as_box(module_action_oracle(tokens)) * coeff
 
 
-@given(_WORDS, _CENTRALS, _coefficients())
+@given(_WORDS, _CENTRALS, _COEFFICIENTS)
 @settings(max_examples=80, deadline=None)
 def test_reduce_word_agrees_with_the_oracle(word, central, coeff):
     expected = _via_oracle(word, central, coeff)
@@ -275,7 +275,7 @@ def test_reduce_word_agrees_with_the_oracle(word, central, coeff):
         assert reduce_word(word, central, coeff, strategy=strategy) == expected
 
 
-@given(_WORDS, _CENTRALS, _coefficients(), _WORDS, _CENTRALS, _coefficients())
+@given(_WORDS, _CENTRALS, _COEFFICIENTS, _WORDS, _CENTRALS, _COEFFICIENTS)
 @settings(max_examples=60, deadline=None)
 def test_multiply_agrees_with_the_oracle(w1, c1, k1, w2, c2, k2):
     lhs, rhs = _via_oracle(w1, c1, k1), _via_oracle(w2, c2, k2)
