@@ -512,6 +512,13 @@ def central_unit(i: int, power: int = 1, ring: LaurentRing = DEFAULT_RING) -> Ce
     return CentralElement(ring.one(), tuple(exps))
 
 
+def _unit_parts(a: CentralElement) -> tuple:
+    """An invertible central monomial as (sign, coefficient exponents,
+    central exponents)."""
+    ((exps, sign),) = a.coeff.terms.items()
+    return sign, exps, a.central
+
+
 def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem], BoxElem]:
     """The substitution x_i -> alpha_i x_i, c_i -> alpha_i alpha_{i+1} c_i.
 
@@ -524,18 +531,34 @@ def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem],
     for a in alphas:
         if not a.is_unit():
             raise NotInvertibleError("not invertible")
+    # each factor once as integer vectors; a term's factor is then a sum
+    letters = [_unit_parts(a) for a in alphas]
+    pairs = [_unit_parts(alphas[i] * alphas[(i + 1) % 4]) for i in range(4)]
 
     def apply(e: BoxElem) -> BoxElem:
+        if any(a.coeff.ring is not e.ring for a in alphas):
+            raise ValueError("mixed coefficient rings")
+        zero = (0,) * e.ring.width
         out: dict = {}
         for m, c in e.terms.items():
-            factor = CentralElement(e.ring.one(), ZERO_CENTRAL)
+            sign, exps, central = 1, zero, ZERO_CENTRAL
             for l in m.even + m.odd:
-                factor = factor * alphas[l]
+                s, x, z = letters[l]
+                sign *= s
+                exps = tuple(map(add, exps, x))
+                central = add_central(central, z)
             for i, n in enumerate(m.central):
                 if n:
-                    factor = factor * ((alphas[i] * alphas[(i + 1) % 4]) ** n)
-            mono = NormalMono(m.even, m.odd, add_central(m.central, factor.central))
-            _put(out, mono, c * factor.coeff)
+                    s, x, z = pairs[i]
+                    if n & 1:
+                        sign *= s
+                    exps = tuple(u + n * v for u, v in zip(exps, x))
+                    central = add_central(central, scale_central(z, n))
+            if sign != 1 or exps != zero:
+                c = LaurentPoly(
+                    e.ring, {tuple(map(add, k, exps)): sign * v for k, v in c.terms.items()}
+                )
+            _put(out, NormalMono(m.even, m.odd, add_central(m.central, central)), c)
         return BoxElem(e.ring, out)
 
     return apply

@@ -2,8 +2,9 @@
 forms, and emit graded-dimension tables.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error,
-3 resource budget exceeded or central-exponent overflow.  QDG_TERM_BUDGET
-and QDG_WORD_CAP override the engine limits.
+3 resource budget exceeded, central-exponent overflow, or a coefficient
+too large to print.  QDG_TERM_BUDGET and QDG_WORD_CAP override the engine
+limits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import __version__
 from . import boxtilde as bt
 from . import freealg, gradings, identities
 from .expr import ParseError, eval_text, render
-from .qcoeff import DEFAULT_RING, NotInvertibleError
+from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, NotInvertibleError
 
 DEFAULT_SEED = 20260810
 
@@ -100,7 +101,7 @@ def cmd_verify(args) -> int:
 
 def cmd_nf(args) -> int:
     try:
-        value = eval_text(args.expr, mode="box")
+        text = render(eval_text(args.expr, mode="box"))
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
@@ -110,10 +111,10 @@ def cmd_nf(args) -> int:
     except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except bt.CentralOverflowError as exc:
+    except (bt.CentralOverflowError, CoefficientTooLargeError) as exc:
         print("overflow: %s" % exc, file=sys.stderr)
         return 3
-    print(render(value))
+    print(text)
     return 0
 
 

@@ -134,6 +134,14 @@ _FREE_GENERATORS = {"x", "y"}
 _SYMBOLS = {"q", "a", "b"}
 
 
+def _int_literal(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # the interpreter's limit on str-to-int conversion
+        raise ParseError("integer literal of %d digits is too long" % len(text), pos) from None
+
+
 class _Parser:
     def __init__(self, text: str, mode: str):
         if mode not in ("box", "free"):
@@ -201,7 +209,7 @@ class _Parser:
         if kind != "int":
             raise ParseError("expected an integer", pos)
         self.advance()
-        return sign * int(value)
+        return sign * _int_literal(value, pos)
 
     def factor(self) -> Expr:
         node = self.atom()
@@ -214,7 +222,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, pos = self.advance()
         if kind == "int":
-            return Lit(int(value))
+            return Lit(_int_literal(value, pos))
         if kind == "name":
             if value == "qint":
                 self.expect_op("(")

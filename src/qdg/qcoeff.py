@@ -18,6 +18,10 @@ class NotInvertibleError(ArithmeticError):
     """Inversion was requested for something that is not a unit monomial."""
 
 
+class CoefficientTooLargeError(OverflowError):
+    """A coefficient has too many decimal digits to be printed."""
+
+
 Exponents = tuple
 IntLike = Union[int, "LaurentPoly"]
 
@@ -287,7 +291,14 @@ class LaurentPoly:
     def _monomial_text(self, coeff_abs: int, exps: Exponents) -> str:
         factors = []
         if coeff_abs != 1 or all(e == 0 for e in exps):
-            factors.append(str(coeff_abs))
+            try:
+                factors.append(str(coeff_abs))
+            except ValueError:
+                # the interpreter's limit on int-to-str conversion
+                raise CoefficientTooLargeError(
+                    "a coefficient of %d bits is too large to print in decimal"
+                    % coeff_abs.bit_length()
+                ) from None
         for sym, e in zip(self.ring.symbols, exps):
             if e == 0:
                 continue

@@ -162,10 +162,41 @@ def test_scale_auto_inverse_law_for_scalars():
 
 def test_scale_auto_is_algebra_map_with_central_factors():
     g = scale_auto(central_unit(0, -1), 1, central_element(R.gen("b")), central_unit(2))
+    # negative signs too, so odd powers of c_i flip the sign
+    h = scale_auto(
+        central_unit(0, 2) * central_element(-R.gen("a")),
+        central_element(R.qpow(-1) * R.gen("b", 2)),
+        central_unit(3, -1),
+        central_element(-1),
+    )
     rng = random.Random(12)
     for _ in range(15):
         e1, e2 = bt.random_element(rng), bt.random_element(rng)
         assert g(e1 * e2) == g(e1) * g(e2)
+        assert h(e1 * e2) == h(e1) * h(e2)
+
+
+def test_scale_auto_maps_generators_as_documented():
+    alphas = (
+        central_element(R.gen("a", -1) * R.qpow(2)),
+        central_unit(1, -1) * central_element(-R.gen("b")),
+        central_element(-1),
+        central_unit(3, 2) * central_element(R.gen("a") * R.gen("b", -3)),
+    )
+    def box(a):
+        return BoxElem(R, {mono((), (), a.central): a.coeff})
+
+    g = scale_auto(*alphas)
+    for i in range(4):
+        assert g(generator(i)) == box(alphas[i]) * generator(i)
+        pair = alphas[i] * alphas[(i + 1) % 4]
+        assert g(central_gen(i)) == box(pair) * central_gen(i)
+        # negative powers of c_i take the inverse factor, sign included
+        assert g(central_gen(i, -3)) == box(pair.inverse() ** 3) * central_gen(i, -3)
+    with pytest.raises(NotInvertibleError):
+        scale_auto(1, 1, central_element(Q + 1), 1)
+    with pytest.raises(ValueError):
+        g(generator(0, LaurentRing(("q",))))
 
 
 def test_specialize_central():

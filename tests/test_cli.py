@@ -4,6 +4,7 @@ import re
 import pytest
 
 from qdg import boxtilde as bt
+from qdg import freealg
 from qdg.cli import build_checks, main
 
 
@@ -61,6 +62,22 @@ def test_nf_large_central_powers(capsys):
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "overflow" in err
+
+
+def test_nf_coefficient_too_large_to_print(capsys):
+    # 2^20000 has 6021 decimal digits, past the interpreter's default limit
+    code, out, err = run(capsys, ["nf", "2^20000"])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "overflow" in err and "20001 bits" in err
+
+
+def test_nf_integer_literal_too_long(capsys):
+    for text in ("7" * 5000, "x0^" + "7" * 5000, "3*qint(-%s)" % ("9" * 5000)):
+        code, out, err = run(capsys, ["nf", text])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "5000 digits" in err
 
 
 def test_term_budget_env(capsys, monkeypatch):
@@ -153,6 +170,40 @@ def test_dims_json_and_cap(capsys):
     code, out, err = run(capsys, ["dims", "--max", "-1"])
     assert code == 2
     assert out == "" and "-1" in err
+
+
+def test_dims_mismatch_fails(capsys, monkeypatch):
+    # negative control: a cross-check one short of the exact rank
+    exact_rank = freealg.rank_by_specialization
+    monkeypatch.setattr(
+        freealg, "rank_by_specialization", lambda *args, **kw: exact_rank(*args, **kw) - 1
+    )
+    code, out, _ = run(capsys, ["dims", "--max", "5"])
+    assert code == 1
+    rows = out.splitlines()[1:]
+    assert len(rows) == 6 and all(line.endswith("MISMATCH") for line in rows)
+
+
+def _pbw_series(n_max):
+    """Coefficients of prod_{d odd} (1 - t^d)^-2 prod_{d even} (1 - t^d)^-1
+    up to t^n_max: two root vectors in each odd degree, one in each even."""
+    coeffs = [1] + [0] * n_max
+    for d in range(1, n_max + 1):
+        for _ in range(2 if d % 2 else 1):
+            # multiply by 1 / (1 - t^d)
+            for k in range(d, n_max + 1):
+                coeffs[k] += coeffs[k - d]
+    return coeffs
+
+
+def test_dims_match_the_pbw_count_through_degree_11(capsys):
+    assert _pbw_series(11) == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344]
+    code, out, _ = run(capsys, ["dims", "--max", "11", "--json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["dim"] for row in rows] == _pbw_series(11)
+    assert all(row["specialization_agrees"] for row in rows)
+    assert all(row["rank"] + row["dim"] == 2 ** row["n"] for row in rows)
 
 
 def test_registry_names_are_stable():

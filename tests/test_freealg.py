@@ -81,11 +81,65 @@ def test_rank_with_symbol_coefficients():
     assert rank_over_fraction_field([s_x * a, s_x * (a * R.qpow(2))], 4) == 1
 
 
-def test_rank_specialization_cross_check():
-    rng = random.Random(7)
-    for n in range(7):
+def _unit_scaled(rows, rng):
+    """Each row times a random unit q^i a^j b^k, with negative exponents."""
+    return [
+        row * (R.qpow(rng.randint(-3, 3)) * R.gen("a", rng.randint(-2, 2)) * R.gen("b", rng.randint(-2, 2)))
+        for row in rows
+    ]
+
+
+def test_exact_rank_does_not_depend_on_row_order():
+    rng = random.Random(41)
+    for n in range(10):
         span = relation_span(n)
-        assert rank_by_specialization(span, n, rng=rng) == rank_over_fraction_field(span, n)
+        rank = rank_over_fraction_field(span, n)
+        shuffled = list(span)
+        rng.shuffle(shuffled)
+        assert rank_over_fraction_field(shuffled, n) == rank
+    # the generic path, on rows with a and b entries
+    a, b = R.gen("a"), R.gen("b")
+    s_x, s_y = serre_elements()
+    rows = [s_x * a, s_y * (b ** -2), s_x * (a * R.qpow(2))]
+    for _ in range(4):
+        rng.shuffle(rows)
+        assert rank_over_fraction_field(rows, 4) == 2
+    for n in range(4, 7):
+        rows = _unit_scaled(relation_span(n), rng)
+        assert freealg._as_dense_q(freealg._cleared_rows(rows, n)) is None
+        rank = rank_over_fraction_field(relation_span(n), n)
+        rng.shuffle(rows)
+        assert rank_over_fraction_field(rows, n) == rank
+
+
+def test_rank_specialization_cross_check():
+    exact = {n: rank_over_fraction_field(relation_span(n), n) for n in range(11)}
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for n, rank in exact.items():
+            assert rank_by_specialization(relation_span(n), n, rng=rng) == rank
+        # entries with negative exponents and a, b symbols
+        for n in range(4, 8):
+            rows = _unit_scaled(relation_span(n), rng)
+            assert rank_by_specialization(rows, n, rng=rng) == exact[n]
+        a, b = R.gen("a"), R.gen("b")
+        s_x, s_y = serre_elements()
+        assert rank_by_specialization([s_x * a, s_y * (b ** -2)], 4, rng=rng) == 2
+        assert rank_by_specialization([s_x * a ** -1, s_x * (a * R.qpow(-2))], 4, rng=rng) == 1
+
+
+def test_rank_mod_p_points_and_rejections():
+    rng = random.Random(5)
+    for _ in range(50):
+        point = freealg.random_residue_point(rng, R)
+        assert len(point) == 3
+        assert all(0 < v < freealg._PRIME for v in point)
+        assert point[0] ** 2 % freealg._PRIME != 1
+    assert rank_by_specialization([], 4) == 0
+    with pytest.raises(ValueError):
+        rank_by_specialization([word_elem("x")], 4)
+    with pytest.raises(ValueError):
+        rank_by_specialization([word_elem("x") + word_elem("xy")], 2)
 
 
 def test_dim_uplus_small_degrees():
