@@ -12,12 +12,20 @@ pairing/correction tables below.  Every element has a unique expansion
 over basis monomials (even word | odd word | central monomial), where the
 even word runs over {x0, x2} and the odd word over {x1, x3}; the two word
 factors are free, so no ordering is applied inside them.
+
+Products never search for a redex.  Applied along a whole word, the
+rewrite has a closed form: an even letter u appended to E | o_1...o_k
+gives q^{e_1+...+e_k} (E u | o_1...o_k) plus, for each i,
+q^{e_{i+1}+...+e_k} (1 - q^{e_i}) c_{(u, o_i)} (E | the odd word without
+o_i), with e_j the pairing exponent of (u, o_j).  Every term is normal, so
+`reduce_word`, `multiply` and `rho` fold letters one at a time into a map
+of normal states, and each letter is handled in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -255,131 +263,148 @@ def _check_term_budget(op: str, size: int) -> None:
         )
 
 
-# Words in the rewriting kernel are bytes of letters.  Translated by
-# _PARITY, odd letters read 1 and even ones 0, so a redex is b"\x01\x00";
-# translated by _EVEN, even letters read 1.
-_PARITY = bytes([0, 1, 0, 1]) + bytes(252)
-_EVEN = bytes([1, 0, 1, 0]) + bytes(252)
-_REDEX = b"\x01\x00"
-# redex v u -> (pairing exponent, the swapped pair u v, unit vector of the
-# central correction)
-_RULES = {
-    bytes((v, u)): (
-        PAIRING[(u, v)],
-        bytes((u, v)),
-        tuple(int(i == CORRECTION[(u, v)]) for i in range(4)),
-    )
-    for (u, v) in PAIRING
-}
+# The kernel works on state maps (even word, odd word, central, a/b
+# exponents) -> {q exponent: int}, with words as bytes of letters.  Both
+# rewrite factors are pure powers of q, so a crossing only shifts q
+# exponents and the a/b exponents ride along.
+
+# letter crossed -> (pairing exponent, central correction index), one table
+# for an even letter u moving left over odd letters and one for an odd
+# letter v moving right over even letters
+_CROSS_ODD = {u: {v: (PAIRING[u, v], CORRECTION[u, v]) for v in ODD_LETTERS} for u in EVEN_LETTERS}
+_CROSS_EVEN = {v: {u: (PAIRING[u, v], CORRECTION[u, v]) for u in EVEN_LETTERS} for v in ODD_LETTERS}
 
 
-def _potential(word: bytes) -> int:
-    """The sum of the positions of the even letters.  A swap lowers it by
-    one and a drop by at least one, so it orders the rewriting."""
-    return sum(compress(count(), word.translate(_EVEN)))
+@lru_cache(maxsize=1 << 14)
+def _crossing(letter: int, word: bytes, append: bool) -> tuple:
+    """The closed form of `letter` crossing `word`: appended on the right,
+    an even letter moves left over an odd word; prepended on the left, an
+    odd letter moves right over an even word.
 
-
-class _Work:
-    """The flat worklist of the rewriting kernel and its normal-form
-    accumulator.
-
-    `levels` maps a potential to a flat map (word, central, exponent
-    vector) -> int, and `out` maps (normal word, central, exponent vector)
-    -> int.  `size` counts the entries of both, which is what the term
-    budget bounds; `op` names the public operation in a budget message.
+    Returns (total shift, drops), where the letter ends past the word with
+    factor q^{total}, and each drop (shorter word, correction index, lo,
+    hi) stands for (q^lo - q^hi) c_index times the word with one letter
+    removed.  The letter at the i-th crossing contributes q^s (1 - q^e),
+    with s the exponents crossed before it; a run of r equal letters
+    removes to the same word, and its terms telescope to q^s (1 - q^{re}).
     """
-
-    __slots__ = ("levels", "out", "size", "op")
-
-    def __init__(self, op: str):
-        self.levels: dict = {}
-        self.out: dict = {}
-        self.size = 0
-        self.op = op
-
-    def add(self, word: bytes, central: tuple, terms: Iterable, normal: bool = False) -> None:
-        """Adds coeff * word * c^central for the (exps, int) terms of coeff;
-        a word known to be normal goes straight to the accumulator."""
-        level = self.out if normal else self.levels.setdefault(_potential(word), {})
-        for exps, c in terms:
-            self.size += _put(level, (word, central, exps), c)
-        _check_term_budget(self.op, self.size)
-
-    def reduce(self, ring: LaurentRing, strategy: str = "leftmost") -> BoxElem:
-        """Rewrites every pending state into normal form, level by level
-        from the highest potential down, and returns the sum.
-
-        Both rewrite factors, q^e and 1 - q^e, are pure powers of q, so a
-        rewrite only shifts exps[0] and the other ring symbols ride along.
-        Every rewrite lowers the potential, so all contributions to a state
-        have arrived before its level is rewritten, and each state is
-        rewritten once.
-        """
-        levels, out = self.levels, self.out
-        find = bytes.find if strategy == "leftmost" else bytes.rfind
-        limit = LIMITS.term_budget
-        size = self.size
-        for f in range(max(levels, default=-1), -1, -1):
-            level = levels.pop(f, None)
-            while level:
-                key, c = level.popitem()
-                size -= 1
-                w, cent, exps = key
-                parity = w.translate(_PARITY)
-                pos = find(parity, _REDEX)
-                if pos < 0:
-                    size += _put(out, key, c)
-                    continue
-                e, swapped, unit = _RULES[w[pos : pos + 2]]
-                shifted = (exps[0] + e,) + exps[1:]
-                dropped = w[:pos] + w[pos + 2 :]
-                bumped = tuple(map(add, cent, unit))
-                # the dropped even letter was at pos + 1, and the even
-                # letters after it move two places down
-                low = f - pos - 1 - 2 * (len(w) - pos - 2 - parity.count(1, pos + 2))
-                for g, state, k in (
-                    (f - 1, (w[:pos] + swapped + w[pos + 2 :], cent, shifted), c),
-                    (low, (dropped, bumped, exps), c),
-                    (low, (dropped, bumped, shifted), -c),
-                ):
-                    target = levels.get(g)
-                    if target is None:
-                        target = levels[g] = {}
-                    # _put, inlined in the hot loop
-                    old = target.get(state)
-                    if old is None:
-                        target[state] = k
-                        size += 1
-                    elif old + k:
-                        target[state] = old + k
-                    else:
-                        del target[state]
-                        size -= 1
-                if size > limit:
-                    _check_term_budget(self.op, size)
-        return _to_elem(ring, out)
+    table = (_CROSS_ODD if append else _CROSS_EVEN)[letter]
+    total = 0
+    drops: list = []
+    previous = None
+    for i in range(len(word) - 1, -1, -1) if append else range(len(word)):
+        crossed = word[i]
+        e, index = table[crossed]
+        if crossed == previous:
+            drops[-1][3] += e
+        else:
+            drops.append([word[:i] + word[i + 1 :], index, total, total + e])
+        total += e
+        previous = crossed
+    return total, tuple(map(tuple, drops))
 
 
-def _to_elem(ring: LaurentRing, flat: dict) -> BoxElem:
-    """The element of a flat map (normal word, central, exps) -> int;
-    empties `flat` as it fills the coefficients."""
+def _add_into(acc: dict, key, qd: dict, shift: int, factor: int) -> None:
+    """acc[key] += factor * q^shift * qd, dropping entries and keys that
+    vanish."""
+    target = acc.get(key)
+    if target is None:
+        if shift or factor != 1:
+            acc[key] = {k + shift: v * factor for k, v in qd.items()}
+        else:
+            acc[key] = qd.copy()
+        return
+    for k, v in qd.items():
+        k += shift
+        v = target.get(k, 0) + v * factor
+        if v:
+            target[k] = v
+        else:
+            del target[k]
+    if not target:
+        del acc[key]
+
+
+def _cross(state: dict, letter: int, append: bool) -> dict:
+    """The state map times x_letter (append) or x_letter times it, for a
+    letter that must cross the opposite word."""
+    unit = bytes((letter,))
+    out: dict = {}
+    for (even, odd, cent, ab), qd in state.items():
+        total, drops = _crossing(letter, odd if append else even, append)
+        if append:
+            _add_into(out, (even + unit, odd, cent, ab), qd, total, 1)
+        else:
+            _add_into(out, (even, unit + odd, cent, ab), qd, total, 1)
+        for word, index, lo, hi in drops:
+            bumped = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
+            key = (even, word, bumped, ab) if append else (word, odd, bumped, ab)
+            _add_into(out, key, qd, lo, 1)
+            _add_into(out, key, qd, hi, -1)
+    return out
+
+
+def _fold(state: dict, letters: bytes, append: bool, op: str) -> dict:
+    """The state map times x_letters (append) or x_letters times it
+    (prepend), one letter at a time from the side it joins."""
+    free = 1 if append else 0  # the parity that joins by concatenation
+    for letter in letters if append else reversed(letters):
+        if letter & 1 != free:
+            state = _cross(state, letter, append)
+            _check_term_budget(op, len(state))
+        elif append:
+            unit = bytes((letter,))
+            state = {(e, o + unit, c, ab): qd for (e, o, c, ab), qd in state.items()}
+        else:
+            unit = bytes((letter,))
+            state = {(unit + e, o, c, ab): qd for (e, o, c, ab), qd in state.items()}
+    return state
+
+
+def _enter(state: dict, even: bytes, odd: bytes, central: tuple, coeff: LaurentPoly) -> None:
+    """Enters coeff times the normal monomial (even | odd | central), which
+    is not in `state` yet."""
+    for exps, v in coeff.terms.items():
+        key = (even, odd, central, exps[1:])
+        qd = state.get(key)
+        if qd is None:
+            state[key] = {exps[0]: v}
+        else:
+            qd[exps[0]] = v
+
+
+def _state(e: BoxElem) -> dict:
+    """The state map of an element."""
+    state: dict = {}
+    for m, c in e.terms.items():
+        _enter(state, bytes(m.even), bytes(m.odd), m.central, c)
+    return state
+
+
+def _to_elem(ring: LaurentRing, state: dict) -> BoxElem:
+    """The element of a state map; empties `state` as it fills the
+    coefficients."""
     terms: dict = {}
     coeffs: dict = {}
-    # equal tuples become one object, which keeps the element small
+    # equal words and centrals become one object, which keeps the element
+    # small
     shared: dict = {}
-    share = shared.setdefault
-    while flat:
-        (w, cent, exps), c = flat.popitem()
-        coeff = coeffs.get((w, cent))
-        if coeff is None:
-            split = w.translate(_PARITY).find(1)
-            if split < 0:
-                split = len(w)
-            even, odd = tuple(w[:split]), tuple(w[split:])
-            mono = NormalMono(share(even, even), share(odd, odd), share(cent, cent))
-            # filled in place below: every entry of `flat` is nonzero
-            coeff = coeffs[w, cent] = terms[mono] = LaurentPoly(ring, {})
-        coeff.terms[share(exps, exps)] = c
+    while state:
+        (even, odd, cent, ab), qd = state.popitem()
+        ct = coeffs.get((even, odd, cent))
+        if ct is None:
+            e = shared.get(even)
+            if e is None:
+                e = shared[even] = tuple(even)
+            o = shared.get(odd)
+            if o is None:
+                o = shared[odd] = tuple(odd)
+            c = shared.setdefault(cent, cent)
+            # filled in place below: every entry of a state map is nonzero
+            coeff = terms[NormalMono(e, o, c)] = LaurentPoly(ring, {})
+            ct = coeffs[even, odd, cent] = coeff.terms
+        for k, v in qd.items():
+            ct[(k,) + ab] = v
     return BoxElem(ring, terms)
 
 
@@ -393,9 +418,11 @@ def reduce_word(
 ) -> BoxElem:
     """Normal form of coeff * x_{letters} * c^{central}.
 
-    Repeatedly rewrites an adjacent (odd, even) pair; each rewrite either
-    keeps the length and removes one inversion or shortens the word by two,
-    so the process terminates.
+    The letters are folded into the normal form one at a time: from the
+    left with `strategy="leftmost"`, each even letter crossing the odd word
+    built so far, or from the right with `"rightmost"`, each odd letter
+    crossing the even word.  The two orders cross different words, so
+    comparing them checks one computation against another.
     """
     word = tuple(int(l) for l in letters)
     if any(l not in (0, 1, 2, 3) for l in word):
@@ -405,36 +432,47 @@ def reduce_word(
         raise ValueError("unknown strategy %r" % strategy)
     if coeff is None:
         coeff = ring.one()
-    work = _Work("reduce_word")
-    work.add(bytes(word), tuple(central), coeff.terms.items())
-    return work.reduce(ring, strategy)
+    start: dict = {}
+    _enter(start, b"", b"", tuple(central), coeff)
+    append = strategy == "leftmost"
+    return _to_elem(ring, _fold(start, bytes(word), append, "reduce_word"))
 
 
 def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
-    """Bilinear extension of concatenate-then-reduce."""
+    """Bilinear extension of concatenate-then-reduce: the even word of each
+    right-hand monomial is folded into the state map of `lhs`, and its odd
+    word is appended.  Monomials sharing an even word share the fold."""
     if lhs.ring is not rhs.ring:
         raise ValueError("mixed coefficient rings")
-    work = _Work("multiply")
-    for m1, c1 in lhs.terms.items():
-        for m2, c2 in rhs.terms.items():
-            cent = add_central(m1.central, m2.central)
-            normal = not m1.odd or not m2.even
-            if normal:
-                word = m1.even + m2.even + m1.odd + m2.odd
-            else:
-                word = m1.even + m1.odd + m2.even + m2.odd
-            _check_word_cap("multiply", len(word))
-            work.add(
-                bytes(word),
-                cent,
-                (
-                    (tuple(map(add, e1, e2)), k1 * k2)
-                    for e1, k1 in c1.terms.items()
-                    for e2, k2 in c2.terms.items()
-                ),
-                normal,
-            )
-    return work.reduce(lhs.ring)
+    if not lhs.terms or not rhs.terms:
+        return zero(lhs.ring)
+    groups: dict = {}
+    longest = 0
+    for m, c in rhs.terms.items():
+        longest = max(longest, len(m.even) + len(m.odd))
+        groups.setdefault(m.even, []).append((bytes(m.odd), m.central, c))
+    longest += max(len(m.even) + len(m.odd) for m in lhs.terms)
+    _check_word_cap("multiply", longest)
+    state = _state(lhs)
+    out: dict = {}
+    for even_word, monos in groups.items():
+        product = _fold(state, bytes(even_word), True, "multiply")
+        for odd_word, central, c in monos:
+            for exps, v in c.terms.items():
+                k, ab2 = exps[0], exps[1:]
+                # a/b sums once per distinct vector
+                sums = {} if any(ab2) else None
+                for (even, odd, cent, ab), qd in product.items():
+                    if sums is not None:
+                        ab_sum = sums.get(ab)
+                        if ab_sum is None:
+                            ab_sum = sums[ab] = tuple(map(add, ab, ab2))
+                        ab = ab_sum
+                    if central != ZERO_CENTRAL:
+                        cent = add_central(cent, central)
+                    _add_into(out, (even, odd + odd_word, cent, ab), qd, k, v)
+        _check_term_budget("multiply", len(out))
+    return _to_elem(lhs.ring, out)
 
 
 def word_product(letters: Sequence[int], ring: LaurentRing = DEFAULT_RING) -> BoxElem:
@@ -460,14 +498,23 @@ def s_element(i: int, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
 
 
 def rho(e: BoxElem) -> BoxElem:
-    """Index-shift substitution x_i -> x_{i+1}, c_i -> c_{i+1}, renormalized."""
-    work = _Work("rho")
+    """Index-shift substitution x_i -> x_{i+1}, c_i -> c_{i+1}, renormalized.
+
+    The shift of a normal monomial is an odd word followed by an even one,
+    so the shifted even words are folded into the shifted odd words, one
+    fold per distinct word."""
+    groups: dict = {}
     for m, c in e.terms.items():
-        shifted = tuple((l + 1) % 4 for l in m.even + m.odd)
-        _check_word_cap("rho", len(shifted))
+        _check_word_cap("rho", len(m.even) + len(m.odd))
+        odd = bytes((l + 1) % 4 for l in m.even)
         cent = (m.central[3], m.central[0], m.central[1], m.central[2])
-        work.add(bytes(shifted), cent, c.terms.items())
-    return work.reduce(e.ring)
+        _enter(groups.setdefault(bytes((l + 1) % 4 for l in m.odd), {}), b"", odd, cent, c)
+    out: dict = {}
+    for even, start in groups.items():
+        for key, qd in _fold(start, even, True, "rho").items():
+            _add_into(out, key, qd, 0, 1)
+        _check_term_budget("rho", len(out))
+    return _to_elem(e.ring, out)
 
 
 class CentralElement(NamedTuple):

@@ -19,13 +19,14 @@ only on invertible atoms (q, a, b, the c_i and their monomials).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from . import boxtilde as bt
 from .boxtilde import BoxElem, NormalMono
 from .freealg import FreeElem, word_elem
-from .qcoeff import DEFAULT_RING, LaurentRing, NotInvertibleError
+from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentRing, NotInvertibleError
 
 RING = DEFAULT_RING
 
@@ -312,6 +313,7 @@ def parse(text: str, mode: str = "box") -> Expr:
 
 def _box_pow(e: BoxElem, n: int) -> BoxElem:
     if n >= 0:
+        _refuse_oversized_power(e, n)
         return e ** n
     if len(e.terms) != 1:
         raise NotInvertibleError("not invertible")
@@ -320,6 +322,30 @@ def _box_pow(e: BoxElem, n: int) -> BoxElem:
         raise NotInvertibleError("not invertible")
     inverted = NormalMono((), (), bt.scale_central(mono.central, n))
     return BoxElem(e.ring, {inverted: coeff ** n})
+
+
+def _refuse_oversized_power(e: BoxElem, n: int) -> None:
+    """Raises CoefficientTooLargeError when the n-th power of a one-term
+    element is sure to carry a coefficient past the interpreter's int-to-str
+    limit, before it is built.
+
+    The term of the power with the longest word has coefficient c^n, and
+    |c|^n >= 2^(n (b - 1)) for a b-bit c, a number of at least n (b - 1) + 1
+    bits; since log10(2) > 0.30102, it has more digits than the limit once
+    n (b - 1) * 0.30102 reaches the limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(e.terms) != 1:
+        return
+    (coeff,) = e.terms.values()
+    if len(coeff.terms) != 1:
+        return
+    (c,) = coeff.terms.values()
+    bits = n * (abs(c).bit_length() - 1)
+    if bits * 30102 >= limit * 100000:
+        raise CoefficientTooLargeError(
+            "a coefficient of at least %d bits is too large to print in decimal" % (bits + 1)
+        )
 
 
 def _free_pow(e: FreeElem, n: int) -> FreeElem:
@@ -361,12 +387,29 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
             return BoxElem(ring, {NormalMono(n.even, n.odd, n.central): ring.one()})
         if isinstance(n, Neg):
             return -walk(n.arg)
-        if isinstance(n, Add):
-            return walk(n.left) + walk(n.right)
-        if isinstance(n, Sub):
-            return walk(n.left) - walk(n.right)
+        if isinstance(n, (Add, Sub)):
+            # a chain a +- b +- c nests to the left; sum it into one dict
+            # instead of copying the partial sum at every step
+            rights = []
+            while isinstance(n, (Add, Sub)):
+                rights.append(n)
+                n = n.left
+            first = walk(n)
+            terms = dict(first.terms)
+            for link in reversed(rights):
+                negate = isinstance(link, Sub)
+                for k, c in walk(link.right).terms.items():
+                    bt._put(terms, k, -c if negate else c)
+            return type(first)(ring, terms)
         if isinstance(n, Mul):
-            return walk(n.left) * walk(n.right)
+            left, right = walk(n.left), walk(n.right)
+            if mode == "box":
+                # a scalar factor only scales the coefficients of the other
+                if left.terms.keys() == {bt.IDENTITY_MONO}:
+                    return right * left.terms[bt.IDENTITY_MONO]
+                if right.terms.keys() == {bt.IDENTITY_MONO}:
+                    return left * right.terms[bt.IDENTITY_MONO]
+            return left * right
         if isinstance(n, Pow):
             base = walk(n.base)
             if mode == "box":

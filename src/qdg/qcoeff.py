@@ -4,14 +4,12 @@ commuting symbols (a, b, ...).
 Elements are sparse: a finite map from exponent vectors (one integer per
 symbol, the first symbol always being q) to nonzero arbitrary-precision
 integer coefficients.  All operations are exact; there are no floats and no
-rational coefficients anywhere in the ring itself.  Evaluation at rational
-points is provided separately through :meth:`LaurentPoly.specialize`.
+rational coefficients anywhere in the ring itself.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 
 class NotInvertibleError(ArithmeticError):
@@ -219,26 +217,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
-
-    # -- evaluation ------------------------------------------------------
-
-    def specialize(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Exact rational evaluation; every symbol must get a nonzero value."""
-        point = []
-        for sym in self.ring.symbols:
-            if sym not in values:
-                raise KeyError("no value assigned to symbol %r" % sym)
-            v = Fraction(values[sym])
-            if v == 0:
-                raise ZeroDivisionError("symbols are invertible; zero value for %r" % sym)
-            point.append(v)
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for v, e in zip(point, exps):
-                term *= v ** e
-            total += term
-        return total
 
     # -- content helpers (used by the elimination code) -------------------
 

@@ -311,7 +311,39 @@ def test_reduce_word_agrees_with_the_oracle(word, central, coeff):
 def test_multiply_agrees_with_the_oracle(w1, c1, k1, w2, c2, k2):
     lhs, rhs = _via_oracle(w1, c1, k1), _via_oracle(w2, c2, k2)
     central = tuple(a + b for a, b in zip(c1, c2))
-    assert multiply(lhs, rhs) == _via_oracle(w1 + w2, central, k1 * k2)
+    expected = _via_oracle(w1 + w2, central, k1 * k2)
+    assert multiply(lhs, rhs) == expected
+    # the product of two words is also their concatenation, in both fold orders
+    for strategy in ("leftmost", "rightmost"):
+        assert reduce_word(w1 + w2, central, k1 * k2, strategy=strategy) == expected
+
+
+@given(_WORDS, _CENTRALS, _COEFFICIENTS, _WORDS, _CENTRALS, _COEFFICIENTS)
+@settings(max_examples=40, deadline=None)
+def test_rho_agrees_with_the_oracle(w1, c1, k1, w2, c2, k2):
+    # a sum of two terms, so words of both shapes are shifted at once
+    e = _via_oracle(w1, c1, k1) + _via_oracle(w2, c2, k2)
+    expected = _via_oracle(
+        tuple((l + 1) % 4 for l in w1), (c1[3],) + c1[:3], k1
+    ) + _via_oracle(tuple((l + 1) % 4 for l in w2), (c2[3],) + c2[:3], k2)
+    assert rho(e) == expected
+
+
+def test_unknown_strategies_are_rejected():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        reduce_word((1, 0), strategy="middle")
+
+
+def test_rho_trips_the_term_budget_under_its_own_name():
+    saved = bt.LIMITS.term_budget
+    # one normal monomial whose shift is an odd word before an even word
+    e = BoxElem(R, {mono((0, 2, 0, 2), (1, 3, 1)): ONE})
+    try:
+        bt.LIMITS.term_budget = 4
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: rho reached \d+ terms \(limit 4\)$"):
+            rho(e)
+    finally:
+        bt.LIMITS.term_budget = saved
 
 
 def test_powers_by_squaring():

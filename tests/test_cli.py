@@ -72,6 +72,26 @@ def test_nf_coefficient_too_large_to_print(capsys):
     assert err.count("\n") == 1 and "overflow" in err and "20001 bits" in err
 
 
+def test_nf_oversized_power_is_refused_before_it_is_built(capsys, monkeypatch):
+    def no_power(self, n):
+        raise AssertionError("the power was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(bt.BoxElem, "__pow__", no_power)
+        code, out, err = run(capsys, ["nf", "2^200000000"])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "overflow" in err and "200000001 bits" in err
+    # a unit coefficient never grows, and a central power has coefficient 1
+    for text, printed in (
+        ("1^1000000000", "[- | - | -]\n"),
+        ("(-1)^1000000001", "-[- | - | -]\n"),
+        ("c0^1000000*c0", "[- | - | c0^1000001]\n"),
+    ):
+        code, out, _ = run(capsys, ["nf", text])
+        assert (code, out) == (0, printed)
+
+
 def test_nf_integer_literal_too_long(capsys):
     for text in ("7" * 5000, "x0^" + "7" * 5000, "3*qint(-%s)" % ("9" * 5000)):
         code, out, err = run(capsys, ["nf", text])

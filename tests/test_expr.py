@@ -114,3 +114,22 @@ def test_corpus_consistency_pairs():
 def test_render_rejects_foreign_values():
     with pytest.raises(TypeError):
         render(42)
+
+
+def test_sums_and_differences_accumulate_in_one_pass():
+    x0, x1 = generator(0), generator(1)
+    assert eval_text("x0 - x1 + 2*x1 - x1 - x0") == bt.zero()
+    assert eval_text("x1*x0 - q^2*x0*x1 + 3*c0") == (
+        reduce_word((1, 0)) - Q ** 2 * (x0 * x1) + 3 * central_gen(0)
+    )
+    assert eval_text("-x0 + x1 - (x0 - x1)") == -2 * x0 + 2 * x1
+    # a chain inside a product and a product inside a chain
+    assert eval_text("(x0 + x1)*(x0 - x1) + x1*x1") == x0 * x0 - x0 * x1 + x1 * x0
+    # free mode sums the same way
+    assert eval_text("x - y + y", mode="free") == word_elem("x", R)
+
+
+def test_scalar_factors_scale_the_other_factor():
+    e = eval_text("2*q*a^-1*x1*x0*c3")
+    assert e == (2 * Q * R.gen("a", -1)) * (reduce_word((1, 0)) * central_gen(3))
+    assert eval_text("x1*x0*qint(2)") == R.qint(2) * reduce_word((1, 0))
