@@ -17,7 +17,8 @@ class NotInvertibleError(ArithmeticError):
 
 
 class CoefficientTooLargeError(OverflowError):
-    """A coefficient has too many decimal digits to be printed."""
+    """A coefficient has too many decimal digits to be printed, or a power
+    would build one with too many bits."""
 
 
 Exponents = tuple

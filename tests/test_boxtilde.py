@@ -334,6 +334,44 @@ def test_unknown_strategies_are_rejected():
         reduce_word((1, 0), strategy="middle")
 
 
+def test_multiply_checks_the_budget_within_a_crossing_and_a_group():
+    saved = bt.LIMITS.term_budget
+    budget_error = r"^term budget: multiply reached (\d+) terms \(limit 5\)$"
+    # the eight odd words of length 3, each with an empty even word
+    odd3 = (generator(1) + generator(3)) ** 3
+    try:
+        bt.LIMITS.term_budget = 5
+        # x0 crosses each odd word, giving at most four terms each and 16
+        # distinct ones in all
+        with pytest.raises(bt.TermBudgetError, match=budget_error) as info:
+            multiply(odd3, generator(0))
+        assert int(info.value.args[0].split()[4]) <= 5 + 4
+        # the right-hand side is one group, and its 64 products are distinct
+        with pytest.raises(bt.TermBudgetError, match=budget_error) as info:
+            multiply(odd3, odd3 * 5)
+        assert int(info.value.args[0].split()[4]) <= 5 + len(odd3.terms)
+    finally:
+        bt.LIMITS.term_budget = saved
+
+
+def test_scalar_factors_scale_the_other_factor():
+    scalar = BoxElem(R, {bt.IDENTITY_MONO: 2 * Q * R.gen("a", -1) + R.gen("b")})
+    coeff = scalar.terms[bt.IDENTITY_MONO]
+    e = reduce_word((1, 0, 3), (0, 0, 0, 1))
+    expected = reduce_word((1, 0, 3), (0, 0, 0, 1), coeff)
+    assert multiply(scalar, e) == expected
+    assert multiply(e, scalar) == expected
+    assert multiply(scalar, scalar) == BoxElem(R, {bt.IDENTITY_MONO: coeff * coeff})
+    saved = bt.LIMITS.word_cap
+    try:
+        # the word cap still applies to a product with a scalar
+        bt.LIMITS.word_cap = 2
+        with pytest.raises(bt.ReductionBudgetError, match=r"^reduction budget: multiply reached 3 letters \(cap 2\)$"):
+            multiply(scalar, BoxElem(R, {mono((0,), (1, 3)): ONE}))
+    finally:
+        bt.LIMITS.word_cap = saved
+
+
 def test_rho_trips_the_term_budget_under_its_own_name():
     saved = bt.LIMITS.term_budget
     # one normal monomial whose shift is an odd word before an even word

@@ -4,7 +4,7 @@ from qdg import boxtilde as bt
 from qdg.boxtilde import central_gen, generator, reduce_word, s_element
 from qdg.expr import ParseError, eval_text, evaluate, parse, render
 from qdg.freealg import serre_elements, word_elem
-from qdg.qcoeff import DEFAULT_RING, NotInvertibleError
+from qdg.qcoeff import DEFAULT_RING, CoefficientTooLargeError, NotInvertibleError
 
 from corpus import CORPUS
 
@@ -133,3 +133,10 @@ def test_scalar_factors_scale_the_other_factor():
     e = eval_text("2*q*a^-1*x1*x0*c3")
     assert e == (2 * Q * R.gen("a", -1)) * (reduce_word((1, 0)) * central_gen(3))
     assert eval_text("x1*x0*qint(2)") == R.qint(2) * reduce_word((1, 0))
+
+
+def test_powers_short_of_the_bit_bound_are_built():
+    assert eval_text("2^15000") == 2 ** 15000 * bt.one()
+    assert eval_text("3^600000").terms[bt.IDENTITY_MONO].terms == {(0, 0, 0): 3 ** 600000}
+    with pytest.raises(CoefficientTooLargeError, match="at least 1048577 bits"):
+        eval_text("2^1048576")
