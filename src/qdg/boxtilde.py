@@ -20,6 +20,15 @@ q^{e_{i+1}+...+e_k} (1 - q^{e_i}) c_{(u, o_i)} (E | the odd word without
 o_i), with e_j the pairing exponent of (u, o_j).  Every term is normal, so
 `reduce_word`, `multiply` and `rho` fold letters one at a time into a map
 of normal states, and each letter is handled in one pass.
+
+A `BoxElem` stores only that state map, (even word, odd word, central,
+a/b exponents) -> {q exponent: int}, with the words as bytes; every
+operation reads and returns state maps.  `BoxElem.terms`, the map
+NormalMono -> LaurentPoly, is a view built anew on each access, for the API
+and the renderer.  State maps share their inner q-dicts, so no stored state
+map or inner dict is ever mutated: an operation fills only an outer map it
+created, and `_add_into` changes in place only the inner dicts it created
+itself.
 """
 
 from __future__ import annotations
@@ -128,44 +137,84 @@ def _mono_sort_key(m: NormalMono):
 
 
 class BoxElem:
-    """An element in normal form: finite map NormalMono -> LaurentPoly."""
+    """An element in normal form, stored as its state map (see the module
+    docstring)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "state")
 
     def __init__(self, ring: LaurentRing, terms: dict):
+        """The element sum c * m over `terms`, a map NormalMono -> coefficient;
+        zero coefficients are dropped."""
+        state: dict = {}
+        for m, c in terms.items():
+            _enter(state, bytes(m.even), bytes(m.odd), tuple(m.central), ring.coerce(c))
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.state = state
+
+    @classmethod
+    def _of(cls, ring: LaurentRing, state: dict) -> "BoxElem":
+        """The element of a state map, which it keeps as it is."""
+        e = cls.__new__(cls)
+        e.ring = ring
+        e.state = state
+        return e
+
+    @property
+    def terms(self) -> dict:
+        """The map NormalMono -> LaurentPoly, built from the state map on
+        each access."""
+        terms: dict = {}
+        for (even, odd, cent, ab), qd in self.state.items():
+            m = NormalMono(tuple(even), tuple(odd), cent)
+            coeff = terms.get(m)
+            if coeff is None:
+                # filled in place: every entry of a state map is nonzero
+                coeff = terms[m] = LaurentPoly(self.ring, {})
+            ct = coeff.terms
+            for k, v in qd.items():
+                ct[(k,) + ab] = v
+        return terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.state)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BoxElem)
             and self.ring is other.ring
-            and self.terms == other.terms
+            and self.state == other.state
         )
 
     __hash__ = None
 
-    def __add__(self, other: "BoxElem") -> "BoxElem":
+    def _plus(self, other: "BoxElem", sign: int) -> "BoxElem":
         if other.ring is not self.ring:
             raise ValueError("mixed coefficient rings")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            _put(terms, m, c)
-        return BoxElem(self.ring, terms)
+        state = dict(self.state)
+        for key, qd in other.state.items():
+            mine = state.pop(key, None)
+            if mine is not None:
+                # a copy, so the sum leaves both summands' q-dicts as they are
+                _add_into(state, key, mine, 0, 1)
+            _add_into(state, key, qd, 0, sign)
+        return BoxElem._of(self.ring, state)
 
-    def __neg__(self) -> "BoxElem":
-        return BoxElem(self.ring, {m: -c for m, c in self.terms.items()})
+    def __add__(self, other: "BoxElem") -> "BoxElem":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "BoxElem") -> "BoxElem":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "BoxElem":
+        return BoxElem._of(
+            self.ring, {key: {k: -v for k, v in qd.items()} for key, qd in self.state.items()}
+        )
 
     def __mul__(self, other) -> "BoxElem":
         if isinstance(other, (int, LaurentPoly)):
-            c0 = self.ring.coerce(other)
-            return BoxElem(self.ring, {m: c * c0 for m, c in self.terms.items()})
+            scalar: dict = {}
+            _enter(scalar, b"", b"", ZERO_CENTRAL, self.ring.coerce(other))
+            return BoxElem._of(self.ring, _scaled(self.state, scalar))
         if isinstance(other, BoxElem):
             return multiply(self, other)
         return NotImplemented
@@ -190,11 +239,12 @@ class BoxElem:
         return result
 
     def render(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         pieces = []
-        for m in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[m]
+        for m in sorted(terms, key=_mono_sort_key):
+            c = terms[m]
             body = "[%s]" % m.render()
             multi = len(c.terms) > 1
             allneg = all(v < 0 for v in c.terms.values())
@@ -221,27 +271,30 @@ class BoxElem:
         return "<BoxElem %s>" % self
 
 
+def _basis(ring: LaurentRing, even: bytes, odd: bytes, central: tuple) -> BoxElem:
+    """The basis monomial (even | odd | central) with coefficient 1."""
+    return BoxElem._of(ring, {(even, odd, central, (0,) * (ring.width - 1)): {0: 1}})
+
+
 def zero(ring: LaurentRing = DEFAULT_RING) -> BoxElem:
-    return BoxElem(ring, {})
+    return BoxElem._of(ring, {})
 
 
 def one(ring: LaurentRing = DEFAULT_RING) -> BoxElem:
-    return BoxElem(ring, {IDENTITY_MONO: ring.one()})
+    return _basis(ring, b"", b"", ZERO_CENTRAL)
 
 
 def generator(i: int, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
-    i = i % 4
-    if i in EVEN_LETTERS:
-        mono = NormalMono((i,), (), ZERO_CENTRAL)
-    else:
-        mono = NormalMono((), (i,), ZERO_CENTRAL)
-    return BoxElem(ring, {mono: ring.one()})
+    unit = bytes((i % 4,))
+    if i % 2 == 0:
+        return _basis(ring, unit, b"", ZERO_CENTRAL)
+    return _basis(ring, b"", unit, ZERO_CENTRAL)
 
 
 def central_gen(i: int, power: int = 1, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
     exps = [0, 0, 0, 0]
     exps[i % 4] = power
-    return BoxElem(ring, {NormalMono((), (), tuple(exps)): ring.one()})
+    return _basis(ring, b"", b"", tuple(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +362,8 @@ def _crossing(letter: int, word: bytes, append: bool) -> tuple:
 
 def _add_into(acc: dict, key, qd: dict, shift: int, factor: int) -> None:
     """acc[key] += factor * q^shift * qd, dropping entries and keys that
-    vanish."""
+    vanish.  A new key gets a new dict, never `qd` itself, so every inner
+    dict of `acc` that this changes in place was made here."""
     target = acc.get(key)
     if target is None:
         if shift or factor != 1:
@@ -379,39 +433,21 @@ def _enter(state: dict, even: bytes, odd: bytes, central: tuple, coeff: LaurentP
             qd[exps[0]] = v
 
 
-def _state(e: BoxElem) -> dict:
-    """The state map of an element."""
-    state: dict = {}
-    for m, c in e.terms.items():
-        _enter(state, bytes(m.even), bytes(m.odd), m.central, c)
-    return state
+def _scaled(state: dict, scalar: dict) -> dict:
+    """The state map times the state map of a scalar, whose every key has
+    empty words and no central part."""
+    out: dict = {}
+    for (_, _, _, ab2), qd2 in scalar.items():
+        shifted = any(ab2)
+        for (even, odd, cent, ab), qd in state.items():
+            key = (even, odd, cent, tuple(map(add, ab, ab2)) if shifted else ab)
+            for k, v in qd2.items():
+                _add_into(out, key, qd, k, v)
+    return out
 
 
-def _to_elem(ring: LaurentRing, state: dict) -> BoxElem:
-    """The element of a state map; empties `state` as it fills the
-    coefficients."""
-    terms: dict = {}
-    coeffs: dict = {}
-    # equal words and centrals become one object, which keeps the element
-    # small
-    shared: dict = {}
-    while state:
-        (even, odd, cent, ab), qd = state.popitem()
-        ct = coeffs.get((even, odd, cent))
-        if ct is None:
-            e = shared.get(even)
-            if e is None:
-                e = shared[even] = tuple(even)
-            o = shared.get(odd)
-            if o is None:
-                o = shared[odd] = tuple(odd)
-            c = shared.setdefault(cent, cent)
-            # filled in place below: every entry of a state map is nonzero
-            coeff = terms[NormalMono(e, o, c)] = LaurentPoly(ring, {})
-            ct = coeffs[even, odd, cent] = coeff.terms
-        for k, v in qd.items():
-            ct[(k,) + ab] = v
-    return BoxElem(ring, terms)
+def _is_scalar(state: dict) -> bool:
+    return all(not even and not odd and cent == ZERO_CENTRAL for even, odd, cent, _ in state)
 
 
 def reduce_word(
@@ -441,7 +477,7 @@ def reduce_word(
     start: dict = {}
     _enter(start, b"", b"", tuple(central), coeff)
     append = strategy == "leftmost"
-    return _to_elem(ring, _fold(start, bytes(word), append, "reduce_word"))
+    return BoxElem._of(ring, _fold(start, bytes(word), append, "reduce_word"))
 
 
 def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
@@ -450,43 +486,40 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     word is appended.  Monomials sharing an even word share the fold."""
     if lhs.ring is not rhs.ring:
         raise ValueError("mixed coefficient rings")
-    if not lhs.terms or not rhs.terms:
+    if not lhs.state or not rhs.state:
         return zero(lhs.ring)
     _check_word_cap(
         "multiply",
-        max(len(m.even) + len(m.odd) for m in lhs.terms)
-        + max(len(m.even) + len(m.odd) for m in rhs.terms),
+        max(len(even) + len(odd) for even, odd, _, _ in lhs.state)
+        + max(len(even) + len(odd) for even, odd, _, _ in rhs.state),
     )
     # a scalar factor only scales the coefficients of the other
-    if rhs.terms.keys() == {IDENTITY_MONO}:
-        c0 = rhs.terms[IDENTITY_MONO]
-        return BoxElem(lhs.ring, {m: c * c0 for m, c in lhs.terms.items()})
-    if lhs.terms.keys() == {IDENTITY_MONO}:
-        c0 = lhs.terms[IDENTITY_MONO]
-        return BoxElem(lhs.ring, {m: c0 * c for m, c in rhs.terms.items()})
+    if _is_scalar(rhs.state):
+        return BoxElem._of(lhs.ring, _scaled(lhs.state, rhs.state))
+    if _is_scalar(lhs.state):
+        return BoxElem._of(lhs.ring, _scaled(rhs.state, lhs.state))
     groups: dict = {}
-    for m, c in rhs.terms.items():
-        groups.setdefault(m.even, []).append((bytes(m.odd), m.central, c))
-    state = _state(lhs)
+    for (even, odd, central, ab2), qd2 in rhs.state.items():
+        groups.setdefault(even, []).append((odd, central, ab2, qd2))
     out: dict = {}
     for even_word, monos in groups.items():
-        product = _fold(state, bytes(even_word), True, "multiply")
-        for odd_word, central, c in monos:
-            for exps, v in c.terms.items():
-                k, ab2 = exps[0], exps[1:]
-                # a/b sums once per distinct vector: most vectors recur
-                sums = {} if any(ab2) else None
-                for (even, odd, cent, ab), qd in product.items():
-                    if sums is not None:
-                        ab_sum = sums.get(ab)
-                        if ab_sum is None:
-                            ab_sum = sums[ab] = tuple(map(add, ab, ab2))
-                        ab = ab_sum
-                    if central != ZERO_CENTRAL:
-                        cent = add_central(cent, central)
-                    _add_into(out, (even, odd + odd_word, cent, ab), qd, k, v)
-                _check_term_budget("multiply", len(out))
-    return _to_elem(lhs.ring, out)
+        product = _fold(lhs.state, even_word, True, "multiply")
+        for odd_word, central, ab2, qd2 in monos:
+            # a/b sums once per distinct vector: most vectors recur
+            sums = {} if any(ab2) else None
+            for (even, odd, cent, ab), qd in product.items():
+                if sums is not None:
+                    ab_sum = sums.get(ab)
+                    if ab_sum is None:
+                        ab_sum = sums[ab] = tuple(map(add, ab, ab2))
+                    ab = ab_sum
+                if central != ZERO_CENTRAL:
+                    cent = add_central(cent, central)
+                key = (even, odd + odd_word, cent, ab)
+                for k, v in qd2.items():
+                    _add_into(out, key, qd, k, v)
+            _check_term_budget("multiply", len(out))
+    return BoxElem._of(lhs.ring, out)
 
 
 def word_product(letters: Sequence[int], ring: LaurentRing = DEFAULT_RING) -> BoxElem:
@@ -511,6 +544,9 @@ def s_element(i: int, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
 # ---------------------------------------------------------------------------
 
 
+_SHIFT = bytes.maketrans(bytes((0, 1, 2, 3)), bytes((1, 2, 3, 0)))
+
+
 def rho(e: BoxElem) -> BoxElem:
     """Index-shift substitution x_i -> x_{i+1}, c_i -> c_{i+1}, renormalized.
 
@@ -518,17 +554,16 @@ def rho(e: BoxElem) -> BoxElem:
     so the shifted even words are folded into the shifted odd words, one
     fold per distinct word."""
     groups: dict = {}
-    for m, c in e.terms.items():
-        _check_word_cap("rho", len(m.even) + len(m.odd))
-        odd = bytes((l + 1) % 4 for l in m.even)
-        cent = (m.central[3], m.central[0], m.central[1], m.central[2])
-        _enter(groups.setdefault(bytes((l + 1) % 4 for l in m.odd), {}), b"", odd, cent, c)
+    for (even, odd, cent, ab), qd in e.state.items():
+        _check_word_cap("rho", len(even) + len(odd))
+        key = (b"", even.translate(_SHIFT), (cent[3], cent[0], cent[1], cent[2]), ab)
+        groups.setdefault(odd.translate(_SHIFT), {})[key] = qd
     out: dict = {}
     for even, start in groups.items():
         for key, qd in _fold(start, even, True, "rho").items():
             _add_into(out, key, qd, 0, 1)
         _check_term_budget("rho", len(out))
-    return _to_elem(e.ring, out)
+    return BoxElem._of(e.ring, out)
 
 
 class CentralElement(NamedTuple):
@@ -601,26 +636,23 @@ def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem],
             raise ValueError("mixed coefficient rings")
         zero = (0,) * e.ring.width
         out: dict = {}
-        for m, c in e.terms.items():
+        for (even, odd, cent, ab), qd in e.state.items():
             sign, exps, central = 1, zero, ZERO_CENTRAL
-            for l in m.even + m.odd:
+            for l in even + odd:
                 s, x, z = letters[l]
                 sign *= s
                 exps = tuple(map(add, exps, x))
                 central = add_central(central, z)
-            for i, n in enumerate(m.central):
+            for i, n in enumerate(cent):
                 if n:
                     s, x, z = pairs[i]
                     if n & 1:
                         sign *= s
                     exps = tuple(u + n * v for u, v in zip(exps, x))
                     central = add_central(central, scale_central(z, n))
-            if sign != 1 or exps != zero:
-                c = LaurentPoly(
-                    e.ring, {tuple(map(add, k, exps)): sign * v for k, v in c.terms.items()}
-                )
-            _put(out, NormalMono(m.even, m.odd, add_central(m.central, central)), c)
-        return BoxElem(e.ring, out)
+            key = (even, odd, add_central(cent, central), tuple(map(add, ab, exps[1:])))
+            _add_into(out, key, qd, exps[0], sign)
+        return BoxElem._of(e.ring, out)
 
     return apply
 
@@ -640,13 +672,20 @@ def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
         if not v.coeff.is_monomial():
             raise NotInvertibleError("not invertible")
     out: dict = {}
-    for m, c in e.terms.items():
-        factor = CentralElement(ring.one(), ZERO_CENTRAL)
-        for i, n in enumerate(m.central):
-            if n:
-                factor = factor * (vals[i] ** n)
-        _put(out, NormalMono(m.even, m.odd, factor.central), c * factor.coeff)
-    return BoxElem(ring, out)
+    # central vector -> (central part, coefficient exponents, coefficient)
+    factors: dict = {}
+    for (even, odd, cent, ab), qd in e.state.items():
+        f = factors.get(cent)
+        if f is None:
+            factor = CentralElement(ring.one(), ZERO_CENTRAL)
+            for i, n in enumerate(cent):
+                if n:
+                    factor = factor * (vals[i] ** n)
+            ((exps, v),) = factor.coeff.terms.items()
+            f = factors[cent] = (factor.central, exps, v)
+        central, exps, v = f
+        _add_into(out, (even, odd, central, tuple(map(add, ab, exps[1:]))), qd, exps[0], v)
+    return BoxElem._of(ring, out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from . import boxtilde as bt
-from .boxtilde import BoxElem, NormalMono
+from .boxtilde import BoxElem
 from .freealg import FreeElem, word_elem
 from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentRing, NotInvertibleError
 
@@ -314,13 +314,16 @@ def _box_pow(e: BoxElem, n: int) -> BoxElem:
     if n >= 0:
         _refuse_oversized_power(e, n)
         return e ** n
-    if len(e.terms) != 1:
+    if len(e.state) != 1:
         raise NotInvertibleError("not invertible")
-    ((mono, coeff),) = e.terms.items()
-    if mono.even or mono.odd or not coeff.is_unit():
+    (((even, odd, cent, ab), qd),) = e.state.items()
+    if even or odd or len(qd) != 1:
         raise NotInvertibleError("not invertible")
-    inverted = NormalMono((), (), bt.scale_central(mono.central, n))
-    return BoxElem(e.ring, {inverted: coeff ** n})
+    ((k, v),) = qd.items()
+    if v not in (1, -1):
+        raise NotInvertibleError("not invertible")
+    key = (b"", b"", bt.scale_central(cent, n), tuple(x * n for x in ab))
+    return BoxElem._of(e.ring, {key: {k * n: v if n & 1 else 1}})
 
 
 # a power of a one-term element whose coefficient would have more bits
@@ -341,12 +344,12 @@ def _refuse_oversized_power(e: BoxElem, n: int) -> None:
     |c|^n >= 2^(n (b - 1)) for a b-bit c, a number of at least n (b - 1) + 1
     bits.
     """
-    if len(e.terms) != 1:
+    if len(e.state) != 1:
         return
-    (coeff,) = e.terms.values()
-    if len(coeff.terms) != 1:
+    (qd,) = e.state.values()
+    if len(qd) != 1:
         return
-    (c,) = coeff.terms.values()
+    (c,) = qd.values()
     bits = n * (abs(c).bit_length() - 1)
     if bits >= _POWER_BIT_BOUND:
         raise CoefficientTooLargeError(
@@ -363,10 +366,27 @@ def _free_pow(e: FreeElem, n: int) -> FreeElem:
         if word or not coeff.is_unit():
             raise NotInvertibleError("not invertible")
         return FreeElem(e.ring, {"": coeff ** n})
-    out = FreeElem(e.ring, {"": e.ring.one()})
-    for _ in range(n):
-        out = out * e
-    return out
+    # by repeated squaring, as for BoxElem
+    result = FreeElem(e.ring, {"": e.ring.one()})
+    base = e
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def _accumulate(acc: dict, e, sign: int) -> None:
+    """acc += sign * e, on the state map of a BoxElem or the terms of a
+    FreeElem."""
+    if isinstance(e, BoxElem):
+        for key, qd in e.state.items():
+            bt._add_into(acc, key, qd, 0, sign)
+    else:
+        for w, c in e.terms.items():
+            bt._put(acc, w, -c if sign < 0 else c)
 
 
 def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
@@ -391,7 +411,7 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
                 return bt.central_gen(int(n.name[1]), 1, ring)
             return word_elem(n.name, ring)
         if isinstance(n, Mono):
-            return BoxElem(ring, {NormalMono(n.even, n.odd, n.central): ring.one()})
+            return bt._basis(ring, bytes(n.even), bytes(n.odd), tuple(n.central))
         if isinstance(n, Neg):
             return -walk(n.arg)
         if isinstance(n, (Add, Sub)):
@@ -402,12 +422,13 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
                 rights.append(n)
                 n = n.left
             first = walk(n)
-            terms = dict(first.terms)
+            acc: dict = {}
+            _accumulate(acc, first, 1)
             for link in reversed(rights):
-                negate = isinstance(link, Sub)
-                for k, c in walk(link.right).terms.items():
-                    bt._put(terms, k, -c if negate else c)
-            return type(first)(ring, terms)
+                _accumulate(acc, walk(link.right), -1 if isinstance(link, Sub) else 1)
+            if isinstance(first, BoxElem):
+                return BoxElem._of(ring, acc)
+            return FreeElem(ring, acc)
         if isinstance(n, Mul):
             return walk(n.left) * walk(n.right)
         if isinstance(n, Pow):

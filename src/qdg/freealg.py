@@ -1,8 +1,8 @@
 """The free algebra on two generators x, y with its length grading.
 
 Provides the degree-4 q-Serre combinations, the spanning sets of the
-relation ideal in each degree, and an exact rank computation over the
-fraction field of the coefficient ring.  The graded dimensions of the
+relation ideal in each degree, and an exact rank computation over Q(q)
+for rows with coefficients in q alone.  The graded dimensions of the
 quotient by the q-Serre ideal fall out as 2^n minus the rank.
 
 The exact rank is the reference.  An independent cross-check takes the
@@ -16,6 +16,7 @@ import random
 from itertools import product
 from typing import Optional, Sequence
 
+from .boxtilde import _check_term_budget, _check_word_cap
 from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing
 
 DEGREE_CAP = 12  # matrices stay at <= 2^12 columns by default
@@ -69,6 +70,11 @@ class FreeElem:
         if isinstance(other, (int, LaurentPoly)):
             c0 = self.ring.coerce(other)
             return FreeElem(self.ring, {w: c * c0 for w, c in self.terms.items()})
+        if not self.terms or not other.terms:
+            return FreeElem(self.ring, {})
+        _check_word_cap(
+            "free product", max(map(len, self.terms)) + max(map(len, other.terms))
+        )
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -78,6 +84,7 @@ class FreeElem:
                     out[w] = s
                 else:
                     del out[w]
+            _check_term_budget("free product", len(out))
         return FreeElem(self.ring, out)
 
     def __rmul__(self, other) -> "FreeElem":
@@ -167,21 +174,21 @@ def relation_span(n: int, ring: LaurentRing = DEFAULT_RING) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Exact rank over the fraction field.
+# Exact rank over the fraction field Q(q).
 #
-# Rows are cleared to polynomial form by the minimal monomial, then reduced
-# by fraction-free cross-multiplication (Bareiss-style): the update
-# new = pivot_coeff * row - row_coeff * pivot stays in Z[q, ...], and every
-# row is stripped of its full content (integer gcd, common q-power, and the
+# Rows are cleared to polynomial form by the minimal monomial, and each
+# entry becomes a dense coefficient list.  The cleared rows must have
+# coefficients in q alone, as `relation_span` gives them; a row with an a
+# or b entry left is rejected with ValueError.  Rows are then reduced by
+# fraction-free cross-multiplication (Bareiss-style): the update
+# new = pivot_coeff * row - row_coeff * pivot stays in Z[q], and every row
+# is stripped of its full content (integer gcd, common q-power, and the
 # common polynomial factor of its entries) afterwards, which keeps every
 # stored row primitive.  All divisions are exact, so the result is exact.
-#
-# Rows whose coefficients involve only q take a dense fast path: entries are
-# plain coefficient lists, products go through Kronecker substitution (one
-# big-integer multiply), and the content strip uses a primitive polynomial
-# remainder sequence.  Without the polynomial-content strip the entries
-# accumulate enormous cyclotomic factors and elimination beyond degree 9
-# becomes infeasible.
+# Products go through Kronecker substitution (one big-integer multiply), and
+# the content strip uses a primitive polynomial remainder sequence.  Without
+# the polynomial-content strip the entries accumulate enormous cyclotomic
+# factors and elimination beyond degree 9 becomes infeasible.
 #
 # Rows are fed from the highest lead word down, so the pivots above a row's
 # lead are mostly in place before the row is reduced.  The rank does not
@@ -368,8 +375,8 @@ def _rank_dense(rows: list) -> int:
     return len(pivots)
 
 
-def _as_dense_q(rows: list):
-    """Dense coefficient lists when every entry involves q alone."""
+def _as_dense_q(rows: list) -> list:
+    """Dense coefficient lists; every entry must involve q alone."""
     dense = []
     for row in rows:
         drow = {}
@@ -377,7 +384,7 @@ def _as_dense_q(rows: list):
             entry = {}
             for exps, coeff in poly.terms.items():
                 if any(exps[1:]):
-                    return None
+                    raise ValueError("the exact rank takes rows with coefficients in q alone")
                 entry[exps[0]] = coeff
             top = max(entry)
             lst = [0] * (top + 1)
@@ -409,66 +416,11 @@ def _cleared_rows(rows: Sequence[FreeElem], n: int) -> list:
     return cleared
 
 
-def _strip_row(row: dict) -> dict:
-    from math import gcd
-
-    g = 0
-    mins = None
-    for poly in row.values():
-        g = gcd(g, poly.int_content())
-        m = poly.min_exponents()
-        if mins is None:
-            mins = list(m)
-        else:
-            for i, e in enumerate(m):
-                if e < mins[i]:
-                    mins[i] = e
-    if not row:
-        return row
-    shift = tuple(mins)
-    if g == 1 and not any(shift):
-        return row
-    return {w: p.scale_down(g, shift) for w, p in row.items()}
-
-
-def _rank_poly(rows: list) -> int:
-    pivots: dict = {}
-    for row in sorted(rows, key=min, reverse=True):
-        row = dict(row)
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                row = _strip_row(row)
-                if row[min(row)].leading_coefficient() < 0:
-                    row = {w: -p for w, p in row.items()}
-                pivots[lead] = row
-                break
-            pc = pivot[lead]
-            rc = row[lead]
-            new: dict = {}
-            for w in set(row) | set(pivot):
-                val = row.get(w)
-                pval = pivot.get(w)
-                if val is None:
-                    acc = -(rc * pval)
-                elif pval is None:
-                    acc = pc * val
-                else:
-                    acc = pc * val - rc * pval
-                if acc:
-                    new[w] = acc
-            row = _strip_row(new)
-    return len(pivots)
-
-
 def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
-    """Rank of the degree-n coefficient matrix over the ring's fraction field."""
-    cleared = _cleared_rows(rows, n)
-    dense = _as_dense_q(cleared)
-    if dense is not None:
-        return _rank_dense(dense)
-    return _rank_poly(cleared)
+    """Rank of the degree-n coefficient matrix over Q(q); raises ValueError
+    on a row that still has an a or b entry once cleared of its lowest
+    monomial."""
+    return _rank_dense(_as_dense_q(_cleared_rows(rows, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,19 @@ RING = DEFAULT_RING
 def bidegree_components(e: BoxElem) -> Dict[Tuple[int, int], BoxElem]:
     """Partition by (even length, odd length); the parts sum back to e."""
     buckets: Dict[Tuple[int, int], dict] = {}
-    for m, c in e.terms.items():
-        buckets.setdefault(m.bidegree(), {})[m] = c
-    return {bd: BoxElem(e.ring, terms) for bd, terms in sorted(buckets.items())}
+    for key, qd in e.state.items():
+        buckets.setdefault((len(key[0]), len(key[1])), {})[key] = qd
+    return {bd: BoxElem._of(e.ring, state) for bd, state in sorted(buckets.items())}
 
 
 def pi(n: int, e: BoxElem) -> BoxElem:
     """Projection onto integer degree n (even length minus odd length)."""
-    terms = {m: c for m, c in e.terms.items() if len(m.even) - len(m.odd) == n}
-    return BoxElem(e.ring, terms)
+    state = {key: qd for key, qd in e.state.items() if len(key[0]) - len(key[1]) == n}
+    return BoxElem._of(e.ring, state)
 
 
 def zdegrees(e: BoxElem) -> set:
-    return {len(m.even) - len(m.odd) for m in e.terms}
+    return {len(even) - len(odd) for even, odd, _, _ in e.state}
 
 
 def check_product_grading(

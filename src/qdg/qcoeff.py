@@ -219,18 +219,7 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    # -- content helpers (used by the elimination code) -------------------
-
-    def int_content(self) -> int:
-        """gcd of the integer coefficients (0 for the zero polynomial)."""
-        from math import gcd
-
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-            if g == 1:
-                return 1
-        return g
+    # -- content helper (used by the elimination code) --------------------
 
     def min_exponents(self) -> Exponents:
         """Componentwise minimum of the exponent vectors; zero vector if empty."""
@@ -245,25 +234,6 @@ class LaurentPoly:
                     if e < mins[i]:
                         mins[i] = e
         return tuple(mins)
-
-    def scale_down(self, g: int, shift: Exponents) -> "LaurentPoly":
-        """Divide all coefficients by g and all exponent vectors by q^shift etc.
-
-        The division must be exact; used for content stripping.
-        """
-        out = {}
-        for exps, coeff in self.terms.items():
-            c, r = divmod(coeff, g)
-            if r:
-                raise ArithmeticError("inexact content division")
-            out[tuple(e - s for e, s in zip(exps, shift))] = c
-        return LaurentPoly(self.ring, out)
-
-    def leading_coefficient(self) -> int:
-        """Coefficient of the lexicographically largest exponent vector."""
-        if not self.terms:
-            return 0
-        return self.terms[max(self.terms)]
 
     # -- rendering ---------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from qdg.boxtilde import (
     scale_auto,
     specialize_central,
 )
+from qdg.gradings import pi, zdegrees
 from qdg.qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError
 
 R = DEFAULT_RING
@@ -419,3 +421,91 @@ def test_render_is_deterministic():
         "q^2 * [x0 | x1 | -] + [- | - | c2^-1] + (1 - q^2) * [- | - | c0]"
     )
     assert bt.zero().render() == "0"
+
+
+_ALPHAS = (
+    central_element(R.gen("a", -1) * Q ** 2),
+    central_unit(1, -1) * central_element(-R.gen("b")),
+    central_element(-1),
+    central_unit(3, 2) * central_element(R.gen("a") * R.gen("b", -3)),
+)
+_CENTRAL_VALUES = (Q ** 2, -1, central_unit(2), central_unit(0) * central_element(R.gen("b")))
+
+
+_SHORT_WORDS = st.lists(st.integers(0, 3), max_size=4).map(tuple)
+
+
+@given(_SHORT_WORDS, _CENTRALS, _COEFFICIENTS, _SHORT_WORDS, _CENTRALS, _COEFFICIENTS, _COEFFICIENTS)
+@settings(max_examples=40, deadline=None)
+def test_operations_leave_their_inputs_unchanged(w1, c1, k1, w2, c2, k2, k3):
+    # state maps share their inner q-dicts, so an operation that changed one
+    # in place would change other elements too
+    e2 = _via_oracle(w2, c2, k2)
+    e1 = _via_oracle(w1, c1, k1) + e2 * Q  # shares monomials with e2
+    s = BoxElem(R, {bt.IDENTITY_MONO: k3})
+    g, h = scale_auto(*_ALPHAS), lambda e: specialize_central(e, _CENTRAL_VALUES)
+    values = [e1, e2, s]
+    snapshots = [copy.deepcopy(e.state) for e in values]
+
+    def keep(e):
+        values.append(e)
+        snapshots.append(copy.deepcopy(e.state))
+
+    for x, y in ((e1, e2), (e2, e1), (e1, s)):
+        keep(x + y)
+        keep(x - y)
+        keep(-x)
+        keep(x * y)
+        keep(y * x)
+        keep(x * k3)
+        keep(k3 * y)
+        keep(rho(x))
+        keep(g(x))
+        keep(h(x))
+        for n in zdegrees(x):
+            keep(pi(n, x))
+    # a second round on the results, which may share q-dicts with the inputs
+    for x in values[3:]:
+        x + e1
+        e2 - x
+        -x
+        x * k3
+        rho(x)
+        g(x)
+        h(x)
+    for e, before in zip(values, snapshots):
+        assert e.state == before
+
+
+@given(_WORDS, _CENTRALS, _COEFFICIENTS, _WORDS, _CENTRALS, _COEFFICIENTS)
+@settings(max_examples=60, deadline=None)
+def test_terms_round_trip_to_the_same_element(w1, c1, k1, w2, c2, k2):
+    e1 = _via_oracle(w1, c1, k1)
+    e2 = _via_oracle(w2, c2, k2)
+    for e in (e1, e2, e1 + e2, e1 * e2, rho(e1)):
+        assert BoxElem(R, e.terms) == e
+        assert BoxElem(R, e.terms).terms == e.terms
+    for x, y in ((e1, e2), (e1, e1 * 1), (e1 + e2, e2 + e1), (e1, e1 * R.gen("a"))):
+        assert (x == y) == (x.terms == y.terms)
+
+
+def test_terms_round_trip_on_random_elements():
+    rng = random.Random(23)
+    for _ in range(50):
+        e = bt.random_element(rng, max_terms=4, max_word=6)
+        assert BoxElem(R, e.terms) == e
+        other = bt.random_element(rng, max_terms=4, max_word=6)
+        assert (e == other) == (e.terms == other.terms)
+
+
+def test_constructor_drops_zero_coefficients_and_terms_is_a_view():
+    e = BoxElem(R, {mono((0,)): R.zero(), mono((), (1,)): ONE, mono((2,)): 0})
+    assert e == generator(1)
+    assert e.terms == {mono((), (1,)): ONE}
+    assert BoxElem(R, {mono((0,)): R.zero()}) == bt.zero()
+    assert not BoxElem(R, {mono((0,)): R.zero()})
+    # built on each access, so changing the returned map changes nothing
+    view = e.terms
+    view[mono((0,))] = ONE
+    assert e.terms == {mono((), (1,)): ONE}
+    assert "terms" not in BoxElem.__slots__

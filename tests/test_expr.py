@@ -140,3 +140,18 @@ def test_powers_short_of_the_bit_bound_are_built():
     assert eval_text("3^600000").terms[bt.IDENTITY_MONO].terms == {(0, 0, 0): 3 ** 600000}
     with pytest.raises(CoefficientTooLargeError, match="at least 1048577 bits"):
         eval_text("2^1048576")
+
+
+def test_free_mode_products_apply_the_engine_budgets():
+    saved = bt.LIMITS.term_budget
+    with pytest.raises(bt.ReductionBudgetError, match=r"^reduction budget: free product reached 70 letters \(cap 64\)$"):
+        eval_text("x^70", mode="free")
+    assert eval_text("x^64", mode="free") == word_elem("x" * 64, R)
+    try:
+        bt.LIMITS.term_budget = 1000
+        # 2^18 terms if built; by squaring, the budget stops it within (x+y)^16
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: free product reached \d+ terms \(limit 1000\)$"):
+            eval_text("(x+y)^18", mode="free")
+        assert len(eval_text("(x+y)^9", mode="free").terms) == 512
+    finally:
+        bt.LIMITS.term_budget = saved

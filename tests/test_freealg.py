@@ -70,15 +70,19 @@ def test_rank_examples():
         rank_over_fraction_field([word_elem("x")], 4)
 
 
-def test_rank_with_symbol_coefficients():
-    # coefficients beyond q leave the dense fast path; the generic
-    # elimination must agree
-    a = R.gen("a")
-    b = R.gen("b")
+def test_exact_rank_rejects_a_and_b_entries():
+    # the exact rank works over Q(q) alone: a row that still has an a or b
+    # entry once cleared of its lowest monomial is refused
+    a, b = R.gen("a"), R.gen("b")
     s_x, s_y = serre_elements()
-    assert rank_over_fraction_field([s_x * a], 4) == 1
-    assert rank_over_fraction_field([s_x * a, s_y * (b ** -2)], 4) == 2
-    assert rank_over_fraction_field([s_x * a, s_x * (a * R.qpow(2))], 4) == 1
+    for rows in ([s_x * a], [s_x, s_y * (b ** 2)], [s_x * a, s_x * (a * R.qpow(2))]):
+        with pytest.raises(ValueError, match="coefficients in q alone"):
+            rank_over_fraction_field(rows, 4)
+    rows = [row * (a * b) for row in relation_span(5)]
+    with pytest.raises(ValueError, match="coefficients in q alone"):
+        rank_over_fraction_field(rows, 5)
+    # negative powers of a and b clear away, as powers of q do
+    assert rank_over_fraction_field([s_x * a ** -1, s_y * (b ** -2)], 4) == 2
 
 
 def _unit_scaled(rows, rng):
@@ -97,16 +101,9 @@ def test_exact_rank_does_not_depend_on_row_order():
         shuffled = list(span)
         rng.shuffle(shuffled)
         assert rank_over_fraction_field(shuffled, n) == rank
-    # the generic path, on rows with a and b entries
-    a, b = R.gen("a"), R.gen("b")
-    s_x, s_y = serre_elements()
-    rows = [s_x * a, s_y * (b ** -2), s_x * (a * R.qpow(2))]
-    for _ in range(4):
-        rng.shuffle(rows)
-        assert rank_over_fraction_field(rows, 4) == 2
+    # rows times random units +-q^i, with negative exponents to clear
     for n in range(4, 7):
-        rows = _unit_scaled(relation_span(n), rng)
-        assert freealg._as_dense_q(freealg._cleared_rows(rows, n)) is None
+        rows = [row * (R.qpow(rng.randint(-3, 3)) * rng.choice((1, -1))) for row in relation_span(n)]
         rank = rank_over_fraction_field(relation_span(n), n)
         rng.shuffle(rows)
         assert rank_over_fraction_field(rows, n) == rank
@@ -207,7 +204,8 @@ def test_dense_gcd_and_division():
         _dquo_exact([1, 1, 1], [1, 1])
 
 
-def test_dense_and_generic_ranks_agree():
+def test_dense_rank_agrees_with_specialization():
+    # random q-only rows: the exact elimination against the rank mod p
     rng = random.Random(31)
     for _ in range(10):
         n = rng.randint(3, 5)
@@ -217,7 +215,5 @@ def test_dense_and_generic_ranks_agree():
             for w in rng.sample(words_of_length(n), rng.randint(1, 4)):
                 terms[w] = R.qpow(rng.randint(-3, 3)) * rng.choice((1, -1, 2))
             rows.append(FreeElem(R, terms))
-        cleared = freealg._cleared_rows(rows, n)
-        dense = freealg._as_dense_q(cleared)
-        assert dense is not None
-        assert freealg._rank_dense(dense) == freealg._rank_poly(cleared)
+        dense = freealg._as_dense_q(freealg._cleared_rows(rows, n))
+        assert freealg._rank_dense(dense) == rank_by_specialization(rows, n, rng=rng)
