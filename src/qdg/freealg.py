@@ -5,15 +5,19 @@ relation ideal in each degree, and an exact rank computation over Q(q)
 for rows with coefficients in q alone.  The graded dimensions of the
 quotient by the q-Serre ideal fall out as 2^n minus the rank.
 
-The exact rank is the reference.  An independent cross-check takes the
-rank at random points mod the prime 2^61 - 1; specializing is a ring map,
-so that rank is a lower bound on the exact one.
+The exact rank is the reference.  It eliminates each bidegree block of
+the span on its own, and gives a y-heavy block the rank of its x <-> y
+mirror once their rows are checked to match.  An independent cross-check
+takes the rank of the whole span at random points mod the prime 2^61 - 1;
+specializing is a ring map, so that rank is a lower bound on the exact one.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
+from math import gcd
 from typing import Optional, Sequence
 
 from .boxtilde import _check_term_budget, _check_word_cap
@@ -194,6 +198,17 @@ def relation_span(n: int, ring: LaurentRing = DEFAULT_RING) -> list:
 # lead are mostly in place before the row is reduced.  The rank does not
 # depend on the order; this one was measured to take about 40 % less time at
 # degree 11, and about 55 % less at degree 12, than the span's own order.
+#
+# The matrix is block diagonal by bidegree: a row w1 * S_g * w2 keeps its
+# number of x's in every word, so rows are grouped by x-count and each
+# block is eliminated on its own (a set with a row that mixes x-counts stays
+# one block).  Swapping x <-> y carries S_x onto S_y, so block (i, n - i) is
+# the mirror of block (n - i, i).  The mirror is not assumed: a y-heavy
+# block takes the rank of its x-heavy mirror only when the swapped rows of
+# that mirror equal its own rows as a multiset, up to sign; otherwise it is
+# eliminated too.  The x-heavy side is the one eliminated, because with
+# x < y and rows fed from the highest lead down it runs faster than its
+# mirror (degree 11: 1.2 s against 2.0 s for the five pairs, Python 3.11).
 # ---------------------------------------------------------------------------
 
 
@@ -269,8 +284,6 @@ def _dquo_exact(f: list, g: list) -> list:
 
 
 def _dcontent(f: list) -> int:
-    from math import gcd
-
     g = 0
     for c in f:
         g = gcd(g, c)
@@ -333,8 +346,6 @@ def _strip_row_dense(row: dict) -> dict:
     if shift:
         row = {w: e[shift:] for w, e in row.items()}
     g_int = 0
-    from math import gcd
-
     for e in row.values():
         g_int = gcd(g_int, _dcontent(e))
         if g_int == 1:
@@ -404,11 +415,7 @@ def _cleared_rows(rows: Sequence[FreeElem], n: int) -> list:
         if deg != n:
             raise ValueError("row is not homogeneous of degree %d" % n)
         entries = dict(row.terms)
-        mins = [0] * row.ring.width
-        for poly in entries.values():
-            for i, e in enumerate(poly.min_exponents()):
-                mins[i] = min(mins[i], e)
-        shift = tuple(mins)
+        shift = tuple(map(min, zip(*(p.min_exponents() for p in entries.values()))))
         if any(shift):
             clear = row.ring.monomial(1, tuple(-m for m in shift))
             entries = {w: p * clear for w, p in entries.items()}
@@ -416,11 +423,42 @@ def _cleared_rows(rows: Sequence[FreeElem], n: int) -> list:
     return cleared
 
 
+_SWAP = str.maketrans("xy", "yx")
+
+
+def _row_key(row: dict, swap: bool = False) -> tuple:
+    """A dense row as sorted (word, coefficients) pairs, its words swapped
+    x <-> y if asked, and its sign fixed by the first word's top coefficient."""
+    items = sorted((w.translate(_SWAP) if swap else w, tuple(e)) for w, e in row.items())
+    if items[0][1][-1] < 0:
+        items = [(w, tuple(-c for c in e)) for w, e in items]
+    return tuple(items)
+
+
 def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
     """Rank of the degree-n coefficient matrix over Q(q); raises ValueError
     on a row that still has an a or b entry once cleared of its lowest
     monomial."""
-    return _rank_dense(_as_dense_q(_cleared_rows(rows, n)))
+    dense = _as_dense_q(_cleared_rows(rows, n))
+    blocks: dict = {}
+    for row in dense:
+        counts = {w.count("x") for w in row}
+        if len(counts) > 1:
+            return _rank_dense(dense)
+        blocks.setdefault(counts.pop(), []).append(row)
+    ranks: dict = {}
+    for i in sorted(blocks, reverse=True):
+        mirror = blocks.get(n - i)
+        if (
+            i < n - i
+            and mirror is not None
+            and Counter(map(_row_key, blocks[i]))
+            == Counter(_row_key(row, swap=True) for row in mirror)
+        ):
+            ranks[i] = ranks[n - i]
+        else:
+            ranks[i] = _rank_dense(blocks[i])
+    return sum(ranks.values())
 
 
 # ---------------------------------------------------------------------------

@@ -71,18 +71,26 @@ def test_rank_examples():
 
 
 def test_exact_rank_rejects_a_and_b_entries():
-    # the exact rank works over Q(q) alone: a row that still has an a or b
-    # entry once cleared of its lowest monomial is refused
+    # a row is cleared by its componentwise lowest monomial, so a unit
+    # multiple ranks alike whatever the signs of its a, b and q powers
     a, b = R.gen("a"), R.gen("b")
     s_x, s_y = serre_elements()
-    for rows in ([s_x * a], [s_x, s_y * (b ** 2)], [s_x * a, s_x * (a * R.qpow(2))]):
-        with pytest.raises(ValueError, match="coefficients in q alone"):
-            rank_over_fraction_field(rows, 4)
-    rows = [row * (a * b) for row in relation_span(5)]
-    with pytest.raises(ValueError, match="coefficients in q alone"):
-        rank_over_fraction_field(rows, 5)
-    # negative powers of a and b clear away, as powers of q do
+    assert rank_over_fraction_field([s_x * a], 4) == 1
+    assert rank_over_fraction_field([s_x * a ** -1], 4) == 1
+    assert rank_over_fraction_field([s_x, s_y * (b ** 2)], 4) == 2
     assert rank_over_fraction_field([s_x * a ** -1, s_y * (b ** -2)], 4) == 2
+    assert rank_over_fraction_field([s_x * a, s_x * (a * R.qpow(2))], 4) == 1
+    rows = [row * (a * b) for row in relation_span(5)]
+    assert rank_over_fraction_field(rows, 5) == rank_over_fraction_field(relation_span(5), 5)
+    # the exact rank works over Q(q) alone: a row whose entries carry
+    # different a or b powers keeps one once cleared, and is refused
+    for row in (
+        word_elem("xxxy") * a + word_elem("yyyy"),
+        word_elem("xxxy") + word_elem("yyyy") * (b ** -1),
+        s_x + word_elem("xyxy") * (a * b),
+    ):
+        with pytest.raises(ValueError, match="coefficients in q alone"):
+            rank_over_fraction_field([s_y, row], 4)
 
 
 def _unit_scaled(rows, rng):
@@ -217,3 +225,77 @@ def test_dense_rank_agrees_with_specialization():
             rows.append(FreeElem(R, terms))
         dense = freealg._as_dense_q(freealg._cleared_rows(rows, n))
         assert freealg._rank_dense(dense) == rank_by_specialization(rows, n, rng=rng)
+
+
+def _spy_on_blocks(monkeypatch, compute=True):
+    """Record the x-counts of the rows each `_rank_dense` call eliminates."""
+    calls = []
+    real = freealg._rank_dense
+
+    def spy(rows):
+        calls.append({w.count("x") for row in rows for w in row})
+        return real(rows) if compute else 0
+
+    monkeypatch.setattr(freealg, "_rank_dense", spy)
+    return calls
+
+
+def _unsplit_rank(rows, n):
+    return freealg._rank_dense(freealg._as_dense_q(freealg._cleared_rows(rows, n)))
+
+
+def test_blocked_rank_equals_the_unsplit_elimination():
+    for n in range(4, 11):
+        span = relation_span(n)
+        assert rank_over_fraction_field(span, n) == _unsplit_rank(span, n)
+
+
+def test_only_the_x_heavy_side_of_each_mirror_pair_is_eliminated(monkeypatch):
+    # degree 11 has blocks with 1..10 x's; the mirrors of 6..10 are not
+    # eliminated, and no block is eliminated twice
+    calls = _spy_on_blocks(monkeypatch)
+    span = relation_span(11)
+    assert rank_over_fraction_field(span, 11) == 2 ** 11 - 344  # dim of U_q^+ in degree 11
+    assert all(len(c) == 1 for c in calls)
+    assert sorted(map(min, calls)) == [6, 7, 8, 9, 10]
+    # the same on the shuffled span with every row times a unit +-q^k
+    rng = random.Random(7)
+    rows = [row * (R.qpow(rng.randint(-3, 3)) * rng.choice((1, -1))) for row in span]
+    rng.shuffle(rows)
+    calls = _spy_on_blocks(monkeypatch, compute=False)
+    rank_over_fraction_field(rows, 11)
+    assert sorted(map(min, calls)) == [6, 7, 8, 9, 10]
+    # at even degree the middle block is its own mirror and is eliminated
+    calls = _spy_on_blocks(monkeypatch, compute=False)
+    rank_over_fraction_field(relation_span(8), 8)
+    assert sorted(map(min, calls)) == [4, 5, 6, 7]
+
+
+def test_mirror_shortcut_falls_back_when_the_mirror_does_not_match(monkeypatch):
+    n = 8
+    span = relation_span(n)
+    y_heavy = [i for i, row in enumerate(span) if 2 * min(w.count("x") for w in row.terms) < n]
+    victim = y_heavy[5]
+    block = min(w.count("x") for w in span[victim].terms)
+    dropped = span[:victim] + span[victim + 1:]
+    w = min(span[victim].terms)
+    altered = list(span)
+    altered[victim] = span[victim] + word_elem(w) * R.qpow(1)
+    doubled = span + [span[victim]]  # same rows as a set, not as a multiset
+    for rows in (dropped, altered, doubled):
+        calls = _spy_on_blocks(monkeypatch)
+        rank = rank_over_fraction_field(rows, n)
+        assert {block} in calls
+        monkeypatch.undo()
+        assert rank == _unsplit_rank(rows, n)
+
+
+def test_rows_that_mix_x_counts_take_the_single_block_path(monkeypatch):
+    n = 6
+    span = relation_span(n)
+    mixed = span[:3] + [span[3] + span[-1]] + span[4:]
+    calls = _spy_on_blocks(monkeypatch)
+    rank = rank_over_fraction_field(mixed, n)
+    assert len(calls) == 1 and len(calls[0]) > 2
+    monkeypatch.undo()
+    assert rank == _unsplit_rank(mixed, n)
