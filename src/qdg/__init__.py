@@ -21,7 +21,6 @@ from .boxtilde import (
     s_element,
     scale_auto,
     specialize_central,
-    word_product,
 )
 from .freealg import (
     FreeElem,

@@ -23,12 +23,12 @@ of normal states, and each letter is handled in one pass.
 
 A `BoxElem` stores only that state map, (even word, odd word, central,
 a/b exponents) -> {q exponent: int}, with the words as bytes; every
-operation reads and returns state maps.  `BoxElem.terms`, the map
-NormalMono -> LaurentPoly, is a view built anew on each access, for the API
-and the renderer.  State maps share their inner q-dicts, so no stored state
-map or inner dict is ever mutated: an operation fills only an outer map it
-created, and `_add_into` changes in place only the inner dicts it created
-itself.
+operation reads and returns state maps, and `render` prints straight from
+the state map.  `BoxElem.terms`, the map NormalMono -> LaurentPoly, is a
+view built anew on each access, for the API only.  State maps share their
+inner q-dicts, so no stored state map or inner dict is ever mutated: an
+operation fills only an outer map it created, and `_add_into` changes in
+place only the inner dicts it created itself.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError
+from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, power, render_sum
 
 EVEN_LETTERS = (0, 2)
 ODD_LETTERS = (1, 3)
@@ -94,46 +94,38 @@ class NormalMono(NamedTuple):
     odd: tuple
     central: tuple
 
-    def bidegree(self) -> tuple:
-        return (len(self.even), len(self.odd))
-
-    def render(self) -> str:
-        even = ".".join("x%d" % i for i in self.even) or "-"
-        odd = ".".join("x%d" % i for i in self.odd) or "-"
-        central = (
-            ".".join(
-                "c%d" % i if e == 1 else "c%d^%d" % (i, e)
-                for i, e in enumerate(self.central)
-                if e
-            )
-            or "-"
-        )
-        return "%s | %s | %s" % (even, odd, central)
-
 
 IDENTITY_MONO = NormalMono((), (), ZERO_CENTRAL)
 
 
-def _put(acc: dict, key, value) -> int:
-    """acc[key] += value, dropping the key when the sum vanishes; returns
-    the change in the number of keys."""
-    old = acc.get(key)
-    if old is None:
-        if value:
-            acc[key] = value
-            return 1
-        return 0
-    if old + value:
-        acc[key] = old + value
-        return 0
-    del acc[key]
-    return -1
+def _mono_text(even: bytes, odd: bytes, central: tuple) -> str:
+    """The bracket text of the normal monomial (even | odd | central)."""
+    central_text = ".".join(
+        "c%d" % i if e == 1 else "c%d^%d" % (i, e) for i, e in enumerate(central) if e
+    )
+    return "[%s | %s | %s]" % (
+        ".".join("x%d" % i for i in even) or "-",
+        ".".join("x%d" % i for i in odd) or "-",
+        central_text or "-",
+    )
 
 
 # deterministic term order used by rendering: longer words first, then
-# even-heavy monomials
-def _mono_sort_key(m: NormalMono):
-    return (-(len(m.even) + len(m.odd)), -len(m.even), m.even, m.odd, m.central)
+# even-heavy monomials; words as bytes sort as their letter tuples do
+def _mono_sort_key(mono: tuple):
+    even, odd, central = mono
+    return (-(len(even) + len(odd)), -len(even), even, odd, central)
+
+
+def _by_mono(state: dict) -> dict:
+    """The coefficient of each normal monomial (even, odd, central) of a
+    state map, as a map exponents -> int."""
+    monos: dict = {}
+    for (even, odd, cent, ab), qd in state.items():
+        coeff = monos.setdefault((even, odd, cent), {})
+        for k, v in qd.items():
+            coeff[(k,) + ab] = v
+    return monos
 
 
 class BoxElem:
@@ -163,17 +155,10 @@ class BoxElem:
     def terms(self) -> dict:
         """The map NormalMono -> LaurentPoly, built from the state map on
         each access."""
-        terms: dict = {}
-        for (even, odd, cent, ab), qd in self.state.items():
-            m = NormalMono(tuple(even), tuple(odd), cent)
-            coeff = terms.get(m)
-            if coeff is None:
-                # filled in place: every entry of a state map is nonzero
-                coeff = terms[m] = LaurentPoly(self.ring, {})
-            ct = coeff.terms
-            for k, v in qd.items():
-                ct[(k,) + ab] = v
-        return terms
+        return {
+            NormalMono(tuple(even), tuple(odd), cent): LaurentPoly(self.ring, coeff)
+            for (even, odd, cent), coeff in _by_mono(self.state).items()
+        }
 
     def __bool__(self) -> bool:
         return bool(self.state)
@@ -227,42 +212,15 @@ class BoxElem:
     def __pow__(self, n: int) -> "BoxElem":
         if n < 0:
             raise ValueError("negative powers are not defined for algebra elements")
-        # by repeated squaring; powers of one element commute
-        result = one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, one(self.ring))
 
     def render(self) -> str:
-        terms = self.terms
-        if not terms:
-            return "0"
-        pieces = []
-        for m in sorted(terms, key=_mono_sort_key):
-            c = terms[m]
-            body = "[%s]" % m.render()
-            multi = len(c.terms) > 1
-            allneg = all(v < 0 for v in c.terms.values())
-            if multi and not allneg:
-                coeff_text, sign = "(%s)" % c, " + "
-            else:
-                cc = -c if allneg else c
-                sign = " - " if allneg else " + "
-                coeff_text = "(%s)" % cc if multi else str(cc)
-            if coeff_text == "1":
-                joined = body
-            else:
-                joined = coeff_text + " * " + body
-            if not pieces:
-                pieces.append(("-" if sign == " - " else "") + joined)
-            else:
-                pieces.append(sign + joined)
-        return "".join(pieces)
+        monos = _by_mono(self.state)
+        return render_sum(
+            self.ring,
+            ((monos[m], _mono_text(*m)) for m in sorted(monos, key=_mono_sort_key)),
+            " * ",
+        )
 
     def __str__(self) -> str:
         return self.render()
@@ -520,11 +478,6 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
                     _add_into(out, key, qd, k, v)
             _check_term_budget("multiply", len(out))
     return BoxElem._of(lhs.ring, out)
-
-
-def word_product(letters: Sequence[int], ring: LaurentRing = DEFAULT_RING) -> BoxElem:
-    """Normal form of a plain product of generators."""
-    return reduce_word(letters, ring=ring)
 
 
 def s_element(i: int, ring: LaurentRing = DEFAULT_RING) -> BoxElem:

@@ -25,7 +25,7 @@ from typing import List, Tuple, Union
 from . import boxtilde as bt
 from .boxtilde import BoxElem
 from .freealg import FreeElem, word_elem
-from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentRing, NotInvertibleError
+from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentRing, NotInvertibleError, put
 
 RING = DEFAULT_RING
 
@@ -142,6 +142,11 @@ def _int_literal(text: str, pos: int) -> int:
         raise ParseError("integer literal of %d digits is too long" % len(text), pos) from None
 
 
+# each level of parentheses costs the recursive descent four frames, so
+# nesting is refused well before the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, mode: str):
         if mode not in ("box", "free"):
@@ -149,6 +154,7 @@ class _Parser:
         self.mode = mode
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.i]
@@ -241,8 +247,12 @@ class _Parser:
                 return Gen(value)
             raise ParseError("unknown name %r" % value, pos)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, pos)
+            self.depth += 1
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         if kind == "op" and value == "[":
             if self.mode != "box":
@@ -358,26 +368,6 @@ def _refuse_oversized_power(e: BoxElem, n: int) -> None:
         )
 
 
-def _free_pow(e: FreeElem, n: int) -> FreeElem:
-    if n < 0:
-        if len(e.terms) != 1:
-            raise NotInvertibleError("not invertible")
-        ((word, coeff),) = e.terms.items()
-        if word or not coeff.is_unit():
-            raise NotInvertibleError("not invertible")
-        return FreeElem(e.ring, {"": coeff ** n})
-    # by repeated squaring, as for BoxElem
-    result = FreeElem(e.ring, {"": e.ring.one()})
-    base = e
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
 def _accumulate(acc: dict, e, sign: int) -> None:
     """acc += sign * e, on the state map of a BoxElem or the terms of a
     FreeElem."""
@@ -386,7 +376,7 @@ def _accumulate(acc: dict, e, sign: int) -> None:
             bt._add_into(acc, key, qd, 0, sign)
     else:
         for w, c in e.terms.items():
-            bt._put(acc, w, -c if sign < 0 else c)
+            put(acc, w, -c if sign < 0 else c)
 
 
 def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
@@ -411,7 +401,9 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
                 return bt.central_gen(int(n.name[1]), 1, ring)
             return word_elem(n.name, ring)
         if isinstance(n, Mono):
-            return bt._basis(ring, bytes(n.even), bytes(n.odd), tuple(n.central))
+            # the bound a central power is checked against, c0^n alike
+            central = bt.scale_central(tuple(n.central), 1)
+            return bt._basis(ring, bytes(n.even), bytes(n.odd), central)
         if isinstance(n, Neg):
             return -walk(n.arg)
         if isinstance(n, (Add, Sub)):
@@ -430,12 +422,21 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
                 return BoxElem._of(ring, acc)
             return FreeElem(ring, acc)
         if isinstance(n, Mul):
-            return walk(n.left) * walk(n.right)
+            # a chain a * b * c nests to the left as well; multiply it out
+            # in the same order without recursing down the chain
+            rights = []
+            while isinstance(n, Mul):
+                rights.append(n.right)
+                n = n.left
+            product = walk(n)
+            for right in reversed(rights):
+                product = product * walk(right)
+            return product
         if isinstance(n, Pow):
             base = walk(n.base)
             if mode == "box":
                 return _box_pow(base, n.exponent)
-            return _free_pow(base, n.exponent)
+            return base ** n.exponent
         raise TypeError("unknown AST node %r" % (n,))
 
     return walk(node)

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .boxtilde import _check_term_budget, _check_word_cap
-from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing
+from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, power, put, render_sum
 
 DEGREE_CAP = 12  # matrices stay at <= 2^12 columns by default
 
@@ -34,7 +34,9 @@ def words_of_length(n: int) -> list:
 
 
 class FreeElem:
-    """A finite sum of words with LaurentPoly coefficients."""
+    """A finite sum of words with LaurentPoly coefficients.  A word is a
+    string over "xy", or a tuple of letters where other alphabets are
+    needed; products concatenate words, so one element keeps one kind."""
 
     __slots__ = ("ring", "terms")
 
@@ -57,11 +59,7 @@ class FreeElem:
     def __add__(self, other: "FreeElem") -> "FreeElem":
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, self.ring.zero()) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
+            put(terms, w, c)
         return FreeElem(self.ring, terms)
 
     def __neg__(self) -> "FreeElem":
@@ -82,12 +80,7 @@ class FreeElem:
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, self.ring.zero()) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
+                put(out, w1 + w2, c1 * c2)
             _check_term_budget("free product", len(out))
         return FreeElem(self.ring, out)
 
@@ -95,6 +88,18 @@ class FreeElem:
         if isinstance(other, (int, LaurentPoly)):
             return self * other
         return NotImplemented
+
+    def __pow__(self, n: int) -> "FreeElem":
+        if n >= 0:
+            empty = next(iter(self.terms), "")[:0]  # a string or a tuple
+            return power(self, n, FreeElem(self.ring, {empty: self.ring.one()}))
+        # only a unit multiple of the empty word is invertible
+        if len(self.terms) != 1:
+            raise NotInvertibleError("not invertible")
+        ((word, coeff),) = self.terms.items()
+        if word or not coeff.is_unit():
+            raise NotInvertibleError("not invertible")
+        return FreeElem(self.ring, {word: coeff ** n})
 
     def homogeneous_degree(self) -> Optional[int]:
         """The common word length, None for 0; raises if lengths are mixed."""
@@ -106,30 +111,10 @@ class FreeElem:
         return lengths.pop()
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda w: (-len(w), w))
-        pieces = []
-        for w in keys:
-            c = self.terms[w]
-            body = "*".join(w) if w else ""
-            multi = len(c.terms) > 1
-            allneg = all(v < 0 for v in c.terms.values())
-            if multi and not allneg:
-                text = "(%s)" % c
-                sign = " + "
-            else:
-                cc = -c if allneg else c
-                sign = " - " if allneg else " + "
-                text = "(%s)" % cc if multi else str(cc)
-            if text == "1" and body:
-                text = ""
-            joined = text + ("*" if text and body else "") + body
-            if not pieces:
-                pieces.append(("-" if sign == " - " else "") + joined)
-            else:
-                pieces.append(sign + joined)
-        return "".join(pieces)
+        return render_sum(
+            self.ring, ((self.terms[w].terms, "*".join(map(str, w))) for w in keys), "*"
+        )
 
     def __repr__(self) -> str:
         return "<FreeElem %s>" % self

@@ -27,7 +27,8 @@ from .boxtilde import (
     s_element,
     scale_auto,
 )
-from .qcoeff import DEFAULT_RING, LaurentPoly
+from .freealg import FreeElem
+from .qcoeff import DEFAULT_RING, LaurentPoly, put
 
 RING = DEFAULT_RING
 _ONE = RING.one()
@@ -673,7 +674,8 @@ def check_general_qdg(alphas: Sequence = None, label: str = "custom") -> List[Ch
 # ---------------------------------------------------------------------------
 #
 # Relations of the quotient algebra (all c_i = 1) as formal noncommutative
-# polynomials: maps from letter tuples to coefficients, with no rewriting.
+# polynomials: free-algebra elements over tuples of letters, with no
+# rewriting.
 # Scaling and relabelling substitutions send each letter to a scalar
 # multiple of a single letter, so images are computed term by term.
 
@@ -689,48 +691,36 @@ def _relation_diff(i: int, central: int = 0, sign: int = -1) -> BoxElem:
     )
 
 
-def _formal(items) -> dict:
-    out = {}
-    for coeff, word in items:
-        coeff = RING.coerce(coeff)
-        s = out.get(word, RING.zero()) + coeff
-        if s:
-            out[word] = s
-        else:
-            out.pop(word, None)
-    return out
+def _formal_weyl(a, b) -> FreeElem:
+    """q ab - q^-1 ba - (q - q^-1) in the distinct letters a, b."""
+    return FreeElem(RING, {(a, b): _qp(1), (b, a): -_qp(-1), (): _qp(-1) - _qp(1)})
 
 
-def _formal_weyl(a, b) -> dict:
-    """q ab - q^-1 ba - (q - q^-1) in the letters a, b."""
-    return _formal([(_qp(1), (a, b)), (-_qp(-1), (b, a)), (_qp(-1) - _qp(1), ())])
-
-
-def _formal_serre(a, b) -> dict:
-    """aaab - [3] aaba + [3] abaa - baaa in the letters a, b."""
-    return _formal([(_ONE, (a, a, a, b)), (-_THREE, (a, a, b, a)), (_THREE, (a, b, a, a)), (-_ONE, (b, a, a, a))])
+def _formal_serre(a, b) -> FreeElem:
+    """aaab - [3] aaba + [3] abaa - baaa in the distinct letters a, b."""
+    return FreeElem(RING, {(a, a, a, b): _ONE, (a, a, b, a): -_THREE, (a, b, a, a): _THREE, (b, a, a, a): -_ONE})
 
 
 # kind -> (builder, index step from the first letter to the second)
 _RELATIONS = {"weyl": (_formal_weyl, 1), "serre": (_formal_serre, 2)}
 
 
-def _relation(kind: str, i: int, letter=lambda l: l % 4) -> dict:
+def _relation(kind: str, i: int, letter=lambda l: l % 4) -> FreeElem:
     build, step = _RELATIONS[kind]
     return build(letter(i), letter(i + step))
 
 
-def _formal_substitute(poly: dict, image) -> dict:
+def _formal_substitute(poly: FreeElem, image) -> FreeElem:
     """image: letter -> (new letter, scalar factor)."""
-    items = []
-    for word, coeff in poly.items():
+    terms: dict = {}
+    for word, coeff in poly.terms.items():
         new_word = []
         for l in word:
             nl, factor = image(l)
             new_word.append(nl)
             coeff = coeff * factor
-        items.append((coeff, tuple(new_word)))
-    return _formal(items)
+        put(terms, tuple(new_word), coeff)
+    return FreeElem(RING, terms)
 
 
 def _pair(l: int) -> tuple:
@@ -749,7 +739,7 @@ def _scales_as_stated(kind: str, i: int) -> bool:
     relation = _relation(kind, i)
     image = _formal_substitute(relation, lambda l: (l, a if l % 2 == 0 else a ** -1))
     power = 0 if kind == "weyl" else (4 if i % 2 == 0 else -4)
-    return image == {w: c * RING.gen("a", power) for w, c in relation.items()}
+    return image == relation * RING.gen("a", power)
 
 
 def _relabels_to_schema(kind: str, i: int) -> bool:

@@ -5,6 +5,11 @@ Elements are sparse: a finite map from exponent vectors (one integer per
 symbol, the first symbol always being q) to nonzero arbitrary-precision
 integer coefficients.  All operations are exact; there are no floats and no
 rational coefficients anywhere in the ring itself.
+
+The three jobs every sparse sum of the package shares live here, once:
+`put` accumulates into a map and drops what cancels, `power` raises by
+repeated squaring, and `render_sum` prints a sum of coefficient-times-body
+pieces, each coefficient through `poly_text`.
 """
 
 from __future__ import annotations
@@ -23,6 +28,30 @@ class CoefficientTooLargeError(OverflowError):
 
 Exponents = tuple
 IntLike = Union[int, "LaurentPoly"]
+
+
+def put(acc: dict, key, value) -> None:
+    """acc[key] += value, dropping the key when the sum vanishes."""
+    old = acc.get(key)
+    if old is not None:
+        value = old + value
+    if value:
+        acc[key] = value
+    elif old is not None:
+        del acc[key]
+
+
+def power(base, n: int, one):
+    """base ** n for n >= 0 by repeated squaring, with `one` the unit;
+    powers of one element commute, so the factor order does not matter."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class LaurentRing:
@@ -156,11 +185,7 @@ class LaurentPoly:
         other = self.ring.coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            put(terms, e, c)
         return LaurentPoly(self.ring, terms)
 
     __radd__ = __add__
@@ -191,12 +216,7 @@ class LaurentPoly:
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                put(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return LaurentPoly(self.ring, out)
 
     __rmul__ = __mul__
@@ -210,14 +230,7 @@ class LaurentPoly:
             ((exps, coeff),) = self.terms.items()
             c = 1 if coeff == 1 or n % 2 == 0 else -1
             return self.ring.monomial(c, tuple(e * n for e in exps))
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one())
 
     # -- content helper (used by the elimination code) --------------------
 
@@ -237,40 +250,63 @@ class LaurentPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def _monomial_text(self, coeff_abs: int, exps: Exponents) -> str:
-        factors = []
-        if coeff_abs != 1 or all(e == 0 for e in exps):
-            try:
-                factors.append(str(coeff_abs))
-            except ValueError:
-                # the interpreter's limit on int-to-str conversion
-                raise CoefficientTooLargeError(
-                    "a coefficient of %d bits is too large to print in decimal"
-                    % coeff_abs.bit_length()
-                ) from None
-        for sym, e in zip(self.ring.symbols, exps):
-            if e == 0:
-                continue
-            factors.append(sym if e == 1 else "%s^%d" % (sym, e))
-        return "*".join(factors)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        positives = sorted((e for e, c in self.terms.items() if c > 0), reverse=True)
-        negatives = sorted((e for e, c in self.terms.items() if c < 0), reverse=True)
-        pieces = []
-        for exps in positives + negatives:
-            coeff = self.terms[exps]
-            body = self._monomial_text(abs(coeff), exps)
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(pieces)
+        return poly_text(self.ring, self.terms)
 
     def __repr__(self) -> str:
         return "<LaurentPoly %s>" % self
+
+
+def _monomial_text(symbols: tuple, coeff_abs: int, exps: Exponents) -> str:
+    factors = []
+    if coeff_abs != 1 or not any(exps):
+        try:
+            factors.append(str(coeff_abs))
+        except ValueError:
+            # the interpreter's limit on int-to-str conversion
+            raise CoefficientTooLargeError(
+                "a coefficient of %d bits is too large to print in decimal"
+                % coeff_abs.bit_length()
+            ) from None
+    factors += [sym if e == 1 else "%s^%d" % (sym, e) for sym, e in zip(symbols, exps) if e]
+    return "*".join(factors)
+
+
+def _signed_sum(pieces) -> str:
+    """Joins (negative, text) pieces into a sum: the first piece carries
+    only a minus sign, the others " + " or " - "; "0" for no pieces."""
+    text = "".join((" - " if negative else " + ") + piece for negative, piece in pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def poly_text(ring: LaurentRing, terms: dict) -> str:
+    """The text of the polynomial with map exponents -> coefficient
+    `terms`: positive terms first, each sign by descending exponents."""
+    order = sorted(sorted(terms, reverse=True), key=lambda e: terms[e] < 0)
+    return _signed_sum((terms[e] < 0, _monomial_text(ring.symbols, abs(terms[e]), e)) for e in order)
+
+
+def render_sum(ring: LaurentRing, pieces, sep: str) -> str:
+    """The text of a sum of (coefficient terms, body) pieces, in the order
+    given.  A coefficient of 1 is left out before a body, one whose terms
+    are all negative is negated after a minus sign, and one of several
+    terms goes in parentheses; `sep` joins a coefficient to its body, and
+    an empty body leaves the coefficient alone."""
+
+    def piece(terms: dict, body: str) -> tuple:
+        negative = all(v < 0 for v in terms.values())
+        if negative:
+            terms = {e: -v for e, v in terms.items()}
+        text = poly_text(ring, terms)
+        if len(terms) > 1:
+            text = "(%s)" % text
+        if body:
+            text = body if text == "1" else text + sep + body
+        return negative, text
+
+    return _signed_sum(piece(terms, body) for terms, body in pieces)
 
 
 # The shared working ring for the rest of the package: q plus the two

@@ -104,6 +104,33 @@ def test_nf_integer_literal_too_long(capsys):
         assert err.count("\n") == 1 and "5000 digits" in err
 
 
+def test_nf_deep_input_is_refused_or_evaluated_without_recursing(capsys):
+    code, out, err = run(capsys, ["nf", "(" * 300 + "x0" + ")" * 300])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "nested deeper than 100" in err and "offset 100" in err
+    # a long product is a left-nested chain, folded without recursion
+    code, out, err = run(capsys, ["nf", "*".join(["1"] * 1200)])
+    assert (code, out, err) == (0, "[- | - | -]\n", "")
+    code, out, _ = run(capsys, ["nf", "(" * 100 + "x0" + ")" * 100])
+    assert (code, out) == (0, "[x0 | - | -]\n")
+
+
+def test_nf_bracket_central_powers_share_the_bound(capsys):
+    for text in (
+        "c0^99999999999999999999",
+        "[- | - | c0^99999999999999999999]",
+        "[- | - | c0^-9223372036854775808]",
+        "[- | - | c1^9223372036854775807.c1]",
+    ):
+        code, out, err = run(capsys, ["nf", text])
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "overflow" in err
+    code, out, _ = run(capsys, ["nf", "[- | - | c0^9223372036854775807]"])
+    assert (code, out) == (0, "[- | - | c0^9223372036854775807]\n")
+
+
 def test_term_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("QDG_TERM_BUDGET", "3")
     code, _, err = run(capsys, ["nf", "x1*x3*x0*x2*x0*x2"])

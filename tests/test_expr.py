@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdg import boxtilde as bt
-from qdg.boxtilde import central_gen, generator, reduce_word, s_element
+from qdg.boxtilde import BoxElem, NormalMono, central_gen, generator, reduce_word, s_element
 from qdg.expr import ParseError, eval_text, evaluate, parse, render
-from qdg.freealg import serre_elements, word_elem
-from qdg.qcoeff import DEFAULT_RING, CoefficientTooLargeError, NotInvertibleError
+from qdg.freealg import FreeElem, serre_elements, word_elem
+from qdg.qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentPoly, NotInvertibleError
 
 from corpus import CORPUS
 
@@ -155,3 +157,32 @@ def test_free_mode_products_apply_the_engine_budgets():
         assert len(eval_text("(x+y)^9", mode="free").terms) == 512
     finally:
         bt.LIMITS.term_budget = saved
+
+
+# coefficients with up to four terms in q, a and b, of either sign
+coeffs = st.dictionaries(
+    keys=st.tuples(st.integers(-4, 4), st.integers(-2, 2), st.integers(-2, 2)),
+    values=st.integers(-12, 12),
+    max_size=4,
+).map(lambda terms: LaurentPoly(R, terms))
+
+monos = st.builds(
+    NormalMono,
+    st.lists(st.sampled_from((0, 2)), max_size=3).map(tuple),
+    st.lists(st.sampled_from((1, 3)), max_size=3).map(tuple),
+    st.tuples(*[st.integers(-3, 3)] * 4),
+)
+
+
+@given(st.dictionaries(monos, coeffs, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_box_render_parses_back(terms):
+    e = BoxElem(R, terms)
+    assert eval_text(render(e)) == e
+
+
+@given(st.dictionaries(st.text("xy", max_size=4), coeffs, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_free_render_parses_back(terms):
+    e = FreeElem(R, terms)
+    assert eval_text(render(e), mode="free") == e

@@ -176,6 +176,14 @@ def test_products_are_homogeneous():
         assert product.homogeneous_degree() == r + s
 
 
+def test_tuple_words_multiply_raise_and_print():
+    q = R.gen("q")
+    weyl = FreeElem(R, {(0, 1): q, (1, 0): -(q ** -1), (): q ** -1 - q})
+    assert weyl * weyl == weyl ** 2
+    assert weyl ** 0 == FreeElem(R, {(): R.one()})
+    assert str(weyl) == "q*0*1 - q^-1*1*0 + (q^-1 - q)"
+
+
 def test_word_order_is_lexicographic():
     assert words_of_length(2) == ["xx", "xy", "yx", "yy"]
 
