@@ -7,11 +7,8 @@ __version__ = "0.1.0"
 from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, qint
 from .boxtilde import (
     BoxElem,
-    CentralElement,
     NormalMono,
-    central_element,
     central_gen,
-    central_unit,
     generator,
     module_action_oracle,
     multiply,

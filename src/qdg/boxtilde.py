@@ -29,6 +29,11 @@ view built anew on each access, for the API only.  State maps share their
 inner q-dicts, so no stored state map or inner dict is ever mutated: an
 operation fills only an outer map it created, and `_add_into` changes in
 place only the inner dicts it created itself.
+
+A central unit is a one-term `BoxElem` with empty words and coefficient
++-q^k a^i b^j (`central_gen(i, p)` times a unit scalar), and `e ** -n`
+inverts exactly those.  `scale_auto` and `specialize_central` take their
+factors as ints, LaurentPolys or BoxElems.
 """
 
 from __future__ import annotations
@@ -210,9 +215,16 @@ class BoxElem:
         return NotImplemented
 
     def __pow__(self, n: int) -> "BoxElem":
-        if n < 0:
-            raise ValueError("negative powers are not defined for algebra elements")
-        return power(self, n, one(self.ring))
+        """The n-th power; a negative power exists only for a unit monomial
+        +-q^k a^i b^j c^v with empty words, and raises NotInvertibleError
+        for anything else."""
+        if n >= 0:
+            return power(self, n, one(self.ring))
+        v, exps, cent = _monomial_parts(self)
+        if v not in (1, -1):
+            raise NotInvertibleError("not invertible")
+        key = (b"", b"", scale_central(cent, n), tuple(x * n for x in exps[1:]))
+        return BoxElem._of(self.ring, {key: {exps[0] * n: v if n & 1 else 1}})
 
     def render(self) -> str:
         monos = _by_mono(self.state)
@@ -519,75 +531,37 @@ def rho(e: BoxElem) -> BoxElem:
     return BoxElem._of(e.ring, out)
 
 
-class CentralElement(NamedTuple):
-    """A central element coeff * c^{exponents}; invertible when the
-    coefficient is a unit monomial."""
-
-    coeff: LaurentPoly
-    central: tuple
-
-    def __mul__(self, other: "CentralElement") -> "CentralElement":
-        return CentralElement(
-            self.coeff * other.coeff, add_central(self.central, other.central)
-        )
-
-    def __pow__(self, n: int) -> "CentralElement":
-        return CentralElement(self.coeff ** n, scale_central(self.central, n))
-
-    def inverse(self) -> "CentralElement":
-        return self ** -1
-
-    def is_unit(self) -> bool:
-        return self.coeff.is_unit()
-
-    def is_identity(self) -> bool:
-        return self.coeff.is_one() and self.central == ZERO_CENTRAL
-
-
-def central_element(value, ring: LaurentRing = DEFAULT_RING) -> CentralElement:
-    """Coerce an int, LaurentPoly, or CentralElement into a CentralElement."""
-    if isinstance(value, CentralElement):
-        return value
-    if isinstance(value, int):
-        return CentralElement(ring.from_int(value), ZERO_CENTRAL)
-    if isinstance(value, LaurentPoly):
-        return CentralElement(value, ZERO_CENTRAL)
-    raise TypeError("cannot interpret %r as a central element" % (value,))
-
-
-def central_unit(i: int, power: int = 1, ring: LaurentRing = DEFAULT_RING) -> CentralElement:
-    exps = [0, 0, 0, 0]
-    exps[i % 4] = power
-    return CentralElement(ring.one(), tuple(exps))
-
-
-def _unit_parts(a: CentralElement) -> tuple:
-    """An invertible central monomial as (sign, coefficient exponents,
-    central exponents)."""
-    ((exps, sign),) = a.coeff.terms.items()
-    return sign, exps, a.central
+def _monomial_parts(e: BoxElem) -> tuple:
+    """A one-term element with empty words as (integer coefficient,
+    exponents of q, a, b..., central exponents); NotInvertibleError for
+    anything else."""
+    if len(e.state) == 1:
+        (((even, odd, cent, ab), qd),) = e.state.items()
+        if not even and not odd and len(qd) == 1:
+            ((k, v),) = qd.items()
+            return v, (k,) + ab, cent
+    raise NotInvertibleError("not invertible")
 
 
 def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem], BoxElem]:
     """The substitution x_i -> alpha_i x_i, c_i -> alpha_i alpha_{i+1} c_i.
 
-    Each alpha must be an invertible central monomial; returns the induced
-    algebra map.
+    Each alpha, an int, LaurentPoly or BoxElem, must be a unit monomial
+    +-q^k a^i b^j c^v; returns the induced algebra map.
     """
     if len(alphas) != 4:
         raise ValueError("scale_auto expects four scaling factors")
-    alphas = tuple(central_element(a, ring) for a in alphas)
-    for a in alphas:
-        if not a.is_unit():
-            raise NotInvertibleError("not invertible")
+    alphas = tuple(one(ring) * a for a in alphas)
     # each factor once as integer vectors; a term's factor is then a sum
-    letters = [_unit_parts(a) for a in alphas]
-    pairs = [_unit_parts(alphas[i] * alphas[(i + 1) % 4]) for i in range(4)]
+    letters = [_monomial_parts(a) for a in alphas]
+    if any(sign not in (1, -1) for sign, _, _ in letters):
+        raise NotInvertibleError("not invertible")
+    pairs = [_monomial_parts(alphas[i] * alphas[(i + 1) % 4]) for i in range(4)]
 
     def apply(e: BoxElem) -> BoxElem:
-        if any(a.coeff.ring is not e.ring for a in alphas):
+        if e.ring is not ring:
             raise ValueError("mixed coefficient rings")
-        zero = (0,) * e.ring.width
+        zero = (0,) * ring.width
         out: dict = {}
         for (even, odd, cent, ab), qd in e.state.items():
             sign, exps, central = 1, zero, ZERO_CENTRAL
@@ -605,38 +579,37 @@ def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem],
                     central = add_central(central, scale_central(z, n))
             key = (even, odd, add_central(cent, central), tuple(map(add, ab, exps[1:])))
             _add_into(out, key, qd, exps[0], sign)
-        return BoxElem._of(e.ring, out)
+        return BoxElem._of(ring, out)
 
     return apply
 
 
 def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
-    """Substitute each c_i by an invertible central value, folding the result
-    into the coefficients.
+    """Substitute each c_i by a central monomial (an int, LaurentPoly or
+    BoxElem that is one term with empty words), folding the result into
+    the coefficients; a negative power of c_i needs a unit value.
 
     The image is only a *representative* of the corresponding quotient
     element: equality in the quotient algebra is not decided here.
     """
     ring = e.ring
-    vals = tuple(central_element(v, ring) for v in values)
+    vals = tuple(one(ring) * v for v in values)
     if len(vals) != 4:
         raise ValueError("need one value per central generator")
     for v in vals:
-        if not v.coeff.is_monomial():
-            raise NotInvertibleError("not invertible")
+        _monomial_parts(v)
     out: dict = {}
-    # central vector -> (central part, coefficient exponents, coefficient)
+    # central vector -> (coefficient, coefficient exponents, central part)
     factors: dict = {}
     for (even, odd, cent, ab), qd in e.state.items():
         f = factors.get(cent)
         if f is None:
-            factor = CentralElement(ring.one(), ZERO_CENTRAL)
+            factor = one(ring)
             for i, n in enumerate(cent):
                 if n:
-                    factor = factor * (vals[i] ** n)
-            ((exps, v),) = factor.coeff.terms.items()
-            f = factors[cent] = (factor.central, exps, v)
-        central, exps, v = f
+                    factor = factor * vals[i] ** n
+            f = factors[cent] = _monomial_parts(factor)
+        v, exps, central = f
         _add_into(out, (even, odd, central, tuple(map(add, ab, exps[1:]))), qd, exps[0], v)
     return BoxElem._of(ring, out)
 

@@ -74,7 +74,7 @@ def _report(rows, seed: int) -> dict:
 def cmd_verify(args) -> int:
     registry = build_checks(args.seed)
     names = list(registry)
-    if args.check:
+    if args.check is not None:
         names = [n for n in names if fnmatch.fnmatchcase(n, args.check)]
         if not names:
             print("no check matches %r" % args.check, file=sys.stderr)

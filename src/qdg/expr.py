@@ -25,7 +25,7 @@ from typing import List, Tuple, Union
 from . import boxtilde as bt
 from .boxtilde import BoxElem
 from .freealg import FreeElem, word_elem
-from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentRing, NotInvertibleError, put
+from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentRing, put
 
 RING = DEFAULT_RING
 
@@ -320,22 +320,6 @@ def parse(text: str, mode: str = "box") -> Expr:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _box_pow(e: BoxElem, n: int) -> BoxElem:
-    if n >= 0:
-        _refuse_oversized_power(e, n)
-        return e ** n
-    if len(e.state) != 1:
-        raise NotInvertibleError("not invertible")
-    (((even, odd, cent, ab), qd),) = e.state.items()
-    if even or odd or len(qd) != 1:
-        raise NotInvertibleError("not invertible")
-    ((k, v),) = qd.items()
-    if v not in (1, -1):
-        raise NotInvertibleError("not invertible")
-    key = (b"", b"", bt.scale_central(cent, n), tuple(x * n for x in ab))
-    return BoxElem._of(e.ring, {key: {k * n: v if n & 1 else 1}})
-
-
 # a power of a one-term element whose coefficient would have more bits
 # than this is refused before it is built, since past it the build itself
 # is the cost: 3^(2^20), about 1.7 million bits, takes 0.14 s on one core
@@ -393,6 +377,8 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
         if isinstance(n, Sym):
             return scalar(ring.gen(n.name))
         if isinstance(n, QIntNode):
+            # [n]_q has |n| terms, so a huge n is refused before it is built
+            bt._check_term_budget("qint", abs(n.n))
             return scalar(ring.qint(n.n))
         if isinstance(n, Gen):
             if mode == "box":
@@ -435,7 +421,7 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
         if isinstance(n, Pow):
             base = walk(n.base)
             if mode == "box":
-                return _box_pow(base, n.exponent)
+                _refuse_oversized_power(base, n.exponent)
             return base ** n.exponent
         raise TypeError("unknown AST node %r" % (n,))
 

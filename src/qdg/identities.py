@@ -16,11 +16,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import boxtilde as bt
 from .boxtilde import (
     BoxElem,
-    CentralElement,
     NormalMono,
     ZERO_CENTRAL,
-    central_element,
-    central_unit,
+    central_gen,
     generator,
     reduce_word,
     rho,
@@ -95,7 +93,6 @@ class TableRow:
     term: NormalMono
     column: str
     coeff: LaurentPoly
-    display: str
 
 
 @dataclass
@@ -129,25 +126,14 @@ def M(even: str = "", odd: str = "", c: str = "") -> NormalMono:
     return NormalMono(word(even, (0, 2)), word(odd, (1, 3)), tuple(exps))
 
 
-def _entry(value) -> Optional[Tuple[LaurentPoly, str]]:
-    if value is None or (isinstance(value, int) and value == 0):
-        return None
-    if isinstance(value, tuple):
-        return value
-    if isinstance(value, int):
-        value = RING.from_int(value)
-    return (value, str(value))
-
-
 def _table(name: str, source: str, columns: Sequence[str], grid) -> CoeffTable:
     rows = []
     for mono, entries in grid:
         if len(entries) != len(columns):
             raise ValueError("row width mismatch in table %s" % name)
         for col, raw in zip(columns, entries):
-            e = _entry(raw)
-            if e is not None:
-                rows.append(TableRow(mono, col, e[0], e[1]))
+            if not (isinstance(raw, int) and raw == 0):
+                rows.append(TableRow(mono, col, RING.coerce(raw)))
     return CoeffTable(name, source, tuple(columns), rows)
 
 
@@ -167,9 +153,9 @@ def _build_tables() -> List[CoeffTable]:
             ("a2",),
             [
                 (M("x0.x0"), [one]),
-                (M("x0", "x1"), [(one + q2, "1+q^2")]),
+                (M("x0", "x1"), [one + q2]),
                 (M(odd="x1.x1"), [one]),
-                (M(c="c0"), [(one - q2, "1-q^2")]),
+                (M(c="c0"), [one - q2]),
             ],
         ),
         _table(
@@ -181,7 +167,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M("x0", "x3"), [one]),
                 (M("x2", "x1"), [qm2]),
                 (M(odd="x1.x3"), [one]),
-                (M(c="c1"), [(one - qm2, "1-q^-2")]),
+                (M(c="c1"), [one - qm2]),
             ],
         ),
         _table(
@@ -193,7 +179,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M("x0", "x3"), [qm2]),
                 (M("x2", "x1"), [one]),
                 (M(odd="x3.x1"), [one]),
-                (M(c="c3"), [(one - qm2, "1-q^-2")]),
+                (M(c="c3"), [one - qm2]),
             ],
         ),
         _table(
@@ -202,8 +188,8 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x0x2",),
             [
                 (M("x0.x2", "x1"), [one]),
-                (M("x0", c="c1"), [(q2 - one, "q^2-1")]),
-                (M("x2", c="c0"), [(one - q2, "1-q^2")]),
+                (M("x0", c="c1"), [q2 - one]),
+                (M("x2", c="c0"), [one - q2]),
             ],
         ),
         _table(
@@ -212,7 +198,7 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x1x0",),
             [
                 (M("x0", "x1.x1"), [q4]),
-                (M(odd="x1", c="c0"), [(one - q4, "1-q^4")]),
+                (M(odd="x1", c="c0"), [one - q4]),
             ],
         ),
         _table(
@@ -221,7 +207,7 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x1x2",),
             [
                 (M("x2", "x1.x1"), [qm4]),
-                (M(odd="x1", c="c1"), [(one - qm4, "1-q^-4")]),
+                (M(odd="x1", c="c1"), [one - qm4]),
             ],
         ),
         _table(
@@ -230,8 +216,8 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x2x0",),
             [
                 (M("x2.x0", "x1"), [one]),
-                (M("x2", c="c0"), [(qm2 - one, "q^-2-1")]),
-                (M("x0", c="c1"), [(one - qm2, "1-q^-2")]),
+                (M("x2", c="c0"), [qm2 - one]),
+                (M("x0", c="c1"), [one - qm2]),
             ],
         ),
         _table(
@@ -240,8 +226,8 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x3x0",),
             [
                 (M("x0", "x1.x3"), [one]),
-                (M(odd="x1", c="c3"), [(one - qm2, "1-q^-2")]),
-                (M(odd="x3", c="c0"), [(qm2 - one, "q^-2-1")]),
+                (M(odd="x1", c="c3"), [one - qm2]),
+                (M(odd="x3", c="c0"), [qm2 - one]),
             ],
         ),
         _table(
@@ -250,7 +236,7 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x0x0",),
             [
                 (M("x0.x0", "x1"), [q4]),
-                (M("x0", c="c0"), [(one - q4, "1-q^4")]),
+                (M("x0", c="c0"), [one - q4]),
             ],
         ),
         _table(
@@ -259,7 +245,7 @@ def _build_tables() -> List[CoeffTable]:
             ("x3x0x0",),
             [
                 (M("x0.x0", "x3"), [qm4]),
-                (M("x0", c="c3"), [(one - qm4, "1-q^-4")]),
+                (M("x0", c="c3"), [one - qm4]),
             ],
         ),
         _table(
@@ -268,8 +254,8 @@ def _build_tables() -> List[CoeffTable]:
             ("x3x1x0",),
             [
                 (M("x0", "x3.x1"), [one]),
-                (M(odd="x1", c="c3"), [(q2 - one, "q^2-1")]),
-                (M(odd="x3", c="c0"), [(one - q2, "1-q^2")]),
+                (M(odd="x1", c="c3"), [q2 - one]),
+                (M(odd="x3", c="c0"), [one - q2]),
             ],
         ),
         _table(
@@ -278,9 +264,9 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x1x0x2",),
             [
                 (M("x0.x2", "x1.x1"), [one]),
-                (M("x0", "x1", "c1"), [(q4 - one, "q^4-1")]),
-                (M("x2", "x1", "c0"), [(qm2 - q2, "q^-2-q^2")]),
-                (M(c="c0.c1"), [((one - q2) * (q2 - qm2), "(1-q^2)(q^2-q^-2)")]),
+                (M("x0", "x1", "c1"), [q4 - one]),
+                (M("x2", "x1", "c0"), [qm2 - q2]),
+                (M(c="c0.c1"), [(one - q2) * (q2 - qm2)]),
             ],
         ),
         _table(
@@ -289,9 +275,9 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x1x2x0",),
             [
                 (M("x2.x0", "x1.x1"), [one]),
-                (M("x0", "x1", "c1"), [(q2 - qm2, "q^2-q^-2")]),
-                (M("x2", "x1", "c0"), [(qm4 - one, "q^-4-1")]),
-                (M(c="c0.c1"), [((qm2 - one) * (q2 - qm2), "(q^-2-1)(q^2-q^-2)")]),
+                (M("x0", "x1", "c1"), [q2 - qm2]),
+                (M("x2", "x1", "c0"), [qm4 - one]),
+                (M(c="c0.c1"), [(qm2 - one) * (q2 - qm2)]),
             ],
         ),
         _table(
@@ -300,9 +286,9 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x3x0x0",),
             [
                 (M("x0.x0", "x1.x3"), [one]),
-                (M("x0", "x1", "c3"), [(q2 - qm2, "q^2-q^-2")]),
-                (M("x0", "x3", "c0"), [(qm4 - one, "q^-4-1")]),
-                (M(c="c0.c3"), [((qm2 - one) * (q2 - qm2), "(q^-2-1)(q^2-q^-2)")]),
+                (M("x0", "x1", "c3"), [q2 - qm2]),
+                (M("x0", "x3", "c0"), [qm4 - one]),
+                (M(c="c0.c3"), [(qm2 - one) * (q2 - qm2)]),
             ],
         ),
         _table(
@@ -311,9 +297,9 @@ def _build_tables() -> List[CoeffTable]:
             ("x3x1x0x0",),
             [
                 (M("x0.x0", "x3.x1"), [one]),
-                (M("x0", "x1", "c3"), [(q4 - one, "q^4-1")]),
-                (M("x0", "x3", "c0"), [(qm2 - q2, "q^-2-q^2")]),
-                (M(c="c0.c3"), [((one - q2) * (q2 - qm2), "(1-q^2)(q^2-q^-2)")]),
+                (M("x0", "x1", "c3"), [q4 - one]),
+                (M("x0", "x3", "c0"), [qm2 - q2]),
+                (M(c="c0.c3"), [(one - q2) * (q2 - qm2)]),
             ],
         ),
         _table(
@@ -331,80 +317,80 @@ def _build_tables() -> List[CoeffTable]:
                 (M(odd="x3.x1.x1.x1"), [0, 0, 0, one]),
                 (M("x0.x0.x0", "x3"), [one, qm2, qm4, qm6]),
                 (M("x2", "x1.x1.x1"), [qm6, qm4, qm2, one]),
-                (M("x0", "x1.x1.x3"), [(q2 * three, "q^2*[3]"), q2, 0, 0]),
-                (M("x0", "x1.x3.x1"), [0, (q2 + one, "q^2+1"), (q2 + one, "q^2+1"), 0]),
-                (M("x0", "x3.x1.x1"), [0, 0, one, (three, "[3]")]),
-                (M("x0.x0.x2", "x1"), [(three, "[3]"), one, 0, 0]),
-                (M("x0.x2.x0", "x1"), [0, (q2 + one, "q^2+1"), (q2 + one, "q^2+1"), 0]),
-                (M("x2.x0.x0", "x1"), [0, 0, q2, (q2 * three, "q^2*[3]")]),
-                (M("x0.x0", "x1.x3"), [(q2 * three, "q^2*[3]"), (q2 + one, "q^2+1"), one, 0]),
-                (M("x0.x0", "x3.x1"), [0, one, (qm2 + one, "q^-2+1"), (qm2 * three, "q^-2*[3]")]),
-                (M("x0.x2", "x1.x1"), [(qm2 * three, "q^-2*[3]"), (qm2 + one, "q^-2+1"), one, 0]),
-                (M("x2.x0", "x1.x1"), [0, one, (q2 + one, "q^2+1"), (q2 * three, "q^2*[3]")]),
+                (M("x0", "x1.x1.x3"), [q2 * three, q2, 0, 0]),
+                (M("x0", "x1.x3.x1"), [0, q2 + one, q2 + one, 0]),
+                (M("x0", "x3.x1.x1"), [0, 0, one, three]),
+                (M("x0.x0.x2", "x1"), [three, one, 0, 0]),
+                (M("x0.x2.x0", "x1"), [0, q2 + one, q2 + one, 0]),
+                (M("x2.x0.x0", "x1"), [0, 0, q2, q2 * three]),
+                (M("x0.x0", "x1.x3"), [q2 * three, q2 + one, one, 0]),
+                (M("x0.x0", "x3.x1"), [0, one, qm2 + one, qm2 * three]),
+                (M("x0.x2", "x1.x1"), [qm2 * three, qm2 + one, one, 0]),
+                (M("x2.x0", "x1.x1"), [0, one, q2 + one, q2 * three]),
                 (
                     M("x0.x0", c="c1"),
-                    [((q2 - one) * three, "(q^2-1)[3]"), (q2 - qm2, "q^2-q^-2"), (one - qm2, "1-q^-2"), 0],
+                    [(q2 - one) * three, q2 - qm2, one - qm2, 0],
                 ),
                 (
                     M("x0.x0", c="c3"),
-                    [0, (one - qm2, "1-q^-2"), (one - qm4, "1-q^-4"), (qm2 * (one - qm2) * three, "q^-2(1-q^-2)[3]")],
+                    [0, one - qm2, one - qm4, qm2 * (one - qm2) * three],
                 ),
                 (
                     M("x0.x2", c="c0"),
-                    [((one - q2) * two_plus_q2, "(1-q^2)(2+q^2)"), (qm2 - q2, "q^-2-q^2"), (one - q2, "1-q^2"), 0],
+                    [(one - q2) * two_plus_q2, qm2 - q2, one - q2, 0],
                 ),
                 (
                     M("x2.x0", c="c0"),
-                    [0, (one - q2, "1-q^2"), (qm2 - q2, "q^-2-q^2"), ((one - q2) * two_plus_q2, "(1-q^2)(2+q^2)")],
+                    [0, one - q2, qm2 - q2, (one - q2) * two_plus_q2],
                 ),
                 (
                     M("x0", "x1", "c1"),
-                    [((q2 - qm2) * three, "(q^2-q^-2)[3]"), (2 * (q2 - qm2), "2(q^2-q^-2)"), (q2 - qm2, "q^2-q^-2"), 0],
+                    [(q2 - qm2) * three, 2 * (q2 - qm2), q2 - qm2, 0],
                 ),
                 (
                     M("x0", "x1", "c3"),
-                    [0, (q2 - qm2, "q^2-q^-2"), (2 * (q2 - qm2), "2(q^2-q^-2)"), ((q2 - qm2) * three, "(q^2-q^-2)[3]")],
+                    [0, q2 - qm2, 2 * (q2 - qm2), (q2 - qm2) * three],
                 ),
                 (
                     M("x0", "x3", "c0"),
                     [
-                        ((one - q2) * two_plus_q2, "(1-q^2)(2+q^2)"),
-                        ((qm2 - one) * (q2 + 2), "(q^-2-1)(q^2+2)"),
-                        ((qm2 - one) * three, "(q^-2-1)[3]"),
-                        ((qm2 - one) * (q2 + 2), "(q^-2-1)(q^2+2)"),
+                        (one - q2) * two_plus_q2,
+                        (qm2 - one) * (q2 + 2),
+                        (qm2 - one) * three,
+                        (qm2 - one) * (q2 + 2),
                     ],
                 ),
                 (
                     M("x2", "x1", "c0"),
                     [
-                        ((qm2 - one) * two_plus_q2, "(q^-2-1)(2+q^2)"),
-                        ((qm2 - one) * three, "(q^-2-1)[3]"),
-                        ((qm2 - one) * (q2 + 2), "(q^-2-1)(q^2+2)"),
-                        ((one - q2) * two_plus_q2, "(1-q^2)(2+q^2)"),
+                        (qm2 - one) * two_plus_q2,
+                        (qm2 - one) * three,
+                        (qm2 - one) * (q2 + 2),
+                        (one - q2) * two_plus_q2,
                     ],
                 ),
                 (
                     M(odd="x1.x1", c="c1"),
-                    [(qm2 * (one - qm2) * three, "q^-2(1-q^-2)[3]"), (one - qm4, "1-q^-4"), (one - qm2, "1-q^-2"), 0],
+                    [qm2 * (one - qm2) * three, one - qm4, one - qm2, 0],
                 ),
                 (
                     M(odd="x1.x1", c="c3"),
-                    [0, (one - qm2, "1-q^-2"), (q2 - qm2, "q^2-q^-2"), ((q2 - one) * three, "(q^2-1)[3]")],
+                    [0, one - qm2, q2 - qm2, (q2 - one) * three],
                 ),
                 (
                     M(odd="x1.x3", c="c0"),
-                    [((one - q2) * two_plus_q2, "(1-q^2)(2+q^2)"), (qm2 - q2, "q^-2-q^2"), (one - q2, "1-q^2"), 0],
+                    [(one - q2) * two_plus_q2, qm2 - q2, one - q2, 0],
                 ),
                 (
                     M(odd="x3.x1", c="c0"),
-                    [0, (one - q2, "1-q^2"), (qm2 - q2, "q^-2-q^2"), ((one - q2) * two_plus_q2, "(1-q^2)(2+q^2)")],
+                    [0, one - q2, qm2 - q2, (one - q2) * two_plus_q2],
                 ),
                 (
                     M(c="c0.c1"),
                     [
-                        (-(qdiff_sq * two_plus_q2), "-(q-q^-1)^2(2+q^2)"),
-                        ((qm2 - one) * (q2 - qm2), "(q^-2-1)(q^2-q^-2)"),
-                        (-qdiff_sq, "-(q-q^-1)^2"),
+                        -(qdiff_sq * two_plus_q2),
+                        (qm2 - one) * (q2 - qm2),
+                        -qdiff_sq,
                         0,
                     ],
                 ),
@@ -412,9 +398,9 @@ def _build_tables() -> List[CoeffTable]:
                     M(c="c0.c3"),
                     [
                         0,
-                        (-qdiff_sq, "-(q-q^-1)^2"),
-                        ((qm2 - one) * (q2 - qm2), "(q^-2-1)(q^2-q^-2)"),
-                        (-(qdiff_sq * two_plus_q2), "-(q-q^-1)^2(2+q^2)"),
+                        -qdiff_sq,
+                        (qm2 - one) * (q2 - qm2),
+                        -(qdiff_sq * two_plus_q2),
                     ],
                 ),
             ],
@@ -425,15 +411,15 @@ def _build_tables() -> List[CoeffTable]:
             ("x1x0x0x0x2", "x1x0x0x2x0", "x1x0x2x0x0", "x1x2x0x0x0", "s0x1"),
             [
                 (M("x0.x0.x0.x2", "x1"), [q4, 0, 0, 0, one]),
-                (M("x0.x0.x2.x0", "x1"), [0, q4, 0, 0, (-three, "-[3]")]),
-                (M("x0.x2.x0.x0", "x1"), [0, 0, q4, 0, (three, "[3]")]),
-                (M("x2.x0.x0.x0", "x1"), [0, 0, 0, q4, (-one, "-1")]),
-                (M("x0.x0.x2", c="c0"), [(one - q6, "1-q^6"), (q2 - q4, "q^2-q^4"), 0, 0, 0]),
-                (M("x0.x2.x0", c="c0"), [0, (one - q4, "1-q^4"), (one - q4, "1-q^4"), 0, 0]),
-                (M("x2.x0.x0", c="c0"), [0, 0, (one - q2, "1-q^2"), (qm2 - q4, "q^-2-q^4"), 0]),
+                (M("x0.x0.x2.x0", "x1"), [0, q4, 0, 0, -three]),
+                (M("x0.x2.x0.x0", "x1"), [0, 0, q4, 0, three]),
+                (M("x2.x0.x0.x0", "x1"), [0, 0, 0, q4, -one]),
+                (M("x0.x0.x2", c="c0"), [one - q6, q2 - q4, 0, 0, 0]),
+                (M("x0.x2.x0", c="c0"), [0, one - q4, one - q4, 0, 0]),
+                (M("x2.x0.x0", c="c0"), [0, 0, one - q2, qm2 - q4, 0]),
                 (
                     M("x0.x0.x0", c="c1"),
-                    [(q6 - q4, "q^6-q^4"), (q4 - q2, "q^4-q^2"), (q2 - one, "q^2-1"), (one - qm2, "1-q^-2"), 0],
+                    [q6 - q4, q4 - q2, q2 - one, one - qm2, 0],
                 ),
             ],
         ),
@@ -443,15 +429,15 @@ def _build_tables() -> List[CoeffTable]:
             ("x3x0x0x0x2", "x3x0x0x2x0", "x3x0x2x0x0", "x3x2x0x0x0", "s0x3"),
             [
                 (M("x0.x0.x0.x2", "x3"), [qm4, 0, 0, 0, one]),
-                (M("x0.x0.x2.x0", "x3"), [0, qm4, 0, 0, (-three, "-[3]")]),
-                (M("x0.x2.x0.x0", "x3"), [0, 0, qm4, 0, (three, "[3]")]),
-                (M("x2.x0.x0.x0", "x3"), [0, 0, 0, qm4, (-one, "-1")]),
-                (M("x0.x0.x2", c="c3"), [(one - qm6, "1-q^-6"), (qm2 - qm4, "q^-2-q^-4"), 0, 0, 0]),
-                (M("x0.x2.x0", c="c3"), [0, (one - qm4, "1-q^-4"), (one - qm4, "1-q^-4"), 0, 0]),
-                (M("x2.x0.x0", c="c3"), [0, 0, (one - qm2, "1-q^-2"), (q2 - qm4, "q^2-q^-4"), 0]),
+                (M("x0.x0.x2.x0", "x3"), [0, qm4, 0, 0, -three]),
+                (M("x0.x2.x0.x0", "x3"), [0, 0, qm4, 0, three]),
+                (M("x2.x0.x0.x0", "x3"), [0, 0, 0, qm4, -one]),
+                (M("x0.x0.x2", c="c3"), [one - qm6, qm2 - qm4, 0, 0, 0]),
+                (M("x0.x2.x0", c="c3"), [0, one - qm4, one - qm4, 0, 0]),
+                (M("x2.x0.x0", c="c3"), [0, 0, one - qm2, q2 - qm4, 0]),
                 (
                     M("x0.x0.x0", c="c2"),
-                    [(qm6 - qm4, "q^-6-q^-4"), (qm4 - qm2, "q^-4-q^-2"), (qm2 - one, "q^-2-1"), (one - q2, "1-q^2"), 0],
+                    [qm6 - qm4, qm4 - qm2, qm2 - one, one - q2, 0],
                 ),
             ],
         ),
@@ -568,25 +554,22 @@ def _serre_comb(p: BoxElem, r: BoxElem) -> BoxElem:
     return p2 * p * r - _THREE * (p2 * r * p) + _THREE * (p * r * p2) - r * p * p2
 
 
-def _central_box(alpha: CentralElement) -> BoxElem:
-    return BoxElem(RING, {NormalMono((), (), alpha.central): alpha.coeff})
-
-
 def _qdg_diff(
     k: int,
-    alphas: Optional[Sequence[CentralElement]] = None,
+    alphas: Optional[Sequence] = None,
     drop_central: bool = False,
     wrong_serre: bool = False,
 ) -> BoxElem:
     """Side k (0 or 1) of the scaled q-Dolan/Grady identity; zero when it holds.
 
-    With A = a0 x0 + a1 x1 and B = a2 x2 + a3 x3 (every alpha 1 when alphas
-    is None), side 0 is the combination in (A, B) with error terms in S0, S1
-    and side 1 the one in (B, A) with S2, S3.  drop_central and wrong_serre
-    are the perturbations of the negative controls.
+    With A = a0 x0 + a1 x1 and B = a2 x2 + a3 x3, for alphas that are ints,
+    LaurentPolys or BoxElems (every alpha 1 when alphas is None), side 0 is
+    the combination in (A, B) with error terms in S0, S1 and side 1 the one
+    in (B, A) with S2, S3.  drop_central and wrong_serre are the
+    perturbations of the negative controls.
     """
     i, j = 2 * k, (2 * k + 2) % 4
-    c = [_central_box(a) for a in alphas] if alphas else [bt.one()] * 4
+    c = [bt.one() * a for a in alphas] if alphas else [bt.one()] * 4
     p = c[i] * generator(i) + c[i + 1] * generator(i + 1)
     r = c[j] * generator(j) + c[j + 1] * generator(j + 1)
     comm = p * r - r * p
@@ -613,38 +596,25 @@ def check_qdg_error_terms() -> List[CheckResult]:
 
 
 GENERAL_QDG_CONFIGS = (
-    ("trivial", lambda: (central_element(1), central_element(1), central_element(1), central_element(1)), False),
-    (
-        "scalars",
-        lambda: (
-            central_element(RING.gen("a")),
-            central_element(RING.gen("a", -1)),
-            central_element(RING.gen("b")),
-            central_element(RING.gen("b", -1)),
-        ),
-        False,
-    ),
-    (
-        "natural",
-        lambda: (central_element(1), central_unit(0, -1), central_element(1), central_unit(2, -1)),
-        True,
-    ),
+    ("trivial", (1, 1, 1, 1), False),
+    ("scalars", (RING.gen("a"), RING.gen("a", -1), RING.gen("b"), RING.gen("b", -1)), False),
+    ("natural", (1, central_gen(0, -1), 1, central_gen(2, -1)), True),
 )
 
 
-def _general_qdg_checks(label: str, build: Callable[[], Sequence[CentralElement]], side_condition: bool) -> List[Check]:
-    """The two sides for the alphas that build() returns and, when asked,
-    the side condition that makes the commutator coefficient collapse to 1."""
+def _general_qdg_checks(label: str, values: Sequence, side_condition: bool) -> List[Check]:
+    """The two sides for the given alphas and, when asked, the side
+    condition that makes the commutator coefficient collapse to 1."""
 
     def alphas():
-        alpha = build()
-        if not all(a.is_unit() for a in alpha):
-            raise bt.NotInvertibleError("not invertible")
+        alpha = tuple(bt.one() * a for a in values)
+        for a in alpha:
+            a ** -1  # the identity is stated for units: NotInvertibleError otherwise
         return alpha
 
     def side_condition_holds():
         a = alphas()
-        return all((a[i] * a[i + 1] * central_unit(i)).is_identity() for i in (0, 2))
+        return all(a[i] * a[i + 1] * central_gen(i) == bt.one() for i in (0, 2))
 
     prefix = "general_qdg.%s." % label
     out = [_diff_check(prefix + side, lambda k: _qdg_diff(k, alphas()), k) for k, side in enumerate(_SIDES)]
@@ -666,7 +636,7 @@ def check_general_qdg(alphas: Sequence = None, label: str = "custom") -> List[Ch
     """
     if alphas is None:
         return _run(_registered_general_qdg_checks())
-    return _run(_general_qdg_checks(label, lambda: tuple(central_element(a) for a in alphas), False))
+    return _run(_general_qdg_checks(label, alphas, False))
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +772,8 @@ def negative_controls() -> List[Check]:
         for k, side in enumerate(_SIDES)
     ]
     controls += [
-        _control("negative.general_qdg.%s" % label, lambda build: _qdg_diff(0, build(), wrong_serre=True), build)
-        for label, build, _ in GENERAL_QDG_CONFIGS
+        _control("negative.general_qdg.%s" % label, lambda alphas: _qdg_diff(0, alphas, wrong_serre=True), alphas)
+        for label, alphas, _ in GENERAL_QDG_CONFIGS
     ]
     controls += [
         # wrong central relabelling: c_i -> c_{i+3} instead of c_{i+1}
@@ -902,20 +872,15 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
         # the inverse law needs scalar factors: units of the coefficient
         # ring, trivial central part
         scalars = (
-            central_element(RING.gen("a")),
-            central_element(RING.gen("b", -1) * RING.qpow(2)),
-            central_element(RING.gen("q", -1)),
-            central_element(RING.gen("a", -1) * RING.gen("b")),
+            RING.gen("a"),
+            RING.gen("b", -1) * RING.qpow(2),
+            RING.gen("q", -1),
+            RING.gen("a", -1) * RING.gen("b"),
         )
         forward = scale_auto(*scalars)
-        backward = scale_auto(*(a.inverse() for a in scalars))
+        backward = scale_auto(*(a ** -1 for a in scalars))
         # central-monomial factors still give an algebra map
-        mixed = scale_auto(
-            central_element(1),
-            central_unit(0, -1),
-            central_element(RING.gen("b")),
-            central_unit(2, 1) * central_element(RING.gen("a", -1)),
-        )
+        mixed = scale_auto(1, central_gen(0, -1), RING.gen("b"), central_gen(2) * RING.gen("a", -1))
         for _ in range(samples):
             e = bt.random_element(rng)
             if backward(forward(e)) != e:

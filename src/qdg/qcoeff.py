@@ -153,12 +153,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.ring.width: 1}
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def is_unit(self) -> bool:
         """True when invertible in the ring: a single term with coefficient +-1."""
         if len(self.terms) != 1:

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from qdg import boxtilde as bt
 from qdg.boxtilde import (
     BoxElem,
-    CentralElement,
     NormalMono,
     PAIRING,
     CORRECTION,
     ZERO_CENTRAL,
-    central_element,
     central_gen,
-    central_unit,
     generator,
     module_action_oracle,
     multiply,
@@ -138,9 +135,9 @@ def test_scale_auto_examples():
     e = bt.random_element(rng)
     assert identity(e) == e
     # a * a^-1 = 1 keeps c0 fixed
-    a = central_element(R.gen("a"))
-    b = central_element(R.gen("b"))
-    g = scale_auto(a, a.inverse(), b, b.inverse())
+    a = R.gen("a")
+    b = R.gen("b")
+    g = scale_auto(a, a ** -1, b, b ** -1)
     assert g(central_gen(0)) == central_gen(0)
     assert g(generator(0)) == R.gen("a") * generator(0)
     with pytest.raises(NotInvertibleError):
@@ -148,14 +145,9 @@ def test_scale_auto_examples():
 
 
 def test_scale_auto_inverse_law_for_scalars():
-    alphas = (
-        central_element(R.gen("a")),
-        central_element(R.qpow(3)),
-        central_element(R.gen("b", -1)),
-        central_element(R.gen("a") * R.gen("b")),
-    )
+    alphas = (R.gen("a"), R.qpow(3), R.gen("b", -1), R.gen("a") * R.gen("b"))
     forward = scale_auto(*alphas)
-    backward = scale_auto(*(x.inverse() for x in alphas))
+    backward = scale_auto(*(x ** -1 for x in alphas))
     rng = random.Random(10)
     for _ in range(25):
         e = bt.random_element(rng)
@@ -163,14 +155,9 @@ def test_scale_auto_inverse_law_for_scalars():
 
 
 def test_scale_auto_is_algebra_map_with_central_factors():
-    g = scale_auto(central_unit(0, -1), 1, central_element(R.gen("b")), central_unit(2))
+    g = scale_auto(central_gen(0, -1), 1, R.gen("b"), central_gen(2))
     # negative signs too, so odd powers of c_i flip the sign
-    h = scale_auto(
-        central_unit(0, 2) * central_element(-R.gen("a")),
-        central_element(R.qpow(-1) * R.gen("b", 2)),
-        central_unit(3, -1),
-        central_element(-1),
-    )
+    h = scale_auto(central_gen(0, 2) * -R.gen("a"), R.qpow(-1) * R.gen("b", 2), central_gen(3, -1), -1)
     rng = random.Random(12)
     for _ in range(15):
         e1, e2 = bt.random_element(rng), bt.random_element(rng)
@@ -180,23 +167,20 @@ def test_scale_auto_is_algebra_map_with_central_factors():
 
 def test_scale_auto_maps_generators_as_documented():
     alphas = (
-        central_element(R.gen("a", -1) * R.qpow(2)),
-        central_unit(1, -1) * central_element(-R.gen("b")),
-        central_element(-1),
-        central_unit(3, 2) * central_element(R.gen("a") * R.gen("b", -3)),
+        bt.one() * R.gen("a", -1) * R.qpow(2),
+        central_gen(1, -1) * -R.gen("b"),
+        -bt.one(),
+        central_gen(3, 2) * R.gen("a") * R.gen("b", -3),
     )
-    def box(a):
-        return BoxElem(R, {mono((), (), a.central): a.coeff})
-
     g = scale_auto(*alphas)
     for i in range(4):
-        assert g(generator(i)) == box(alphas[i]) * generator(i)
+        assert g(generator(i)) == alphas[i] * generator(i)
         pair = alphas[i] * alphas[(i + 1) % 4]
-        assert g(central_gen(i)) == box(pair) * central_gen(i)
+        assert g(central_gen(i)) == pair * central_gen(i)
         # negative powers of c_i take the inverse factor, sign included
-        assert g(central_gen(i, -3)) == box(pair.inverse() ** 3) * central_gen(i, -3)
+        assert g(central_gen(i, -3)) == (pair ** -1) ** 3 * central_gen(i, -3)
     with pytest.raises(NotInvertibleError):
-        scale_auto(1, 1, central_element(Q + 1), 1)
+        scale_auto(1, 1, Q + 1, 1)
     with pytest.raises(ValueError):
         g(generator(0, LaurentRing(("q",))))
 
@@ -208,11 +192,59 @@ def test_specialize_central():
         mono((0,), (1,)): Q ** 2,
         mono(): ONE - Q ** 2,
     }
-    unchanged = specialize_central(e, tuple(central_unit(i) for i in range(4)))
+    unchanged = specialize_central(e, tuple(central_gen(i) for i in range(4)))
     assert unchanged == e
     assert specialize_central(s_element(0), (1, 1, 1, 1)) == s_element(0)
     with pytest.raises(NotInvertibleError):
         specialize_central(e, (Q + 1, 1, 1, 1))
+
+
+def test_negative_powers_invert_unit_monomials():
+    u = central_gen(0, 2) * central_gen(3, -1) * (-Q ** 3 * R.gen("a") * R.gen("b", -2))
+    for n in range(1, 6):
+        inverse = u ** -n
+        assert inverse * u ** n == bt.one()
+        # the sign survives only at odd n
+        assert inverse == (-1) ** n * central_gen(0, -2 * n) * central_gen(3, n) * (
+            Q ** (-3 * n) * R.gen("a", -n) * R.gen("b", 2 * n)
+        )
+    assert bt.one() ** -1 == bt.one()
+    assert central_gen(2) ** -3 == central_gen(2, -3)
+
+
+def test_negative_powers_refuse_what_is_not_a_unit():
+    not_units = (
+        generator(1),  # a word
+        central_gen(0) * generator(0),
+        2 * Q * central_gen(1),  # a coefficient that is not a unit
+        bt.one() * (1 + Q),  # sums
+        central_gen(1) - central_gen(2),
+        bt.zero(),
+    )
+    for e in not_units:
+        with pytest.raises(NotInvertibleError):
+            e ** -1
+    with pytest.raises(bt.CentralOverflowError):
+        central_gen(0, 2 ** 62) ** -2
+
+
+def test_central_values_may_be_ints_polys_or_box_elements():
+    rng = random.Random(14)
+    e = bt.random_element(rng) * bt.random_element(rng)
+    spellings = (
+        (-1, Q ** 2, R.gen("a", -1) * R.gen("b"), 1),
+        (-ONE, Q ** 2, R.gen("a", -1) * R.gen("b"), ONE),
+        tuple(bt.one() * v for v in (-1, Q ** 2, R.gen("a", -1) * R.gen("b"), 1)),
+    )
+    images = {scale_auto(*alphas)(e).render() for alphas in spellings}
+    assert len(images) == 1
+    # specialize_central takes any monomial where no inverse is needed
+    values = (2, -Q ** 2, R.gen("b", 3) * 3, central_gen(2))
+    spellings = (values, tuple(bt.one() * v for v in values))
+    positive = reduce_word((1, 0, 3, 2, 1, 0))
+    assert specialize_central(positive, spellings[0]) == specialize_central(positive, spellings[1])
+    with pytest.raises(NotInvertibleError):
+        specialize_central(central_gen(0, -1), values)
 
 
 def test_oracle_single_letters():
@@ -405,7 +437,7 @@ def test_add_rejects_mixed_rings():
 
 
 def test_central_overflow_is_checked():
-    big = CentralElement(ONE, (2 ** 62, 0, 0, 0))
+    big = central_gen(0, 2 ** 62)
     with pytest.raises(OverflowError):
         big * big
 
@@ -424,12 +456,12 @@ def test_render_is_deterministic():
 
 
 _ALPHAS = (
-    central_element(R.gen("a", -1) * Q ** 2),
-    central_unit(1, -1) * central_element(-R.gen("b")),
-    central_element(-1),
-    central_unit(3, 2) * central_element(R.gen("a") * R.gen("b", -3)),
+    R.gen("a", -1) * Q ** 2,
+    central_gen(1, -1) * -R.gen("b"),
+    -1,
+    central_gen(3, 2) * R.gen("a") * R.gen("b", -3),
 )
-_CENTRAL_VALUES = (Q ** 2, -1, central_unit(2), central_unit(0) * central_element(R.gen("b")))
+_CENTRAL_VALUES = (Q ** 2, -1, central_gen(2), central_gen(0) * R.gen("b"))
 
 
 _SHORT_WORDS = st.lists(st.integers(0, 3), max_size=4).map(tuple)

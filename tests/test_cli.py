@@ -137,14 +137,28 @@ def test_term_budget_env(capsys, monkeypatch):
     assert code == 3
 
 
+def test_nf_qint_counts_against_the_term_budget(capsys, monkeypatch):
+    # [n]_q has |n| terms, so the budget refuses a large n before it is built
+    monkeypatch.setenv("QDG_TERM_BUDGET", "10")
+    code, out, err = run(capsys, ["nf", "qint(11)"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "qint reached 11 terms (limit 10)" in err
+    code, out, _ = run(capsys, ["nf", "qint(10)"])
+    assert (code, out) == (0, "(q^9 + q^7 + q^5 + q^3 + q + q^-1 + q^-3 + q^-5 + q^-7 + q^-9) * [- | - | -]\n")
+    code, out, err = run(capsys, ["nf", "qint(-1000000000)"])
+    assert (code, out) == (3, "")
+    assert "qint reached 1000000000 terms (limit 10)" in err
+
+
 def test_verify_filter_and_exit_codes(capsys):
     code, out, _ = run(capsys, ["verify", "--check", "s_commutation.*"])
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("s_commutation")]
     assert len(lines) == 8
-    code, _, err = run(capsys, ["verify", "--check", "nosuch"])
-    assert code == 2
-    assert "no check matches" in err
+    for glob in ("nosuch", ""):
+        code, _, err = run(capsys, ["verify", "--check", glob])
+        assert code == 2
+        assert "no check matches" in err
 
 
 def test_verify_json_schema(capsys):
