@@ -130,7 +130,11 @@ def cmd_dims(args) -> int:
     rng = random.Random(args.seed)
     rows = []
     for n in range(args.max + 1):
-        span = freealg.relation_span(n)
+        try:
+            span = freealg.relation_span(n)
+        except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
+            print("budget exceeded: %s" % exc, file=sys.stderr)
+            return 3
         rank = freealg.rank_over_fraction_field(span, n)
         spec_rank = freealg.rank_by_specialization(span, n, rng=rng)
         rows.append(

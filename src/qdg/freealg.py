@@ -5,6 +5,10 @@ relation ideal in each degree, and an exact rank computation over Q(q)
 for rows with coefficients in q alone.  The graded dimensions of the
 quotient by the q-Serre ideal fall out as 2^n minus the rank.
 
+A span row joins words onto those of a q-Serre combination and shares its
+coefficients; one pass, `_dense_rows`, turns rows into the dense q-lists
+the elimination works on.  No Laurent arithmetic runs on the way.
+
 The exact rank is the reference.  It eliminates each bidegree block of
 the span on its own, and gives a y-heavy block the rank of its x <-> y
 mirror once their rows are checked to match.  An independent cross-check
@@ -56,7 +60,12 @@ class FreeElem:
 
     __hash__ = None
 
+    def _same_ring(self, other: "FreeElem") -> None:
+        if other.ring is not self.ring:
+            raise ValueError("mixed coefficient rings")
+
     def __add__(self, other: "FreeElem") -> "FreeElem":
+        self._same_ring(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
             put(terms, w, c)
@@ -72,6 +81,7 @@ class FreeElem:
         if isinstance(other, (int, LaurentPoly)):
             c0 = self.ring.coerce(other)
             return FreeElem(self.ring, {w: c * c0 for w, c in self.terms.items()})
+        self._same_ring(other)
         if not self.terms or not other.terms:
             return FreeElem(self.ring, {})
         _check_word_cap(
@@ -100,15 +110,6 @@ class FreeElem:
         if word or not coeff.is_unit():
             raise NotInvertibleError("not invertible")
         return FreeElem(self.ring, {word: coeff ** n})
-
-    def homogeneous_degree(self) -> Optional[int]:
-        """The common word length, None for 0; raises if lengths are mixed."""
-        if not self.terms:
-            return None
-        lengths = {len(w) for w in self.terms}
-        if len(lengths) != 1:
-            raise ValueError("element is not homogeneous")
-        return lengths.pop()
 
     def __str__(self) -> str:
         keys = sorted(self.terms, key=lambda w: (-len(w), w))
@@ -143,32 +144,32 @@ def serre_elements(ring: LaurentRing = DEFAULT_RING) -> tuple:
 def relation_span(n: int, ring: LaurentRing = DEFAULT_RING) -> list:
     """Spanning set of the ideal's degree-n slice: w1 * S_g * w2, |w1|+|w2| = n-4.
 
-    Deterministic order: left length ascending, then left word, generator
-    (x before y), right word, all lexicographic.
+    Each row joins w1 and w2 onto the words of S_g and shares its
+    coefficients.  Deterministic order: left length ascending, then left
+    word, generator (x before y), right word, all lexicographic.
     """
     if n <= 3:
         return []
-    out = []
     gens = serre_elements(ring)
+    _check_word_cap("relation_span", n)
+    _check_term_budget("relation_span", max(len(g.terms) for g in gens))
+    out = []
     for r in range(n - 3):
-        s = n - 4 - r
-        if s < 0:
-            continue
         for w1 in words_of_length(r):
             for g in gens:
-                left = word_elem(w1, ring) * g
-                for w2 in words_of_length(s):
-                    out.append(left * word_elem(w2, ring))
+                for w2 in words_of_length(n - 4 - r):
+                    out.append(FreeElem(ring, {w1 + w + w2: c for w, c in g.terms.items()}))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Exact rank over the fraction field Q(q).
 #
-# Rows are cleared to polynomial form by the minimal monomial, and each
-# entry becomes a dense coefficient list.  The cleared rows must have
-# coefficients in q alone, as `relation_span` gives them; a row with an a
-# or b entry left is rejected with ValueError.  Rows are then reduced by
+# One pass turns each row into dense coefficient lists, shifted by the
+# row's lowest q exponent; no monomial is multiplied.  The entries of a row
+# must share one a/b exponent vector, as those of `relation_span` do (it is
+# the zero vector there); a row that mixes two is rejected with ValueError,
+# since it is no unit multiple of a row over Z[q].  Rows are then reduced by
 # fraction-free cross-multiplication (Bareiss-style): the update
 # new = pivot_coeff * row - row_coeff * pivot stays in Z[q], and every row
 # is stripped of its full content (integer gcd, common q-power, and the
@@ -371,41 +372,33 @@ def _rank_dense(rows: list) -> int:
     return len(pivots)
 
 
-def _as_dense_q(rows: list) -> list:
-    """Dense coefficient lists; every entry must involve q alone."""
+def _dense_rows(rows: Sequence[FreeElem], n: int) -> list:
+    """Each nonzero row as word -> dense coefficient list in q, shifted by
+    the row's lowest q exponent.  Raises ValueError on a word whose length
+    is not n, and on a row whose entries carry more than one a/b exponent
+    vector: that row is not a unit multiple of a row over Z[q]."""
     dense = []
     for row in rows:
+        entries = {}
+        ab = set()
+        for w, poly in row.terms.items():
+            if len(w) != n:
+                raise ValueError("row is not homogeneous of degree %d" % n)
+            entries[w] = {exps[0]: c for exps, c in poly.terms.items()}
+            ab.update(exps[1:] for exps in poly.terms)
+        if len(ab) > 1:
+            raise ValueError("the exact rank takes rows with coefficients in q alone")
+        if not entries:
+            continue
+        low = min(min(e) for e in entries.values())
         drow = {}
-        for w, poly in row.items():
-            entry = {}
-            for exps, coeff in poly.terms.items():
-                if any(exps[1:]):
-                    raise ValueError("the exact rank takes rows with coefficients in q alone")
-                entry[exps[0]] = coeff
-            top = max(entry)
-            lst = [0] * (top + 1)
-            for k, c in entry.items():
-                lst[k] = c
+        for w, e in entries.items():
+            lst = [0] * (max(e) - low + 1)
+            for k, c in e.items():
+                lst[k - low] = c
             drow[w] = lst
         dense.append(drow)
     return dense
-
-
-def _cleared_rows(rows: Sequence[FreeElem], n: int) -> list:
-    cleared = []
-    for row in rows:
-        deg = row.homogeneous_degree()
-        if deg is None:
-            continue
-        if deg != n:
-            raise ValueError("row is not homogeneous of degree %d" % n)
-        entries = dict(row.terms)
-        shift = tuple(map(min, zip(*(p.min_exponents() for p in entries.values()))))
-        if any(shift):
-            clear = row.ring.monomial(1, tuple(-m for m in shift))
-            entries = {w: p * clear for w, p in entries.items()}
-        cleared.append(entries)
-    return cleared
 
 
 _SWAP = str.maketrans("xy", "yx")
@@ -422,9 +415,8 @@ def _row_key(row: dict, swap: bool = False) -> tuple:
 
 def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
     """Rank of the degree-n coefficient matrix over Q(q); raises ValueError
-    on a row that still has an a or b entry once cleared of its lowest
-    monomial."""
-    dense = _as_dense_q(_cleared_rows(rows, n))
+    on a row that is not a unit multiple of a row over Z[q]."""
+    dense = _dense_rows(rows, n)
     blocks: dict = {}
     for row in dense:
         counts = {w.count("x") for w in row}
@@ -456,6 +448,7 @@ def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
 # ---------------------------------------------------------------------------
 
 _PRIME = (1 << 61) - 1
+_POINTS = 3  # random points per rank
 
 
 def random_residue_point(rng: random.Random, ring: LaurentRing) -> tuple:
@@ -518,12 +511,9 @@ def _rank_mod_p(rows: list) -> int:
 
 
 def rank_by_specialization(
-    rows: Sequence[FreeElem],
-    n: int,
-    rng: Optional[random.Random] = None,
-    points: int = 3,
+    rows: Sequence[FreeElem], n: int, rng: Optional[random.Random] = None
 ) -> int:
-    """Max rank over several random points mod 2^61 - 1, an independent
+    """Max rank over _POINTS random points mod 2^61 - 1, an independent
     cross-check of the exact rank.
 
     Evaluation at a point is a ring map Z[q^+-1, a^+-1, b^+-1] -> F_p, so
@@ -537,16 +527,16 @@ def rank_by_specialization(
     rng = rng or random.Random(0x51DE)
     ring = rows[0].ring
     best = 0
-    for _ in range(points):
+    for _ in range(_POINTS):
         point = random_residue_point(rng, ring)
         best = max(best, _rank_mod_p(_residue_rows(rows, n, point)))
     return best
 
 
-def dim_uplus(n: int, ring: LaurentRing = DEFAULT_RING, cap: int = DEGREE_CAP) -> int:
+def dim_uplus(n: int, ring: LaurentRing = DEFAULT_RING) -> int:
     """Graded dimension in degree n of the quotient by the q-Serre ideal."""
     if n < 0:
         raise ValueError("degree must be a natural number")
-    if n > cap:
-        raise ValueError("degree %d exceeds the configured cap %d" % (n, cap))
+    if n > DEGREE_CAP:
+        raise ValueError("degree %d exceeds the cap %d" % (n, DEGREE_CAP))
     return 2 ** n - rank_over_fraction_field(relation_span(n, ring), n)

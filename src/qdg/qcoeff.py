@@ -226,22 +226,6 @@ class LaurentPoly:
             return self.ring.monomial(c, tuple(e * n for e in exps))
         return power(self, n, self.ring.one())
 
-    # -- content helper (used by the elimination code) --------------------
-
-    def min_exponents(self) -> Exponents:
-        """Componentwise minimum of the exponent vectors; zero vector if empty."""
-        if not self.terms:
-            return (0,) * self.ring.width
-        mins = None
-        for exps in self.terms:
-            if mins is None:
-                mins = list(exps)
-            else:
-                for i, e in enumerate(exps):
-                    if e < mins[i]:
-                        mins[i] = e
-        return tuple(mins)
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:

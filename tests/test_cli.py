@@ -237,6 +237,21 @@ def test_dims_json_and_cap(capsys):
     assert out == "" and "-1" in err
 
 
+@pytest.mark.parametrize(
+    "var, value, message",
+    [
+        ("QDG_WORD_CAP", "4", "budget exceeded: reduction budget: relation_span reached 5 letters (cap 4)"),
+        ("QDG_TERM_BUDGET", "3", "budget exceeded: term budget: relation_span reached 4 terms (limit 3)"),
+    ],
+)
+def test_dims_budget_errors_exit_3(capsys, monkeypatch, var, value, message):
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, ["dims", "--max", "6"])
+    assert (code, out, err) == (3, "", message + "\n")
+    monkeypatch.setenv(var, "100")
+    assert run(capsys, ["dims", "--max", "6"])[0] == 0
+
+
 def test_dims_mismatch_fails(capsys, monkeypatch):
     # negative control: a cross-check one short of the exact rank
     exact_rank = freealg.rank_by_specialization

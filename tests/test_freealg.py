@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from qdg.freealg import (
     word_elem,
     words_of_length,
 )
-from qdg.qcoeff import DEFAULT_RING, qint
+from qdg.boxtilde import LIMITS, ReductionBudgetError, TermBudgetError
+from qdg.qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, qint
 
 R = DEFAULT_RING
 THREE = qint(3)
@@ -50,13 +52,18 @@ def test_relation_span_sizes():
     assert len(relation_span(5)) == 8
 
 
-def test_homogeneous_degree():
-    s_x, _ = serre_elements()
-    assert s_x.homogeneous_degree() == 4
-    assert FreeElem(R, {}).homogeneous_degree() is None
-    mixed = word_elem("x") + word_elem("xy")
-    with pytest.raises(ValueError):
-        mixed.homogeneous_degree()
+def test_mixed_rings_are_refused():
+    other = LaurentRing(("q",))
+    x, y = word_elem("x"), word_elem("y", other)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="mixed coefficient rings"):
+            op(x, y)
+        with pytest.raises(ValueError, match="mixed coefficient rings"):
+            op(y, x)
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        x * FreeElem(other, {})
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        x * other.qpow(1)
 
 
 def test_rank_examples():
@@ -117,6 +124,50 @@ def test_exact_rank_does_not_depend_on_row_order():
         assert rank_over_fraction_field(rows, n) == rank
 
 
+KNOWN_RANKS = [0, 0, 0, 0, 2, 8, 24, 64, 156]  # 2^n - dim U_n^+
+
+
+def test_the_dims_path_does_no_laurent_arithmetic(monkeypatch):
+    # rows share the q-Serre coefficients and turn into dense lists in one
+    # pass, so neither route to a rank adds or multiplies a LaurentPoly
+    def refuse(*args):
+        raise AssertionError("Laurent arithmetic on the dims path")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    for n, rank in enumerate(KNOWN_RANKS):
+        span = relation_span(n)
+        assert rank_over_fraction_field(span, n) == rank
+        assert rank_by_specialization(span, n, rng=random.Random(n)) == rank
+
+
+def test_relation_span_checks_the_budgets_once(monkeypatch):
+    monkeypatch.setattr(LIMITS, "word_cap", 5)
+    assert len(relation_span(5)) == 8
+    with pytest.raises(ReductionBudgetError, match="relation_span reached 6 letters"):
+        relation_span(6)
+    monkeypatch.setattr(LIMITS, "term_budget", 3)
+    assert relation_span(3) == []
+    with pytest.raises(TermBudgetError, match="relation_span reached 4 terms"):
+        relation_span(4)
+
+
+def test_dense_rows_shift_q_and_refuse_what_is_not_over_z_q():
+    a, b, q = R.gen("a"), R.gen("b"), R.gen("q")
+    s_x, _ = serre_elements()
+    # [3] = q^-2 + 1 + q^2, so the row shifts by q^2
+    assert freealg._dense_rows([s_x], 4) == [
+        {"xxxy": [0, 0, 1], "xxyx": [-1, 0, -1, 0, -1], "xyxx": [1, 0, 1, 0, 1], "yxxx": [0, 0, -1]}
+    ]
+    unit = a ** -1 * b ** 2 * q ** 3
+    assert freealg._dense_rows([s_x * unit, FreeElem(R, {})], 4) == freealg._dense_rows([s_x], 4)
+    for row in (word_elem("xy") * a + word_elem("yx"), FreeElem(R, {"xy": q + a})):
+        with pytest.raises(ValueError, match="coefficients in q alone"):
+            freealg._dense_rows([row], 2)
+    with pytest.raises(ValueError, match="not homogeneous of degree 2"):
+        freealg._dense_rows([word_elem("xy") + word_elem("x")], 2)
+
+
 def test_rank_specialization_cross_check():
     exact = {n: rank_over_fraction_field(relation_span(n), n) for n in range(11)}
     for seed in (1, 2, 3):
@@ -173,7 +224,7 @@ def test_products_are_homogeneous():
         w1 = "".join(rng.choice("xy") for _ in range(r))
         w2 = "".join(rng.choice("xy") for _ in range(s))
         product = word_elem(w1) * word_elem(w2)
-        assert product.homogeneous_degree() == r + s
+        assert [len(w) for w in product.terms] == [r + s]
 
 
 def test_tuple_words_multiply_raise_and_print():
@@ -231,7 +282,7 @@ def test_dense_rank_agrees_with_specialization():
             for w in rng.sample(words_of_length(n), rng.randint(1, 4)):
                 terms[w] = R.qpow(rng.randint(-3, 3)) * rng.choice((1, -1, 2))
             rows.append(FreeElem(R, terms))
-        dense = freealg._as_dense_q(freealg._cleared_rows(rows, n))
+        dense = freealg._dense_rows(rows, n)
         assert freealg._rank_dense(dense) == rank_by_specialization(rows, n, rng=rng)
 
 
@@ -249,7 +300,7 @@ def _spy_on_blocks(monkeypatch, compute=True):
 
 
 def _unsplit_rank(rows, n):
-    return freealg._rank_dense(freealg._as_dense_q(freealg._cleared_rows(rows, n)))
+    return freealg._rank_dense(freealg._dense_rows(rows, n))
 
 
 def test_blocked_rank_equals_the_unsplit_elimination():
