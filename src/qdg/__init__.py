@@ -28,12 +28,5 @@ from .freealg import (
     word_elem,
 )
 from .gradings import bidegree_components, phi_n, pi, sharp_lift
-from .identities import (
-    CheckResult,
-    check_expansion_tables,
-    check_general_qdg,
-    check_presentation_maps,
-    check_qdg_error_terms,
-    check_s_commutation,
-)
+from .identities import CheckResult
 from .expr import ParseError, eval_text, evaluate, parse, render

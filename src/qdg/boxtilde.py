@@ -624,29 +624,6 @@ _ORACLE_PAIRING = {("x", "x"): 2, ("x", "y"): -2, ("y", "x"): -2, ("y", "y"): 2}
 _ORACLE_LAMBDA = {("x", "x"): 0, ("x", "y"): 3, ("y", "x"): 1, ("y", "y"): 2}
 
 
-class TensorElem:
-    """An element of the oracle module: map (word, word, lambda exponents)
-    -> LaurentPoly."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: LaurentRing, terms: dict):
-        self.ring = ring
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElem)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return "<TensorElem %d terms>" % len(self.terms)
-
-
 def _oracle_apply_letter(state: dict, token, ring: LaurentRing, one_minus: dict) -> dict:
     """One token acting on the oracle module; `one_minus` maps e to 1 - q^e."""
     out: dict = {}
@@ -687,8 +664,9 @@ def _oracle_apply_letter(state: dict, token, ring: LaurentRing, one_minus: dict)
     return out
 
 
-def module_action_oracle(tokens: Sequence, ring: LaurentRing = DEFAULT_RING) -> TensorElem:
-    """Image of 1 (x) 1 (x) 1 under the left action of the given product.
+def module_action_oracle(tokens: Sequence, ring: LaurentRing = DEFAULT_RING) -> dict:
+    """Image of 1 (x) 1 (x) 1 under the left action of the given product, as
+    a map (word, word, lambda exponents) -> nonzero LaurentPoly.
 
     Tokens are generator indices 0..3 or ("c", i, +-1).  Left action means
     the rightmost token acts first.
@@ -699,7 +677,7 @@ def module_action_oracle(tokens: Sequence, ring: LaurentRing = DEFAULT_RING) -> 
     for token in reversed(list(tokens)):
         state = _oracle_apply_letter(state, token, ring, one_minus)
         _check_term_budget("module_action_oracle", len(state))
-    return TensorElem(ring, state)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +714,15 @@ _LETTER_TO_EVEN = {"x": 0, "y": 2}
 _LETTER_TO_ODD = {"x": 1, "y": 3}
 
 
-def oracle_as_box(t: TensorElem) -> BoxElem:
+def oracle_as_box(t: dict, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
     """Read an oracle value as a normal-form element through the basis
     bijection (first word, second word, lambda) -> (even, odd, central)."""
     terms = {}
-    for (u, v, lam), c in t.terms.items():
+    for (u, v, lam), c in t.items():
         mono = NormalMono(
             tuple(_LETTER_TO_EVEN[ch] for ch in u),
             tuple(_LETTER_TO_ODD[ch] for ch in v),
             lam,
         )
         terms[mono] = c
-    return BoxElem(t.ring, terms)
+    return BoxElem(ring, terms)

@@ -41,7 +41,7 @@ def run_checks(names: List[str], registry) -> List[Tuple[str, identities.CheckRe
         try:
             result = registry[name]()
         except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
-            result = identities.CheckResult(name, "error", exc)
+            result = identities.CheckResult("error", exc)
         rows.append((name, result, (time.perf_counter() - start) * 1000.0))
     return rows
 

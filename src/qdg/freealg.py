@@ -187,14 +187,14 @@ def relation_span(n: int, ring: LaurentRing = DEFAULT_RING) -> list:
 # Any other lead is cross-multiplied (Bareiss-style): the update
 # new = pivot_coeff * row - row_coeff * pivot stays in Z[q] but multiplies
 # the row by a non-unit, so the row is stripped of its full content
-# afterwards.  All divisions are exact, so the result is exact.  Products go
-# through Kronecker substitution (one big-integer multiply), and the content
-# strip uses a primitive polynomial remainder sequence.  Without the
-# polynomial-content strip after these steps and on the stored pivots, the
-# entries accumulate enormous cyclotomic factors and elimination beyond
-# degree 9 becomes infeasible.  Skipping the strip at unit steps does not
-# grow rows: at degree 11 the largest entry a row reaches between reductions
-# has 12 bits and 45 coefficients, as with a strip after every step.
+# afterwards.  All divisions are exact, so the result is exact.  Products are
+# schoolbook loops over the short dense lists, and the content strip uses a
+# primitive polynomial remainder sequence.  Without the polynomial-content
+# strip after these steps and on the stored pivots, the entries accumulate
+# enormous cyclotomic factors and elimination beyond degree 9 becomes
+# infeasible.  Skipping the strip at unit steps does not grow rows: at
+# degree 11 the largest entry a row reaches between reductions has 12 bits
+# and 45 coefficients, as with a strip after every step.
 #
 # Rows are fed from the highest lead word down, so the pivots above a row's
 # lead are mostly in place before the row is reduced.  The rank does not
@@ -226,33 +226,11 @@ def _dtrim(f: list) -> list:
 def _dmul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= 16:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _dtrim(out)
-    # Kronecker substitution: pack at 2^B, multiply once, unpack balanced
-    ba = max(abs(c) for c in a).bit_length()
-    bb = max(abs(c) for c in b).bit_length()
-    B = ba + bb + min(len(a), len(b)).bit_length() + 2
-    pack_a = 0
-    for c in reversed(a):
-        pack_a = (pack_a << B) + c
-    pack_b = 0
-    for c in reversed(b):
-        pack_b = (pack_b << B) + c
-    m = pack_a * pack_b
-    half = 1 << (B - 1)
-    mask = (1 << B) - 1
-    out = []
-    while m:
-        d = m & mask
-        if d >= half:
-            d -= 1 << B
-        out.append(d)
-        m = (m - d) >> B
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return _dtrim(out)
 
 

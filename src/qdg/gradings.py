@@ -10,11 +10,11 @@ plus-word monomial.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import boxtilde as bt
 from .boxtilde import BoxElem, NormalMono, generator, reduce_word
-from .identities import CheckResult
+from .identities import Check, CheckResult, verdict
 from .qcoeff import DEFAULT_RING, LaurentRing
 
 RING = DEFAULT_RING
@@ -51,9 +51,7 @@ def check_product_grading(
     product = reduce_word(odd_word + even_word, ring=ring)
     allowed = {(r - l, s - l) for l in range(min(r, s) + 1)}
     bad = {bd for bd in bidegree_components(product) if bd not in allowed}
-    return CheckResult.from_bool(
-        "product_grading", not bad, "components outside the ladder: %s" % sorted(bad)
-    )
+    return verdict(not bad, "components outside the ladder: %s" % sorted(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +123,26 @@ def all_ab_words(n: int) -> List[str]:
 
 
 def check_phi_leading(n: int) -> CheckResult:
-    name = "gradings.phi_leading.n%d" % n
     for word, lift in ab_lifts(n):
         diff = pi(n, lift) - plus_word(word)
         if diff:
-            return CheckResult(name, "fail", diff)
-    return CheckResult(name, "pass")
+            return CheckResult("fail", diff)
+    return CheckResult("pass")
 
 
 def check_spread(n: int) -> CheckResult:
     """Degrees of the sign-split expansion stay in [-n, n] with parity n."""
-    name = "gradings.spread.n%d" % n
     for word, lift in ab_lifts(n):
         degrees = zdegrees(lift)
         del lift  # not held while the walk computes the next lift
         bad = {d for d in degrees if abs(d) > n or (d - n) % 2}
         if bad:
-            return CheckResult(name, "fail", "degrees %s for word %s" % (sorted(bad), word))
-    return CheckResult(name, "pass")
+            return CheckResult("fail", "degrees %s for word %s" % (sorted(bad), word))
+    return CheckResult("pass")
 
 
 def check_projection_laws(seed: int) -> CheckResult:
     """Projections partition, are idempotent, and are mutually orthogonal."""
-    name = "gradings.projection_laws"
     rng = random.Random(seed)
     for _ in range(10):
         e = bt.random_element(rng, max_terms=4, max_word=5)
@@ -156,31 +151,29 @@ def check_projection_laws(seed: int) -> CheckResult:
         for n in sorted(degrees):
             total = total + pi(n, e)
         if total != e:
-            return CheckResult(name, "fail", total - e)
+            return CheckResult("fail", total - e)
         for n in sorted(degrees):
             if pi(n, pi(n, e)) != pi(n, e):
-                return CheckResult(name, "fail", "projection is not idempotent")
+                return CheckResult("fail", "projection is not idempotent")
             m = n + 1
             if pi(m, pi(n, e)):
-                return CheckResult(name, "fail", "projections are not orthogonal")
-    return CheckResult(name, "pass")
+                return CheckResult("fail", "projections are not orthogonal")
+    return CheckResult("pass")
 
 
 def check_product_grading_sample(seed: int, count: int = 200) -> CheckResult:
-    name = "gradings.product_containment"
     rng = random.Random(seed)
     for _ in range(count):
         odd = tuple(rng.choice((1, 3)) for _ in range(rng.randint(0, 5)))
         even = tuple(rng.choice((0, 2)) for _ in range(rng.randint(0, 5)))
         result = check_product_grading(odd, even)
         if not result.ok:
-            return CheckResult(name, "fail", result.witness)
-    return CheckResult(name, "pass")
+            return result
+    return CheckResult("pass")
 
 
 def check_grading_multiplicative(seed: int) -> CheckResult:
     """Products of degree-homogeneous elements land in the summed degree."""
-    name = "gradings.multiplicative"
     rng = random.Random(seed)
     for _ in range(25):
         e1 = bt.random_element(rng, max_terms=3, max_word=4)
@@ -190,12 +183,12 @@ def check_grading_multiplicative(seed: int) -> CheckResult:
                 product = pi(r, e1) * pi(s, e2)
                 stray = {d for d in zdegrees(product) if d != r + s}
                 if stray:
-                    return CheckResult(name, "fail", "degrees %s from %d * %d" % (sorted(stray), r, s))
-    return CheckResult(name, "pass")
+                    return CheckResult("fail", "degrees %s from %d * %d" % (sorted(stray), r, s))
+    return CheckResult("pass")
 
 
-def gradings_checks(seed: int = 20260810) -> List[Tuple[str, Callable[[], CheckResult]]]:
-    checks: List[Tuple[str, Callable[[], CheckResult]]] = []
+def gradings_checks(seed: int = 20260810) -> List[Check]:
+    checks: List[Check] = []
     for n in range(1, 6):
         checks.append(("gradings.phi_leading.n%d" % n, lambda n=n: check_phi_leading(n)))
     for n in range(1, 9):
@@ -216,9 +209,7 @@ def gradings_checks(seed: int = 20260810) -> List[Tuple[str, Callable[[], CheckR
                 ): RING.gen("a") ** -1 * RING.gen("b") ** -1
             },
         )
-        return CheckResult.from_bool(
-            "negative.gradings.phi", phi_n(word) != wrong, "minus-word was accepted"
-        )
+        return verdict(phi_n(word) != wrong, "minus-word was accepted")
 
     checks.append(("negative.gradings.phi", phi_control))
 
@@ -226,11 +217,7 @@ def gradings_checks(seed: int = 20260810) -> List[Tuple[str, Callable[[], CheckR
         # the all-plus expansion of a length-2 word reaches degree 2, so a
         # narrowed window must be violated
         degrees = zdegrees(sharp_lift("AB"))
-        return CheckResult.from_bool(
-            "negative.gradings.spread",
-            any(abs(d) > 1 for d in degrees),
-            "narrowed spread window was not violated",
-        )
+        return verdict(any(abs(d) > 1 for d in degrees), "narrowed spread window was not violated")
 
     checks.append(("negative.gradings.spread", spread_control))
     return checks

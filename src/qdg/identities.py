@@ -1,7 +1,7 @@
 """Fixture-driven identity suite for the box algebra.
 
 Every coefficient table is stored as data, with a one-line provenance note
-per row, and compared against the rewriting engine; a transcription error
+per table, and compared against the rewriting engine; a transcription error
 in a fixture therefore shows up as a disagreement instead of being silently
 shared with the engine.  Each positive check has a registered negative
 control: a deliberately perturbed twin that must fail.
@@ -9,8 +9,10 @@ control: a deliberately perturbed twin that must fail.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import boxtilde as bt
@@ -39,10 +41,9 @@ def _qp(k: int) -> LaurentPoly:
 
 @dataclass
 class CheckResult:
-    """Outcome of one named check; witness is the nonzero difference (or a
-    short description) when the check fails."""
+    """Outcome of one check, named by its registry key; witness is the
+    nonzero difference (or a short description) when the check fails."""
 
-    name: str
     status: str
     witness: object = None
 
@@ -50,37 +51,33 @@ class CheckResult:
     def ok(self) -> bool:
         return self.status == "pass"
 
-    @staticmethod
-    def from_difference(name: str, diff) -> "CheckResult":
-        if diff:
-            return CheckResult(name, "fail", diff)
-        return CheckResult(name, "pass")
 
-    @staticmethod
-    def from_bool(name: str, ok: bool, witness=None) -> "CheckResult":
-        return CheckResult(name, "pass") if ok else CheckResult(name, "fail", witness)
+def verdict(ok: bool, witness=None) -> CheckResult:
+    """A pass, or a fail carrying the witness."""
+    return CheckResult("pass") if ok else CheckResult("fail", witness)
 
 
 Check = Tuple[str, Callable[[], CheckResult]]
 
 
-def _run(checks: Sequence[Check]) -> List[CheckResult]:
-    return [thunk() for _, thunk in checks]
-
-
 def _diff_check(name: str, diff: Callable[..., BoxElem], *args) -> Check:
     """A check that passes when diff(*args) is zero."""
-    return name, lambda: CheckResult.from_difference(name, diff(*args))
+
+    def run() -> CheckResult:
+        d = diff(*args)
+        return verdict(not d, d)
+
+    return name, run
 
 
 def _bool_check(name: str, holds: Callable[..., bool], witness: str, *args) -> Check:
-    return name, lambda: CheckResult.from_bool(name, holds(*args), witness)
+    return name, lambda: verdict(holds(*args), witness)
 
 
 def _control(name: str, diff: Callable[..., object], *args) -> Check:
     """A negative control: passes when diff(*args), a perturbed twin of a
     check, is nonzero."""
-    return name, lambda: CheckResult.from_bool(name, bool(diff(*args)), "perturbation was not detected")
+    return name, lambda: verdict(bool(diff(*args)), "perturbation was not detected")
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +86,19 @@ def _control(name: str, diff: Callable[..., object], *args) -> Check:
 
 
 @dataclass
-class TableRow:
-    term: NormalMono
-    column: str
-    coeff: LaurentPoly
-
-
-@dataclass
 class CoeffTable:
+    """Expansions of the products named by `columns`: each grid row is a
+    basis monomial and its coefficient in every column, 0 where absent."""
+
     name: str
     source: str
     columns: Tuple[str, ...]
-    rows: List[TableRow]
+    grid: List[Tuple[NormalMono, list]]
+
+    def __post_init__(self):
+        for _, entries in self.grid:
+            if len(entries) != len(self.columns):
+                raise ValueError("row width mismatch in table %s" % self.name)
 
 
 def M(even: str = "", odd: str = "", c: str = "") -> NormalMono:
@@ -126,17 +124,6 @@ def M(even: str = "", odd: str = "", c: str = "") -> NormalMono:
     return NormalMono(word(even, (0, 2)), word(odd, (1, 3)), tuple(exps))
 
 
-def _table(name: str, source: str, columns: Sequence[str], grid) -> CoeffTable:
-    rows = []
-    for mono, entries in grid:
-        if len(entries) != len(columns):
-            raise ValueError("row width mismatch in table %s" % name)
-        for col, raw in zip(columns, entries):
-            if not (isinstance(raw, int) and raw == 0):
-                rows.append(TableRow(mono, col, RING.coerce(raw)))
-    return CoeffTable(name, source, tuple(columns), rows)
-
-
 def _build_tables() -> List[CoeffTable]:
     one = _ONE
     three = _THREE
@@ -147,7 +134,7 @@ def _build_tables() -> List[CoeffTable]:
     qdiff_sq = (_qp(1) - _qp(-1)) ** 2
 
     tables = [
-        _table(
+        CoeffTable(
             "a2",
             "normal-basis expansion of (x0+x1)^2",
             ("a2",),
@@ -158,7 +145,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(c="c0"), [one - q2]),
             ],
         ),
-        _table(
+        CoeffTable(
             "ab",
             "normal-basis expansion of (x0+x1)(x2+x3)",
             ("ab",),
@@ -170,7 +157,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(c="c1"), [one - qm2]),
             ],
         ),
-        _table(
+        CoeffTable(
             "ba",
             "normal-basis expansion of (x2+x3)(x0+x1)",
             ("ba",),
@@ -182,7 +169,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(c="c3"), [one - qm2]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x0x2",
             "normal-basis expansion of x1*x0*x2",
             ("x1x0x2",),
@@ -192,7 +179,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M("x2", c="c0"), [one - q2]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x1x0",
             "normal-basis expansion of x1^2*x0",
             ("x1x1x0",),
@@ -201,7 +188,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(odd="x1", c="c0"), [one - q4]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x1x2",
             "normal-basis expansion of x1^2*x2",
             ("x1x1x2",),
@@ -210,7 +197,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(odd="x1", c="c1"), [one - qm4]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x2x0",
             "normal-basis expansion of x1*x2*x0",
             ("x1x2x0",),
@@ -220,7 +207,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M("x0", c="c1"), [one - qm2]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x3x0",
             "normal-basis expansion of x1*x3*x0",
             ("x1x3x0",),
@@ -230,7 +217,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(odd="x3", c="c0"), [qm2 - one]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x0x0",
             "normal-basis expansion of x1*x0^2",
             ("x1x0x0",),
@@ -239,7 +226,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M("x0", c="c0"), [one - q4]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x3x0x0",
             "normal-basis expansion of x3*x0^2",
             ("x3x0x0",),
@@ -248,7 +235,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M("x0", c="c3"), [one - qm4]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x3x1x0",
             "normal-basis expansion of x3*x1*x0",
             ("x3x1x0",),
@@ -258,7 +245,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(odd="x3", c="c0"), [one - q2]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x1x0x2",
             "normal-basis expansion of x1^2*x0*x2",
             ("x1x1x0x2",),
@@ -269,7 +256,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(c="c0.c1"), [(one - q2) * (q2 - qm2)]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x1x2x0",
             "normal-basis expansion of x1^2*x2*x0",
             ("x1x1x2x0",),
@@ -280,7 +267,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(c="c0.c1"), [(qm2 - one) * (q2 - qm2)]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x1x3x0x0",
             "normal-basis expansion of x1*x3*x0^2",
             ("x1x3x0x0",),
@@ -291,7 +278,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(c="c0.c3"), [(qm2 - one) * (q2 - qm2)]),
             ],
         ),
-        _table(
+        CoeffTable(
             "x3x1x0x0",
             "normal-basis expansion of x3*x1*x0^2",
             ("x3x1x0x0",),
@@ -302,7 +289,7 @@ def _build_tables() -> List[CoeffTable]:
                 (M(c="c0.c3"), [(one - q2) * (q2 - qm2)]),
             ],
         ),
-        _table(
+        CoeffTable(
             "expand",
             "normal-basis expansions of A^3B, A^2BA, ABA^2, BA^3 for A=x0+x1, B=x2+x3",
             ("a3b", "a2ba", "aba2", "ba3"),
@@ -405,7 +392,7 @@ def _build_tables() -> List[CoeffTable]:
                 ),
             ],
         ),
-        _table(
+        CoeffTable(
             "s0_with_x1",
             "normal-basis expansions feeding x1*S0 = q^4*S0*x1",
             ("x1x0x0x0x2", "x1x0x0x2x0", "x1x0x2x0x0", "x1x2x0x0x0", "s0x1"),
@@ -423,7 +410,7 @@ def _build_tables() -> List[CoeffTable]:
                 ),
             ],
         ),
-        _table(
+        CoeffTable(
             "s0_with_x3",
             "normal-basis expansions feeding x3*S0 = q^-4*S0*x3",
             ("x3x0x0x0x2", "x3x0x0x2x0", "x3x0x2x0x0", "x3x2x0x0x0", "s0x3"),
@@ -448,29 +435,22 @@ def _build_tables() -> List[CoeffTable]:
 ALL_TABLES: List[CoeffTable] = _build_tables()
 
 
-def _A() -> BoxElem:
-    return generator(0) + generator(1)
-
-
-def _B() -> BoxElem:
-    return generator(2) + generator(3)
+# column label -> its factors, with A = x0 + x1 and B = x2 + x3
+_AB_PRODUCTS = {
+    "a2": "AA",
+    "ab": "AB",
+    "ba": "BA",
+    "a3b": "AAAB",
+    "a2ba": "AABA",
+    "aba2": "ABAA",
+    "ba3": "BAAA",
+}
 
 
 def _column_product(label: str) -> BoxElem:
-    if label == "a2":
-        return _A() * _A()
-    if label == "ab":
-        return _A() * _B()
-    if label == "ba":
-        return _B() * _A()
-    if label == "a3b":
-        return _A() * _A() * _A() * _B()
-    if label == "a2ba":
-        return _A() * _A() * _B() * _A()
-    if label == "aba2":
-        return _A() * _B() * _A() * _A()
-    if label == "ba3":
-        return _B() * _A() * _A() * _A()
+    if label in _AB_PRODUCTS:
+        factor = {"A": generator(0) + generator(1), "B": generator(2) + generator(3)}
+        return reduce(operator.mul, (factor[ch] for ch in _AB_PRODUCTS[label]))
     if label == "s0x1":
         return s_element(0) * generator(1)
     if label == "s0x3":
@@ -483,16 +463,17 @@ def _column_product(label: str) -> BoxElem:
 
 
 def _fixture_elem(table: CoeffTable, column: str, perturb: bool = False) -> BoxElem:
+    """Column `column` of the table as an element; perturbing multiplies its
+    first nonzero entry by q."""
+    i = table.columns.index(column)
     terms = {}
-    first = True
-    for row in table.rows:
-        if row.column != column:
+    for mono, entries in table.grid:
+        coeff = entries[i]
+        if not coeff:
             continue
-        coeff = row.coeff
-        if perturb and first:
+        if perturb and not terms:
             coeff = coeff * _qp(1)
-            first = False
-        terms[row.term] = coeff
+        terms[mono] = coeff
     return BoxElem(RING, terms)
 
 
@@ -500,20 +481,12 @@ def _table_diff(table: CoeffTable, column: str, perturb: bool = False) -> BoxEle
     return _column_product(column) - _fixture_elem(table, column, perturb=perturb)
 
 
-def _table_check(table: CoeffTable, column: str, perturb: bool = False) -> Check:
-    return _diff_check("tables.%s" % column, _table_diff, table, column, perturb)
-
-
 def _table_checks() -> List[Check]:
-    return [_table_check(table, column) for table in ALL_TABLES for column in table.columns]
-
-
-def check_table_column(table: CoeffTable, column: str, perturb: bool = False) -> CheckResult:
-    return _table_check(table, column, perturb)[1]()
-
-
-def check_expansion_tables() -> List[CheckResult]:
-    return _run(_table_checks())
+    return [
+        _diff_check("tables.%s" % column, _table_diff, table, column)
+        for table in ALL_TABLES
+        for column in table.columns
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +509,6 @@ def _s_commutation_checks() -> List[Check]:
         for i in range(4)
         for side, exponent in (("right", 4), ("left", -4))
     ]
-
-
-def check_s_commutation() -> List[CheckResult]:
-    return _run(_s_commutation_checks())
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +560,6 @@ def _qdg_error_terms_checks() -> List[Check]:
     return [_diff_check("qdg_error_terms.%s" % side, _qdg_diff, k) for k, side in enumerate(_SIDES)]
 
 
-def check_qdg_error_terms() -> List[CheckResult]:
-    return _run(_qdg_error_terms_checks())
-
-
 GENERAL_QDG_CONFIGS = (
     ("trivial", (1, 1, 1, 1), False),
     ("scalars", (RING.gen("a"), RING.gen("a", -1), RING.gen("b"), RING.gen("b", -1)), False),
@@ -625,18 +590,6 @@ def _general_qdg_checks(label: str, values: Sequence, side_condition: bool) -> L
 
 def _registered_general_qdg_checks() -> List[Check]:
     return [c for config in GENERAL_QDG_CONFIGS for c in _general_qdg_checks(*config)]
-
-
-def check_general_qdg(alphas: Sequence = None, label: str = "custom") -> List[CheckResult]:
-    """The scaled q-Dolan/Grady identity with its exact error terms.
-
-    When alphas is None, runs the three registered configurations; the
-    "natural" one also asserts the side condition that makes the commutator
-    coefficient collapse to 1.
-    """
-    if alphas is None:
-        return _run(_registered_general_qdg_checks())
-    return _run(_general_qdg_checks(label, alphas, False))
 
 
 # ---------------------------------------------------------------------------
@@ -746,10 +699,6 @@ def _presentation_maps_checks() -> List[Check]:
     return out
 
 
-def check_presentation_maps() -> List[CheckResult]:
-    return _run(_presentation_maps_checks())
-
-
 # ---------------------------------------------------------------------------
 # Negative controls: perturbed twins that must be caught
 # ---------------------------------------------------------------------------
@@ -808,8 +757,8 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
             for word, mono in ((even, NormalMono(even, (), ZERO_CENTRAL)), (odd, NormalMono((), odd, ZERO_CENTRAL))):
                 got = reduce_word(word)
                 if got.terms != {mono: _ONE}:
-                    return CheckResult("engine.free_words", "fail", got)
-        return CheckResult("engine.free_words", "pass")
+                    return CheckResult("fail", got)
+        return CheckResult("pass")
 
     out.append(("engine.free_words", free_words))
 
@@ -820,8 +769,8 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
             left = reduce_word(w, strategy="leftmost")
             right = reduce_word(w, strategy="rightmost")
             if left != right:
-                return CheckResult("engine.confluence", "fail", left - right)
-        return CheckResult("engine.confluence", "pass")
+                return CheckResult("fail", left - right)
+        return CheckResult("pass")
 
     out.append(("engine.confluence", confluence))
 
@@ -832,8 +781,8 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
             direct = reduce_word(w)
             via_module = bt.oracle_as_box(bt.module_action_oracle(w))
             if direct != via_module:
-                return CheckResult("engine.oracle_equivalence", "fail", direct - via_module)
-        return CheckResult("engine.oracle_equivalence", "pass")
+                return CheckResult("fail", direct - via_module)
+        return CheckResult("pass")
 
     out.append(("engine.oracle_equivalence", oracle))
 
@@ -845,8 +794,8 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
             e3 = bt.random_element(rng)
             diff = (e1 * e2) * e3 - e1 * (e2 * e3)
             if diff:
-                return CheckResult("engine.associativity", "fail", diff)
-        return CheckResult("engine.associativity", "pass")
+                return CheckResult("fail", diff)
+        return CheckResult("pass")
 
     out.append(("engine.associativity", associativity))
 
@@ -854,16 +803,16 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
         rng = random.Random(seed + 3)
         for i in range(4):
             if rho(s_element(i)) != s_element((i + 1) % 4):
-                return CheckResult("engine.rho_laws", "fail", "shift on the degree-4 combinations")
+                return CheckResult("fail", "shift on the degree-4 combinations")
         for _ in range(samples // 4):
             e = bt.random_element(rng)
             image = rho(rho(rho(rho(e))))
             if image != e:
-                return CheckResult("engine.rho_laws", "fail", image - e)
+                return CheckResult("fail", image - e)
             e2 = bt.random_element(rng)
             if rho(e * e2) != rho(e) * rho(e2):
-                return CheckResult("engine.rho_laws", "fail", "not an algebra map")
-        return CheckResult("engine.rho_laws", "pass")
+                return CheckResult("fail", "not an algebra map")
+        return CheckResult("pass")
 
     out.append(("engine.rho_laws", rho_laws))
 
@@ -884,13 +833,13 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
         for _ in range(samples):
             e = bt.random_element(rng)
             if backward(forward(e)) != e:
-                return CheckResult("engine.scale_inverse", "fail", backward(forward(e)) - e)
+                return CheckResult("fail", backward(forward(e)) - e)
             e2 = bt.random_element(rng)
             if forward(e * e2) != forward(e) * forward(e2):
-                return CheckResult("engine.scale_inverse", "fail", "not an algebra map")
+                return CheckResult("fail", "not an algebra map")
             if mixed(e * e2) != mixed(e) * mixed(e2):
-                return CheckResult("engine.scale_inverse", "fail", "not an algebra map")
-        return CheckResult("engine.scale_inverse", "pass")
+                return CheckResult("fail", "not an algebra map")
+        return CheckResult("pass")
 
     out.append(("engine.scale_inverse", scale_laws))
     return out

@@ -249,13 +249,13 @@ def test_central_values_may_be_ints_polys_or_box_elements():
 
 def test_oracle_single_letters():
     t = module_action_oracle((0,))
-    assert t.terms == {("x", "", ZERO_CENTRAL): ONE}
+    assert t == {("x", "", ZERO_CENTRAL): ONE}
     t = module_action_oracle((1,))
-    assert t.terms == {("", "x", ZERO_CENTRAL): ONE}
+    assert t == {("", "x", ZERO_CENTRAL): ONE}
     t = module_action_oracle((("c", 0, 1),))
-    assert t.terms == {("", "", (1, 0, 0, 0)): ONE}
+    assert t == {("", "", (1, 0, 0, 0)): ONE}
     t = module_action_oracle((("c", 2, -1),))
-    assert t.terms == {("", "", (0, 0, -1, 0)): ONE}
+    assert t == {("", "", (0, 0, -1, 0)): ONE}
 
 
 def test_oracle_matches_engine_on_words():

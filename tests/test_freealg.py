@@ -239,27 +239,6 @@ def test_word_order_is_lexicographic():
     assert words_of_length(2) == ["xx", "xy", "yx", "yy"]
 
 
-def _schoolbook(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def test_dense_multiplication_matches_schoolbook():
-    rng = random.Random(2024)
-    for _ in range(40):
-        # lengths beyond 16 exercise the packed big-integer path
-        a = [rng.randint(-9999, 9999) for _ in range(rng.randint(17, 60))]
-        b = [rng.randint(-9999, 9999) for _ in range(rng.randint(17, 60))]
-        a[-1] = a[-1] or 1
-        b[-1] = b[-1] or 1
-        assert _dmul(a, b) == _schoolbook(a, b)
-
-
 def test_dense_gcd_and_division():
     f = [-1, 0, 1]  # q^2 - 1
     g1 = _dmul(f, [-7, 2, 0, 1])
