@@ -21,8 +21,9 @@ o_i), with e_j the pairing exponent of (u, o_j).  Every term is normal, so
 `reduce_word`, `multiply` and `rho` fold letters one at a time into a map
 of normal states, and each letter is handled in one pass.
 
-A `BoxElem` stores only that state map, (even word, odd word, central,
-a/b exponents) -> {q exponent: int}, with the words as bytes; every
+Coefficients lie in the package's one ring Z[q^+-1, a^+-1, b^+-1].  A
+`BoxElem` stores only its state map, (even word, odd word, central, a/b
+exponents) -> {q exponent: int}, with the words as bytes; every
 operation reads and returns state maps, and `render` prints straight from
 the state map.  `BoxElem.terms`, the map NormalMono -> LaurentPoly, is a
 view built anew on each access, for the API only.  State maps share their
@@ -103,6 +104,15 @@ class NormalMono(NamedTuple):
 IDENTITY_MONO = NormalMono((), (), ZERO_CENTRAL)
 
 
+def _checked_central(central) -> tuple:
+    """`central` as a tuple of four int exponents; ValueError for another
+    shape, CentralOverflowError outside the checked 64-bit range."""
+    central = tuple(central)
+    if len(central) != 4 or not all(isinstance(v, int) for v in central):
+        raise ValueError("a central part is four integer exponents, not %r" % (central,))
+    return scale_central(central, 1)
+
+
 def _mono_text(even: bytes, odd: bytes, central: tuple) -> str:
     """The bracket text of the normal monomial (even | odd | central)."""
     central_text = ".".join(
@@ -137,22 +147,28 @@ class BoxElem:
     """An element in normal form, stored as its state map (see the module
     docstring)."""
 
-    __slots__ = ("ring", "state")
+    __slots__ = ("state",)
+
+    ring = DEFAULT_RING
 
     def __init__(self, ring: LaurentRing, terms: dict):
         """The element sum c * m over `terms`, a map NormalMono -> coefficient;
-        zero coefficients are dropped."""
+        zero coefficients are dropped.  Each m must be normal, with even
+        letters in {0, 2}, odd letters in {1, 3} and four int central
+        exponents, or ValueError is raised; a central exponent outside the
+        checked 64-bit range raises CentralOverflowError.  `ring` is
+        ignored: it stays only because perfbench passes it."""
         state: dict = {}
         for m, c in terms.items():
-            _enter(state, bytes(m.even), bytes(m.odd), tuple(m.central), ring.coerce(c))
-        self.ring = ring
+            if any(l not in EVEN_LETTERS for l in m.even) or any(l not in ODD_LETTERS for l in m.odd):
+                raise ValueError("not a normal monomial: %r" % (m,))
+            _enter(state, bytes(m.even), bytes(m.odd), _checked_central(m.central), DEFAULT_RING.coerce(c))
         self.state = state
 
     @classmethod
-    def _of(cls, ring: LaurentRing, state: dict) -> "BoxElem":
+    def _of(cls, state: dict) -> "BoxElem":
         """The element of a state map, which it keeps as it is."""
         e = cls.__new__(cls)
-        e.ring = ring
         e.state = state
         return e
 
@@ -161,7 +177,7 @@ class BoxElem:
         """The map NormalMono -> LaurentPoly, built from the state map on
         each access."""
         return {
-            NormalMono(tuple(even), tuple(odd), cent): LaurentPoly(self.ring, coeff)
+            NormalMono(tuple(even), tuple(odd), cent): LaurentPoly(DEFAULT_RING, coeff)
             for (even, odd, cent), coeff in _by_mono(self.state).items()
         }
 
@@ -169,17 +185,11 @@ class BoxElem:
         return bool(self.state)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BoxElem)
-            and self.ring is other.ring
-            and self.state == other.state
-        )
+        return isinstance(other, BoxElem) and self.state == other.state
 
     __hash__ = None
 
     def _plus(self, other: "BoxElem", sign: int) -> "BoxElem":
-        if other.ring is not self.ring:
-            raise ValueError("mixed coefficient rings")
         state = dict(self.state)
         for key, qd in other.state.items():
             mine = state.pop(key, None)
@@ -187,7 +197,7 @@ class BoxElem:
                 # a copy, so the sum leaves both summands' q-dicts as they are
                 _add_into(state, key, mine, 0, 1)
             _add_into(state, key, qd, 0, sign)
-        return BoxElem._of(self.ring, state)
+        return BoxElem._of(state)
 
     def __add__(self, other: "BoxElem") -> "BoxElem":
         return self._plus(other, 1)
@@ -196,15 +206,11 @@ class BoxElem:
         return self._plus(other, -1)
 
     def __neg__(self) -> "BoxElem":
-        return BoxElem._of(
-            self.ring, {key: {k: -v for k, v in qd.items()} for key, qd in self.state.items()}
-        )
+        return BoxElem._of({key: {k: -v for k, v in qd.items()} for key, qd in self.state.items()})
 
     def __mul__(self, other) -> "BoxElem":
         if isinstance(other, (int, LaurentPoly)):
-            scalar: dict = {}
-            _enter(scalar, b"", b"", ZERO_CENTRAL, self.ring.coerce(other))
-            return BoxElem._of(self.ring, _scaled(self.state, scalar))
+            return BoxElem._of(_scaled(self.state, _scalar_state(DEFAULT_RING.coerce(other))))
         if isinstance(other, BoxElem):
             return multiply(self, other)
         return NotImplemented
@@ -219,20 +225,16 @@ class BoxElem:
         +-q^k a^i b^j c^v with empty words, and raises NotInvertibleError
         for anything else."""
         if n >= 0:
-            return power(self, n, one(self.ring))
+            return power(self, n, one())
         v, exps, cent = _monomial_parts(self)
         if v not in (1, -1):
             raise NotInvertibleError("not invertible")
         key = (b"", b"", scale_central(cent, n), tuple(x * n for x in exps[1:]))
-        return BoxElem._of(self.ring, {key: {exps[0] * n: v if n & 1 else 1}})
+        return BoxElem._of({key: {exps[0] * n: v if n & 1 else 1}})
 
     def render(self) -> str:
         monos = _by_mono(self.state)
-        return render_sum(
-            self.ring,
-            ((monos[m], _mono_text(*m)) for m in sorted(monos, key=_mono_sort_key)),
-            " * ",
-        )
+        return render_sum(((monos[m], _mono_text(*m)) for m in sorted(monos, key=_mono_sort_key)), " * ")
 
     def __str__(self) -> str:
         return self.render()
@@ -241,30 +243,30 @@ class BoxElem:
         return "<BoxElem %s>" % self
 
 
-def _basis(ring: LaurentRing, even: bytes, odd: bytes, central: tuple) -> BoxElem:
+def _basis(even: bytes, odd: bytes, central: tuple) -> BoxElem:
     """The basis monomial (even | odd | central) with coefficient 1."""
-    return BoxElem._of(ring, {(even, odd, central, (0,) * (ring.width - 1)): {0: 1}})
+    return BoxElem._of({(even, odd, central, (0, 0)): {0: 1}})
 
 
-def zero(ring: LaurentRing = DEFAULT_RING) -> BoxElem:
-    return BoxElem._of(ring, {})
+def zero() -> BoxElem:
+    return BoxElem._of({})
 
 
-def one(ring: LaurentRing = DEFAULT_RING) -> BoxElem:
-    return _basis(ring, b"", b"", ZERO_CENTRAL)
+def one() -> BoxElem:
+    return _basis(b"", b"", ZERO_CENTRAL)
 
 
-def generator(i: int, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
+def generator(i: int) -> BoxElem:
     unit = bytes((i % 4,))
     if i % 2 == 0:
-        return _basis(ring, unit, b"", ZERO_CENTRAL)
-    return _basis(ring, b"", unit, ZERO_CENTRAL)
+        return _basis(unit, b"", ZERO_CENTRAL)
+    return _basis(b"", unit, ZERO_CENTRAL)
 
 
-def central_gen(i: int, power: int = 1, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
+def central_gen(i: int, power: int = 1) -> BoxElem:
     exps = [0, 0, 0, 0]
     exps[i % 4] = power
-    return _basis(ring, b"", b"", tuple(exps))
+    return _basis(b"", b"", tuple(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +405,13 @@ def _enter(state: dict, even: bytes, odd: bytes, central: tuple, coeff: LaurentP
             qd[exps[0]] = v
 
 
+def _scalar_state(coeff: LaurentPoly) -> dict:
+    """The state map of the scalar `coeff`."""
+    state: dict = {}
+    _enter(state, b"", b"", ZERO_CENTRAL, coeff)
+    return state
+
+
 def _scaled(state: dict, scalar: dict) -> dict:
     """The state map times the state map of a scalar, whose every key has
     empty words and no central part."""
@@ -426,7 +435,6 @@ def reduce_word(
     coeff: Optional[LaurentPoly] = None,
     *,
     strategy: str = "leftmost",
-    ring: LaurentRing = DEFAULT_RING,
 ) -> BoxElem:
     """Normal form of coeff * x_{letters} * c^{central}.
 
@@ -434,7 +442,8 @@ def reduce_word(
     left with `strategy="leftmost"`, each even letter crossing the odd word
     built so far, or from the right with `"rightmost"`, each odd letter
     crossing the even word.  The two orders cross different words, so
-    comparing them checks one computation against another.
+    comparing them checks one computation against another.  `central`
+    must be four int exponents (ValueError otherwise).
     """
     word = tuple(int(l) for l in letters)
     if any(l not in (0, 1, 2, 3) for l in word):
@@ -443,21 +452,19 @@ def reduce_word(
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError("unknown strategy %r" % strategy)
     if coeff is None:
-        coeff = ring.one()
+        coeff = DEFAULT_RING.one()
     start: dict = {}
-    _enter(start, b"", b"", tuple(central), coeff)
+    _enter(start, b"", b"", _checked_central(central), coeff)
     append = strategy == "leftmost"
-    return BoxElem._of(ring, _fold(start, bytes(word), append, "reduce_word"))
+    return BoxElem._of(_fold(start, bytes(word), append, "reduce_word"))
 
 
 def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     """Bilinear extension of concatenate-then-reduce: the even word of each
     right-hand monomial is folded into the state map of `lhs`, and its odd
     word is appended.  Monomials sharing an even word share the fold."""
-    if lhs.ring is not rhs.ring:
-        raise ValueError("mixed coefficient rings")
     if not lhs.state or not rhs.state:
-        return zero(lhs.ring)
+        return zero()
     _check_word_cap(
         "multiply",
         max(len(even) + len(odd) for even, odd, _, _ in lhs.state)
@@ -465,9 +472,9 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     )
     # a scalar factor only scales the coefficients of the other
     if _is_scalar(rhs.state):
-        return BoxElem._of(lhs.ring, _scaled(lhs.state, rhs.state))
+        return BoxElem._of(_scaled(lhs.state, rhs.state))
     if _is_scalar(lhs.state):
-        return BoxElem._of(lhs.ring, _scaled(rhs.state, lhs.state))
+        return BoxElem._of(_scaled(rhs.state, lhs.state))
     groups: dict = {}
     for (even, odd, central, ab2), qd2 in rhs.state.items():
         groups.setdefault(even, []).append((odd, central, ab2, qd2))
@@ -489,18 +496,18 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
                 for k, v in qd2.items():
                     _add_into(out, key, qd, k, v)
             _check_term_budget("multiply", len(out))
-    return BoxElem._of(lhs.ring, out)
+    return BoxElem._of(out)
 
 
-def s_element(i: int, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
+def s_element(i: int) -> BoxElem:
     """The degree-4 q-Serre combination in x_i, x_{i+2}; one parity only."""
     i = i % 4
     j = (i + 2) % 4
-    three = ring.qint(3)
-    out = reduce_word((i, i, i, j), ring=ring)
-    out = out + reduce_word((i, i, j, i), coeff=-three, ring=ring)
-    out = out + reduce_word((i, j, i, i), coeff=three, ring=ring)
-    out = out + reduce_word((j, i, i, i), coeff=-ring.one(), ring=ring)
+    three = DEFAULT_RING.qint(3)
+    out = reduce_word((i, i, i, j))
+    out = out + reduce_word((i, i, j, i), coeff=-three)
+    out = out + reduce_word((i, j, i, i), coeff=three)
+    out = out + reduce_word((j, i, i, i), coeff=-DEFAULT_RING.one())
     return out
 
 
@@ -528,7 +535,7 @@ def rho(e: BoxElem) -> BoxElem:
         for key, qd in _fold(start, even, True, "rho").items():
             _add_into(out, key, qd, 0, 1)
         _check_term_budget("rho", len(out))
-    return BoxElem._of(e.ring, out)
+    return BoxElem._of(out)
 
 
 def _monomial_parts(e: BoxElem) -> tuple:
@@ -543,7 +550,7 @@ def _monomial_parts(e: BoxElem) -> tuple:
     raise NotInvertibleError("not invertible")
 
 
-def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem], BoxElem]:
+def scale_auto(*alphas) -> Callable[[BoxElem], BoxElem]:
     """The substitution x_i -> alpha_i x_i, c_i -> alpha_i alpha_{i+1} c_i.
 
     Each alpha, an int, LaurentPoly or BoxElem, must be a unit monomial
@@ -551,7 +558,7 @@ def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem],
     """
     if len(alphas) != 4:
         raise ValueError("scale_auto expects four scaling factors")
-    alphas = tuple(one(ring) * a for a in alphas)
+    alphas = tuple(one() * a for a in alphas)
     # each factor once as integer vectors; a term's factor is then a sum
     letters = [_monomial_parts(a) for a in alphas]
     if any(sign not in (1, -1) for sign, _, _ in letters):
@@ -559,12 +566,9 @@ def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem],
     pairs = [_monomial_parts(alphas[i] * alphas[(i + 1) % 4]) for i in range(4)]
 
     def apply(e: BoxElem) -> BoxElem:
-        if e.ring is not ring:
-            raise ValueError("mixed coefficient rings")
-        zero = (0,) * ring.width
         out: dict = {}
         for (even, odd, cent, ab), qd in e.state.items():
-            sign, exps, central = 1, zero, ZERO_CENTRAL
+            sign, exps, central = 1, (0, 0, 0), ZERO_CENTRAL
             for l in even + odd:
                 s, x, z = letters[l]
                 sign *= s
@@ -579,7 +583,7 @@ def scale_auto(*alphas, ring: LaurentRing = DEFAULT_RING) -> Callable[[BoxElem],
                     central = add_central(central, scale_central(z, n))
             key = (even, odd, add_central(cent, central), tuple(map(add, ab, exps[1:])))
             _add_into(out, key, qd, exps[0], sign)
-        return BoxElem._of(ring, out)
+        return BoxElem._of(out)
 
     return apply
 
@@ -592,8 +596,7 @@ def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
     The image is only a *representative* of the corresponding quotient
     element: equality in the quotient algebra is not decided here.
     """
-    ring = e.ring
-    vals = tuple(one(ring) * v for v in values)
+    vals = tuple(one() * v for v in values)
     if len(vals) != 4:
         raise ValueError("need one value per central generator")
     for v in vals:
@@ -604,14 +607,14 @@ def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
     for (even, odd, cent, ab), qd in e.state.items():
         f = factors.get(cent)
         if f is None:
-            factor = one(ring)
+            factor = one()
             for i, n in enumerate(cent):
                 if n:
                     factor = factor * vals[i] ** n
             f = factors[cent] = _monomial_parts(factor)
         v, exps, central = f
         _add_into(out, (even, odd, central, tuple(map(add, ab, exps[1:]))), qd, exps[0], v)
-    return BoxElem._of(ring, out)
+    return BoxElem._of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +627,12 @@ _ORACLE_PAIRING = {("x", "x"): 2, ("x", "y"): -2, ("y", "x"): -2, ("y", "y"): 2}
 _ORACLE_LAMBDA = {("x", "x"): 0, ("x", "y"): 3, ("y", "x"): 1, ("y", "y"): 2}
 
 
-def _oracle_apply_letter(state: dict, token, ring: LaurentRing, one_minus: dict) -> dict:
+def _oracle_apply_letter(state: dict, token, one_minus: dict) -> dict:
     """One token acting on the oracle module; `one_minus` maps e to 1 - q^e."""
     out: dict = {}
 
     def put(key, value):
-        s = out.get(key, ring.zero()) + value
+        s = out.get(key, DEFAULT_RING.zero()) + value
         if s:
             out[key] = s
         else:
@@ -650,7 +653,7 @@ def _oracle_apply_letter(state: dict, token, ring: LaurentRing, one_minus: dict)
             letter = "x" if token == 1 else "y"
             # main term: prepend to the second factor, q-power from the pairing
             exp_total = sum(_ORACLE_PAIRING[(ch, letter)] for ch in u)
-            put((u, letter + v, lam), c * ring.qpow(exp_total))
+            put((u, letter + v, lam), c * DEFAULT_RING.qpow(exp_total))
             # correction terms: delete one letter of the first factor
             prefix = 0
             for i, ch in enumerate(u):
@@ -658,13 +661,13 @@ def _oracle_apply_letter(state: dict, token, ring: LaurentRing, one_minus: dict)
                 lam_idx = _ORACLE_LAMBDA[(ch, letter)]
                 new_lam = list(lam)
                 new_lam[lam_idx] += 1
-                factor = ring.qpow(prefix) * one_minus[e]
+                factor = DEFAULT_RING.qpow(prefix) * one_minus[e]
                 put((u[:i] + u[i + 1 :], v, tuple(new_lam)), c * factor)
                 prefix += e
     return out
 
 
-def module_action_oracle(tokens: Sequence, ring: LaurentRing = DEFAULT_RING) -> dict:
+def module_action_oracle(tokens: Sequence) -> dict:
     """Image of 1 (x) 1 (x) 1 under the left action of the given product, as
     a map (word, word, lambda exponents) -> nonzero LaurentPoly.
 
@@ -672,10 +675,10 @@ def module_action_oracle(tokens: Sequence, ring: LaurentRing = DEFAULT_RING) -> 
     the rightmost token acts first.
     """
     _check_word_cap("module_action_oracle", sum(1 for t in tokens if not isinstance(t, tuple)))
-    one_minus = {e: ring.one() - ring.qpow(e) for e in (2, -2)}
-    state = {("", "", ZERO_CENTRAL): ring.one()}
+    one_minus = {e: DEFAULT_RING.one() - DEFAULT_RING.qpow(e) for e in (2, -2)}
+    state = {("", "", ZERO_CENTRAL): DEFAULT_RING.one()}
     for token in reversed(list(tokens)):
-        state = _oracle_apply_letter(state, token, ring, one_minus)
+        state = _oracle_apply_letter(state, token, one_minus)
         _check_term_budget("module_action_oracle", len(state))
     return state
 
@@ -690,23 +693,17 @@ def random_word(rng, max_len: int = 10, min_len: int = 0) -> tuple:
     return tuple(rng.randrange(4) for _ in range(n))
 
 
-def random_element(
-    rng,
-    ring: LaurentRing = DEFAULT_RING,
-    max_terms: int = 3,
-    max_word: int = 4,
-    central_range: int = 2,
-) -> BoxElem:
+def random_element(rng, max_terms: int = 3, max_word: int = 4, central_range: int = 2) -> BoxElem:
     """A small random element in normal form, with occasional a/b factors."""
-    out = zero(ring)
+    out = zero()
     for _ in range(rng.randint(1, max_terms)):
         word = random_word(rng, max_len=max_word)
         central = tuple(rng.randint(-central_range, central_range) for _ in range(4))
         exps = [rng.randint(-3, 3), 0, 0]
-        if ring.width > 1 and rng.random() < 0.3:
-            exps[rng.randint(1, ring.width - 1)] = rng.choice((-1, 1))
-        coeff = ring.monomial(rng.choice((1, -1, 2)), tuple(exps[: ring.width]))
-        out = out + reduce_word(word, central, coeff, ring=ring)
+        if rng.random() < 0.3:
+            exps[rng.randint(1, 2)] = rng.choice((-1, 1))
+        coeff = DEFAULT_RING.monomial(rng.choice((1, -1, 2)), tuple(exps))
+        out = out + reduce_word(word, central, coeff)
     return out
 
 
@@ -714,7 +711,7 @@ _LETTER_TO_EVEN = {"x": 0, "y": 2}
 _LETTER_TO_ODD = {"x": 1, "y": 3}
 
 
-def oracle_as_box(t: dict, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
+def oracle_as_box(t: dict) -> BoxElem:
     """Read an oracle value as a normal-form element through the basis
     bijection (first word, second word, lambda) -> (even, odd, central)."""
     terms = {}
@@ -725,4 +722,4 @@ def oracle_as_box(t: dict, ring: LaurentRing = DEFAULT_RING) -> BoxElem:
             lam,
         )
         terms[mono] = c
-    return BoxElem(ring, terms)
+    return BoxElem(DEFAULT_RING, terms)

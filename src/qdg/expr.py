@@ -25,9 +25,7 @@ from typing import List, Tuple, Union
 from . import boxtilde as bt
 from .boxtilde import BoxElem
 from .freealg import FreeElem, word_elem
-from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentRing, put
-
-RING = DEFAULT_RING
+from .qcoeff import DEFAULT_RING as RING, CoefficientTooLargeError, put
 
 
 class ParseError(ValueError):
@@ -363,33 +361,33 @@ def _accumulate(acc: dict, e, sign: int) -> None:
             put(acc, w, -c if sign < 0 else c)
 
 
-def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
+def evaluate(node: Expr, mode: str = "box"):
     """Exact evaluation; in box mode the result is in normal form."""
 
     def scalar(c):
         if mode == "box":
-            return BoxElem(ring, {bt.IDENTITY_MONO: c})
-        return FreeElem(ring, {"": c})
+            return BoxElem._of(bt._scalar_state(c))
+        return FreeElem({"": c})
 
     def walk(n):
         if isinstance(n, Lit):
-            return scalar(ring.from_int(n.value))
+            return scalar(RING.from_int(n.value))
         if isinstance(n, Sym):
-            return scalar(ring.gen(n.name))
+            return scalar(RING.gen(n.name))
         if isinstance(n, QIntNode):
             # [n]_q has |n| terms, so a huge n is refused before it is built
             bt._check_term_budget("qint", abs(n.n))
-            return scalar(ring.qint(n.n))
+            return scalar(RING.qint(n.n))
         if isinstance(n, Gen):
             if mode == "box":
                 if n.name[0] == "x":
-                    return bt.generator(int(n.name[1]), ring)
-                return bt.central_gen(int(n.name[1]), 1, ring)
-            return word_elem(n.name, ring)
+                    return bt.generator(int(n.name[1]))
+                return bt.central_gen(int(n.name[1]))
+            return word_elem(n.name)
         if isinstance(n, Mono):
             # the bound a central power is checked against, c0^n alike
             central = bt.scale_central(tuple(n.central), 1)
-            return bt._basis(ring, bytes(n.even), bytes(n.odd), central)
+            return bt._basis(bytes(n.even), bytes(n.odd), central)
         if isinstance(n, Neg):
             return -walk(n.arg)
         if isinstance(n, (Add, Sub)):
@@ -405,8 +403,8 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
             for link in reversed(rights):
                 _accumulate(acc, walk(link.right), -1 if isinstance(link, Sub) else 1)
             if isinstance(first, BoxElem):
-                return BoxElem._of(ring, acc)
-            return FreeElem(ring, acc)
+                return BoxElem._of(acc)
+            return FreeElem(acc)
         if isinstance(n, Mul):
             # a chain a * b * c nests to the left as well; multiply it out
             # in the same order without recursing down the chain
@@ -428,8 +426,8 @@ def evaluate(node: Expr, mode: str = "box", ring: LaurentRing = RING):
     return walk(node)
 
 
-def eval_text(text: str, mode: str = "box", ring: LaurentRing = RING):
-    return evaluate(parse(text, mode), mode, ring)
+def eval_text(text: str, mode: str = "box"):
+    return evaluate(parse(text, mode), mode)
 
 
 def render(e) -> str:

@@ -2,7 +2,8 @@
 
 Provides the degree-4 q-Serre combinations, the spanning sets of the
 relation ideal in each degree, and an exact rank computation over Q(q)
-for rows with coefficients in q alone.  The graded dimensions of the
+for rows with coefficients in q alone.  Coefficients lie in the package's
+one ring Z[q^+-1, a^+-1, b^+-1].  The graded dimensions of the
 quotient by the q-Serre ideal fall out as 2^n minus the rank.
 
 A span row joins words onto those of a q-Serre combination and shares its
@@ -28,7 +29,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .boxtilde import _check_term_budget, _check_word_cap
-from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, power, put, render_sum
+from .qcoeff import DEFAULT_RING, LaurentPoly, NotInvertibleError, power, put, render_sum
 
 DEGREE_CAP = 12  # matrices stay at <= 2^12 columns by default
 
@@ -45,48 +46,39 @@ class FreeElem:
     string over "xy", or a tuple of letters where other alphabets are
     needed; products concatenate words, so one element keeps one kind."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, ring: LaurentRing, terms: dict):
-        self.ring = ring
+    ring = DEFAULT_RING
+
+    def __init__(self, terms: dict):
         self.terms = {w: c for w, c in terms.items() if c}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeElem)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
+        return isinstance(other, FreeElem) and self.terms == other.terms
 
     __hash__ = None
 
-    def _same_ring(self, other: "FreeElem") -> None:
-        if other.ring is not self.ring:
-            raise ValueError("mixed coefficient rings")
-
     def __add__(self, other: "FreeElem") -> "FreeElem":
-        self._same_ring(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
             put(terms, w, c)
-        return FreeElem(self.ring, terms)
+        return FreeElem(terms)
 
     def __neg__(self) -> "FreeElem":
-        return FreeElem(self.ring, {w: -c for w, c in self.terms.items()})
+        return FreeElem({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "FreeElem") -> "FreeElem":
         return self + (-other)
 
     def __mul__(self, other) -> "FreeElem":
         if isinstance(other, (int, LaurentPoly)):
-            c0 = self.ring.coerce(other)
-            return FreeElem(self.ring, {w: c * c0 for w, c in self.terms.items()})
-        self._same_ring(other)
+            c0 = DEFAULT_RING.coerce(other)
+            return FreeElem({w: c * c0 for w, c in self.terms.items()})
         if not self.terms or not other.terms:
-            return FreeElem(self.ring, {})
+            return FreeElem({})
         _check_word_cap(
             "free product", max(map(len, self.terms)) + max(map(len, other.terms))
         )
@@ -95,7 +87,7 @@ class FreeElem:
             for w2, c2 in other.terms.items():
                 put(out, w1 + w2, c1 * c2)
             _check_term_budget("free product", len(out))
-        return FreeElem(self.ring, out)
+        return FreeElem(out)
 
     def __rmul__(self, other) -> "FreeElem":
         if isinstance(other, (int, LaurentPoly)):
@@ -105,46 +97,38 @@ class FreeElem:
     def __pow__(self, n: int) -> "FreeElem":
         if n >= 0:
             empty = next(iter(self.terms), "")[:0]  # a string or a tuple
-            return power(self, n, FreeElem(self.ring, {empty: self.ring.one()}))
+            return power(self, n, FreeElem({empty: DEFAULT_RING.one()}))
         # only a unit multiple of the empty word is invertible
         if len(self.terms) != 1:
             raise NotInvertibleError("not invertible")
         ((word, coeff),) = self.terms.items()
         if word or not coeff.is_unit():
             raise NotInvertibleError("not invertible")
-        return FreeElem(self.ring, {word: coeff ** n})
+        return FreeElem({word: coeff ** n})
 
     def __str__(self) -> str:
         keys = sorted(self.terms, key=lambda w: (-len(w), w))
-        return render_sum(
-            self.ring, ((self.terms[w].terms, "*".join(map(str, w))) for w in keys), "*"
-        )
+        return render_sum(((self.terms[w].terms, "*".join(map(str, w))) for w in keys), "*")
 
     def __repr__(self) -> str:
         return "<FreeElem %s>" % self
 
 
-def word_elem(word: Word, ring: LaurentRing = DEFAULT_RING) -> FreeElem:
+def word_elem(word: Word) -> FreeElem:
     if any(ch not in "xy" for ch in word):
         raise ValueError("free words use the alphabet {x, y}")
-    return FreeElem(ring, {word: ring.one()})
+    return FreeElem({word: DEFAULT_RING.one()})
 
 
-def serre_elements(ring: LaurentRing = DEFAULT_RING) -> tuple:
+def serre_elements() -> tuple:
     """The two degree-4 q-Serre combinations, one per generator."""
-    three = ring.qint(3)
-    s_x = FreeElem(
-        ring,
-        {"xxxy": ring.one(), "xxyx": -three, "xyxx": three, "yxxx": -ring.one()},
-    )
-    s_y = FreeElem(
-        ring,
-        {"yyyx": ring.one(), "yyxy": -three, "yxyy": three, "xyyy": -ring.one()},
-    )
+    one, three = DEFAULT_RING.one(), DEFAULT_RING.qint(3)
+    s_x = FreeElem({"xxxy": one, "xxyx": -three, "xyxx": three, "yxxx": -one})
+    s_y = FreeElem({"yyyx": one, "yyxy": -three, "yxyy": three, "xyyy": -one})
     return s_x, s_y
 
 
-def relation_span(n: int, ring: LaurentRing = DEFAULT_RING) -> list:
+def relation_span(n: int) -> list:
     """Spanning set of the ideal's degree-n slice: w1 * S_g * w2, |w1|+|w2| = n-4.
 
     Each row joins w1 and w2 onto the words of S_g and shares its
@@ -153,7 +137,7 @@ def relation_span(n: int, ring: LaurentRing = DEFAULT_RING) -> list:
     """
     if n <= 3:
         return []
-    gens = serre_elements(ring)
+    gens = serre_elements()
     _check_word_cap("relation_span", n)
     _check_term_budget("relation_span", max(len(g.terms) for g in gens))
     out = []
@@ -161,7 +145,7 @@ def relation_span(n: int, ring: LaurentRing = DEFAULT_RING) -> list:
         for w1 in words_of_length(r):
             for g in gens:
                 for w2 in words_of_length(n - 4 - r):
-                    out.append(FreeElem(ring, {w1 + w + w2: c for w, c in g.terms.items()}))
+                    out.append(FreeElem({w1 + w + w2: c for w, c in g.terms.items()}))
     return out
 
 
@@ -468,7 +452,7 @@ def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
 # ---------------------------------------------------------------------------
 # Rank at random points mod a prime.
 #
-# Every ring symbol is sent to a random nonzero residue mod _PRIME (with
+# Each of q, a and b is sent to a random nonzero residue mod _PRIME (with
 # q^2 != 1), each entry is evaluated there, and the rows are eliminated over
 # F_p with every pivot scaled to a leading 1.  This route shares no code with
 # the exact elimination.
@@ -478,10 +462,11 @@ _PRIME = (1 << 61) - 1
 _POINTS = 3  # random points per rank
 
 
-def random_residue_point(rng: random.Random, ring: LaurentRing) -> tuple:
-    """A random nonzero residue mod _PRIME per ring symbol, with q^2 != 1."""
+def random_residue_point(rng: random.Random) -> tuple:
+    """A random nonzero residue mod _PRIME for each of q, a and b, with
+    q^2 != 1."""
     values = []
-    for sym in ring.symbols:
+    for sym in DEFAULT_RING.symbols:
         while True:
             v = rng.randrange(1, _PRIME)
             if sym != "q" or v * v % _PRIME != 1:
@@ -552,18 +537,17 @@ def rank_by_specialization(
     if not rows:
         return 0
     rng = rng or random.Random(0x51DE)
-    ring = rows[0].ring
     best = 0
     for _ in range(_POINTS):
-        point = random_residue_point(rng, ring)
+        point = random_residue_point(rng)
         best = max(best, _rank_mod_p(_residue_rows(rows, n, point)))
     return best
 
 
-def dim_uplus(n: int, ring: LaurentRing = DEFAULT_RING) -> int:
+def dim_uplus(n: int) -> int:
     """Graded dimension in degree n of the quotient by the q-Serre ideal."""
     if n < 0:
         raise ValueError("degree must be a natural number")
     if n > DEGREE_CAP:
         raise ValueError("degree %d exceeds the cap %d" % (n, DEGREE_CAP))
-    return 2 ** n - rank_over_fraction_field(relation_span(n, ring), n)
+    return 2 ** n - rank_over_fraction_field(relation_span(n), n)

@@ -15,9 +15,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from . import boxtilde as bt
 from .boxtilde import BoxElem, NormalMono, generator, reduce_word
 from .identities import Check, CheckResult, verdict
-from .qcoeff import DEFAULT_RING, LaurentRing
-
-RING = DEFAULT_RING
+from .qcoeff import DEFAULT_RING as RING
 
 
 def bidegree_components(e: BoxElem) -> Dict[Tuple[int, int], BoxElem]:
@@ -25,22 +23,20 @@ def bidegree_components(e: BoxElem) -> Dict[Tuple[int, int], BoxElem]:
     buckets: Dict[Tuple[int, int], dict] = {}
     for key, qd in e.state.items():
         buckets.setdefault((len(key[0]), len(key[1])), {})[key] = qd
-    return {bd: BoxElem._of(e.ring, state) for bd, state in sorted(buckets.items())}
+    return {bd: BoxElem._of(state) for bd, state in sorted(buckets.items())}
 
 
 def pi(n: int, e: BoxElem) -> BoxElem:
     """Projection onto integer degree n (even length minus odd length)."""
     state = {key: qd for key, qd in e.state.items() if len(key[0]) - len(key[1]) == n}
-    return BoxElem._of(e.ring, state)
+    return BoxElem._of(state)
 
 
 def zdegrees(e: BoxElem) -> set:
     return {len(even) - len(odd) for even, odd, _, _ in e.state}
 
 
-def check_product_grading(
-    odd_word: Sequence[int], even_word: Sequence[int], ring: LaurentRing = RING
-) -> CheckResult:
+def check_product_grading(odd_word: Sequence[int], even_word: Sequence[int]) -> CheckResult:
     """Product of an odd word by an even word only loses matched pairs:
     every component bidegree is (r - l, s - l) with 0 <= l <= min(r, s)."""
     odd_word = tuple(odd_word)
@@ -48,7 +44,7 @@ def check_product_grading(
     if any(l not in (1, 3) for l in odd_word) or any(l not in (0, 2) for l in even_word):
         raise ValueError("expected an odd word and an even word")
     r, s = len(even_word), len(odd_word)
-    product = reduce_word(odd_word + even_word, ring=ring)
+    product = reduce_word(odd_word + even_word)
     allowed = {(r - l, s - l) for l in range(min(r, s) + 1)}
     bad = {bd for bd in bidegree_components(product) if bd not in allowed}
     return verdict(not bad, "components outside the ladder: %s" % sorted(bad))
@@ -59,46 +55,46 @@ def check_product_grading(
 # ---------------------------------------------------------------------------
 
 
-def _split_factors(ring: LaurentRing) -> Dict[str, BoxElem]:
-    a = ring.gen("a")
-    b = ring.gen("b")
+def _split_factors() -> Dict[str, BoxElem]:
+    a = RING.gen("a")
+    b = RING.gen("b")
     return {
-        "A": a * generator(0, ring) + (a ** -1) * generator(1, ring),
-        "B": b * generator(2, ring) + (b ** -1) * generator(3, ring),
+        "A": a * generator(0) + (a ** -1) * generator(1),
+        "B": b * generator(2) + (b ** -1) * generator(3),
     }
 
 
-def sharp_lift(word: str, ring: LaurentRing = RING) -> BoxElem:
+def sharp_lift(word: str) -> BoxElem:
     """Normal form of the full 2^n-summand expansion of an {A, B} word."""
     if any(ch not in "AB" for ch in word):
         raise ValueError("expected a word over {A, B}")
-    factors = _split_factors(ring)
-    out = bt.one(ring)
+    factors = _split_factors()
+    out = bt.one()
     for ch in word:
         out = out * factors[ch]
     return out
 
 
-def plus_word(word: str, ring: LaurentRing = RING) -> BoxElem:
+def plus_word(word: str) -> BoxElem:
     """The predicted leading monomial: a^#A b^#B times the raised word."""
     na = word.count("A")
     nb = word.count("B")
-    coeff = ring.gen("a") ** na * ring.gen("b") ** nb
+    coeff = RING.gen("a") ** na * RING.gen("b") ** nb
     even = tuple(0 if ch == "A" else 2 for ch in word)
-    return BoxElem(ring, {NormalMono(even, (), bt.ZERO_CENTRAL): coeff})
+    return BoxElem(RING, {NormalMono(even, (), bt.ZERO_CENTRAL): coeff})
 
 
-def phi_n(word: str, ring: LaurentRing = RING) -> BoxElem:
+def phi_n(word: str) -> BoxElem:
     """Top-degree projection of the sign-split expansion."""
-    return pi(len(word), sharp_lift(word, ring))
+    return pi(len(word), sharp_lift(word))
 
 
-def ab_lifts(n: int, ring: LaurentRing = RING) -> Iterator[Tuple[str, BoxElem]]:
+def ab_lifts(n: int) -> Iterator[Tuple[str, BoxElem]]:
     """Every {A, B} word of length n with its sharp lift, in the order of
     `all_ab_words`.  A depth-first walk: the lift of each prefix is
     computed once and extended by one factor, and only the lifts along the
     current path are held."""
-    factors = _split_factors(ring)
+    factors = _split_factors()
 
     def walk(word: str, lift: BoxElem):
         if len(word) == n:
@@ -107,7 +103,7 @@ def ab_lifts(n: int, ring: LaurentRing = RING) -> Iterator[Tuple[str, BoxElem]]:
         for ch in "AB":
             yield from walk(word + ch, lift * factors[ch])
 
-    return walk("", bt.one(ring))
+    return walk("", bt.one())
 
 
 def all_ab_words(n: int) -> List[str]:
@@ -147,7 +143,7 @@ def check_projection_laws(seed: int) -> CheckResult:
     for _ in range(10):
         e = bt.random_element(rng, max_terms=4, max_word=5)
         degrees = zdegrees(e)
-        total = bt.zero(e.ring)
+        total = bt.zero()
         for n in sorted(degrees):
             total = total + pi(n, e)
         if total != e:

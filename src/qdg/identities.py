@@ -27,6 +27,7 @@ from .boxtilde import (
     s_element,
     scale_auto,
 )
+from .expr import Mono, parse
 from .freealg import FreeElem
 from .qcoeff import DEFAULT_RING, LaurentPoly, put
 
@@ -102,26 +103,13 @@ class CoeffTable:
 
 
 def M(even: str = "", odd: str = "", c: str = "") -> NormalMono:
-    """Build a basis monomial from dotted specs, e.g. M("x0.x2", "x1", "c0^2")."""
-
-    def word(spec: str, allowed) -> tuple:
-        if not spec:
-            return ()
-        out = []
-        for part in spec.split("."):
-            i = int(part[1:])
-            if part[0] != "x" or i not in allowed:
-                raise ValueError("bad letter %r" % part)
-            out.append(i)
-        return tuple(out)
-
-    exps = [0, 0, 0, 0]
-    if c:
-        for part in c.split("."):
-            base, _, power = part.partition("^")
-            i = int(base[1:])
-            exps[i] += int(power) if power else 1
-    return NormalMono(word(even, (0, 2)), word(odd, (1, 3)), tuple(exps))
+    """Build a basis monomial from dotted specs, e.g. M("x0.x2", "x1", "c0^2"),
+    read as the bracket text "[x0.x2 | x1 | c0^2]"; ParseError for a bad
+    slot."""
+    node = parse("[%s | %s | %s]" % (even or "-", odd or "-", c or "-"))
+    if not isinstance(node, Mono):
+        raise ValueError("not a monomial spec: %r" % ((even, odd, c),))
+    return NormalMono(node.even, node.odd, node.central)
 
 
 def _build_tables() -> List[CoeffTable]:
@@ -616,12 +604,12 @@ def _relation_diff(i: int, central: int = 0, sign: int = -1) -> BoxElem:
 
 def _formal_weyl(a, b) -> FreeElem:
     """q ab - q^-1 ba - (q - q^-1) in the distinct letters a, b."""
-    return FreeElem(RING, {(a, b): _qp(1), (b, a): -_qp(-1), (): _qp(-1) - _qp(1)})
+    return FreeElem({(a, b): _qp(1), (b, a): -_qp(-1), (): _qp(-1) - _qp(1)})
 
 
 def _formal_serre(a, b) -> FreeElem:
     """aaab - [3] aaba + [3] abaa - baaa in the distinct letters a, b."""
-    return FreeElem(RING, {(a, a, a, b): _ONE, (a, a, b, a): -_THREE, (a, b, a, a): _THREE, (b, a, a, a): -_ONE})
+    return FreeElem({(a, a, a, b): _ONE, (a, a, b, a): -_THREE, (a, b, a, a): _THREE, (b, a, a, a): -_ONE})
 
 
 # kind -> (builder, index step from the first letter to the second)
@@ -643,7 +631,7 @@ def _formal_substitute(poly: FreeElem, image) -> FreeElem:
             new_word.append(nl)
             coeff = coeff * factor
         put(terms, tuple(new_word), coeff)
-    return FreeElem(RING, terms)
+    return FreeElem(terms)
 
 
 def _pair(l: int) -> tuple:

@@ -1,10 +1,11 @@
-"""Exact arithmetic in Z[q^{+-1}], optionally extended by further invertible
-commuting symbols (a, b, ...).
+"""Exact arithmetic in Z[q^{+-1}, a^{+-1}, b^{+-1}], the one coefficient ring
+of the package: q is the quantum parameter and a, b are the invertible
+scalars of the injection A -> a x0 + a^-1 x1, B -> b x2 + b^-1 x3.
 
-Elements are sparse: a finite map from exponent vectors (one integer per
-symbol, the first symbol always being q) to nonzero arbitrary-precision
-integer coefficients.  All operations are exact; there are no floats and no
-rational coefficients anywhere in the ring itself.
+Elements are sparse: a finite map from exponent vectors (the exponents of
+q, a and b) to nonzero arbitrary-precision integer coefficients.  All
+operations are exact; there are no floats and no rational coefficients
+anywhere in the ring itself.
 
 The three jobs every sparse sum of the package shares live here, once:
 `put` accumulates into a map and drops what cancels, `power` raises by
@@ -14,7 +15,7 @@ pieces, each coefficient through `poly_text`.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
 
 class NotInvertibleError(ArithmeticError):
@@ -54,30 +55,24 @@ def power(base, n: int, one):
     return result
 
 
-class LaurentRing:
-    """A Laurent-polynomial ring over Z with a fixed tuple of symbols.
+_SYMBOLS = ("q", "a", "b")
+_INDEX = {s: i for i, s in enumerate(_SYMBOLS)}
 
-    Exponent vectors are fixed-width per ring instance, which keeps term
-    keys compact and directly comparable.
+
+class LaurentRing:
+    """The constructors of Z[q^{+-1}, a^{+-1}, b^{+-1}].
+
+    Exponent vectors have one entry per symbol, which keeps term keys
+    compact and directly comparable.
     """
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ()
 
-    def __init__(self, symbols: Iterable[str] = ("q",)):
-        symbols = tuple(symbols)
-        if not symbols or symbols[0] != "q":
-            raise ValueError("first ring symbol must be 'q'")
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("duplicate ring symbols")
-        self.symbols = symbols
-        self._index = {s: i for i, s in enumerate(symbols)}
+    symbols = _SYMBOLS
+    width = len(_SYMBOLS)
 
     def __repr__(self) -> str:
         return "LaurentRing(%s)" % ", ".join(self.symbols)
-
-    @property
-    def width(self) -> int:
-        return len(self.symbols)
 
     def zero(self) -> "LaurentPoly":
         return LaurentPoly(self, {})
@@ -101,7 +96,7 @@ class LaurentRing:
         return LaurentPoly(self, {exps: int(coeff)})
 
     def gen(self, name: str, power: int = 1) -> "LaurentPoly":
-        i = self._index.get(name)
+        i = _INDEX.get(name)
         if i is None:
             raise KeyError("unknown ring symbol %r" % name)
         exps = [0] * self.width
@@ -122,30 +117,30 @@ class LaurentRing:
         sign = 1
         if n < 0:
             sign, n = -1, -n
-        terms = {}
-        width = self.width
-        for k in range(n - 1, -n - 1, -2):
-            exps = (k,) + (0,) * (width - 1)
-            terms[exps] = sign
-        return LaurentPoly(self, terms)
+        return LaurentPoly(self, {(k, 0, 0): sign for k in range(n - 1, -n - 1, -2)})
 
     def coerce(self, value: IntLike) -> "LaurentPoly":
         if isinstance(value, LaurentPoly):
-            if value.ring is not self:
-                raise ValueError("mixed coefficient rings")
             return value
         if isinstance(value, int):
             return self.from_int(value)
         raise TypeError("cannot coerce %r into %r" % (value, self))
 
 
+# The shared working ring for the rest of the package.
+DEFAULT_RING = LaurentRing()
+
+
 class LaurentPoly:
     """A sparse Laurent polynomial; immutable once constructed."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("terms",)
+
+    ring = DEFAULT_RING
 
     def __init__(self, ring: LaurentRing, terms: dict):
-        self.ring = ring
+        """The polynomial with map exponents -> coefficient `terms`, zeros
+        dropped.  `ring` is ignored: it stays only because perfbench passes it."""
         self.terms = {e: c for e, c in terms.items() if c}
 
     # -- predicates ----------------------------------------------------
@@ -165,11 +160,7 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self == self.ring.from_int(other)
-        return (
-            isinstance(other, LaurentPoly)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
+        return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     __hash__ = None
 
@@ -229,13 +220,13 @@ class LaurentPoly:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return poly_text(self.ring, self.terms)
+        return poly_text(self.terms)
 
     def __repr__(self) -> str:
         return "<LaurentPoly %s>" % self
 
 
-def _monomial_text(symbols: tuple, coeff_abs: int, exps: Exponents) -> str:
+def _monomial_text(coeff_abs: int, exps: Exponents) -> str:
     factors = []
     if coeff_abs != 1 or not any(exps):
         try:
@@ -246,7 +237,7 @@ def _monomial_text(symbols: tuple, coeff_abs: int, exps: Exponents) -> str:
                 "a coefficient of %d bits is too large to print in decimal"
                 % coeff_abs.bit_length()
             ) from None
-    factors += [sym if e == 1 else "%s^%d" % (sym, e) for sym, e in zip(symbols, exps) if e]
+    factors += [sym if e == 1 else "%s^%d" % (sym, e) for sym, e in zip(_SYMBOLS, exps) if e]
     return "*".join(factors)
 
 
@@ -259,14 +250,14 @@ def _signed_sum(pieces) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def poly_text(ring: LaurentRing, terms: dict) -> str:
+def poly_text(terms: dict) -> str:
     """The text of the polynomial with map exponents -> coefficient
     `terms`: positive terms first, each sign by descending exponents."""
     order = sorted(sorted(terms, reverse=True), key=lambda e: terms[e] < 0)
-    return _signed_sum((terms[e] < 0, _monomial_text(ring.symbols, abs(terms[e]), e)) for e in order)
+    return _signed_sum((terms[e] < 0, _monomial_text(abs(terms[e]), e)) for e in order)
 
 
-def render_sum(ring: LaurentRing, pieces, sep: str) -> str:
+def render_sum(pieces, sep: str) -> str:
     """The text of a sum of (coefficient terms, body) pieces, in the order
     given.  A coefficient of 1 is left out before a body, one whose terms
     are all negative is negated after a minus sign, and one of several
@@ -277,7 +268,7 @@ def render_sum(ring: LaurentRing, pieces, sep: str) -> str:
         negative = all(v < 0 for v in terms.values())
         if negative:
             terms = {e: -v for e, v in terms.items()}
-        text = poly_text(ring, terms)
+        text = poly_text(terms)
         if len(terms) > 1:
             text = "(%s)" % text
         if body:
@@ -287,10 +278,5 @@ def render_sum(ring: LaurentRing, pieces, sep: str) -> str:
     return _signed_sum(piece(terms, body) for terms, body in pieces)
 
 
-# The shared working ring for the rest of the package: q plus the two
-# invertible scalars used by the sign-split expansion maps.
-DEFAULT_RING = LaurentRing(("q", "a", "b"))
-
-
-def qint(n: int, ring: LaurentRing = DEFAULT_RING) -> LaurentPoly:
-    return ring.qint(n)
+def qint(n: int) -> LaurentPoly:
+    return DEFAULT_RING.qint(n)

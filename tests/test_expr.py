@@ -128,7 +128,7 @@ def test_sums_and_differences_accumulate_in_one_pass():
     # a chain inside a product and a product inside a chain
     assert eval_text("(x0 + x1)*(x0 - x1) + x1*x1") == x0 * x0 - x0 * x1 + x1 * x0
     # free mode sums the same way
-    assert eval_text("x - y + y", mode="free") == word_elem("x", R)
+    assert eval_text("x - y + y", mode="free") == word_elem("x")
 
 
 def test_scalar_factors_scale_the_other_factor():
@@ -148,7 +148,7 @@ def test_free_mode_products_apply_the_engine_budgets():
     saved = bt.LIMITS.term_budget
     with pytest.raises(bt.ReductionBudgetError, match=r"^reduction budget: free product reached 70 letters \(cap 64\)$"):
         eval_text("x^70", mode="free")
-    assert eval_text("x^64", mode="free") == word_elem("x" * 64, R)
+    assert eval_text("x^64", mode="free") == word_elem("x" * 64)
     try:
         bt.LIMITS.term_budget = 1000
         # 2^18 terms if built; by squaring, the budget stops it within (x+y)^16
@@ -184,5 +184,5 @@ def test_box_render_parses_back(terms):
 @given(st.dictionaries(st.text("xy", max_size=4), coeffs, max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_free_render_parses_back(terms):
-    e = FreeElem(R, terms)
+    e = FreeElem(terms)
     assert eval_text(render(e), mode="free") == e

@@ -1,4 +1,3 @@
-import operator
 import random
 
 import pytest
@@ -19,7 +18,7 @@ from qdg.freealg import (
     words_of_length,
 )
 from qdg.boxtilde import LIMITS, ReductionBudgetError, TermBudgetError
-from qdg.qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, qint
+from qdg.qcoeff import DEFAULT_RING, LaurentPoly, qint
 
 R = DEFAULT_RING
 THREE = qint(3)
@@ -36,9 +35,7 @@ def test_serre_elements_as_printed():
     assert s_y.terms["yxyy"] == THREE
     assert s_y.terms["xyyy"] == -R.one()
     # swapping x <-> y carries one onto the other
-    swapped = FreeElem(
-        R, {w.translate(str.maketrans("xy", "yx")): c for w, c in s_x.terms.items()}
-    )
+    swapped = FreeElem({w.translate(str.maketrans("xy", "yx")): c for w, c in s_x.terms.items()})
     assert swapped == s_y
 
 
@@ -50,20 +47,6 @@ def test_relation_span_sizes():
     assert span4[0] == serre_elements()[0]
     assert span4[1] == serre_elements()[1]
     assert len(relation_span(5)) == 8
-
-
-def test_mixed_rings_are_refused():
-    other = LaurentRing(("q",))
-    x, y = word_elem("x"), word_elem("y", other)
-    for op in (operator.add, operator.sub, operator.mul):
-        with pytest.raises(ValueError, match="mixed coefficient rings"):
-            op(x, y)
-        with pytest.raises(ValueError, match="mixed coefficient rings"):
-            op(y, x)
-    with pytest.raises(ValueError, match="mixed coefficient rings"):
-        x * FreeElem(other, {})
-    with pytest.raises(ValueError, match="mixed coefficient rings"):
-        x * other.qpow(1)
 
 
 def test_rank_examples():
@@ -160,8 +143,8 @@ def test_dense_rows_shift_q_and_refuse_what_is_not_over_z_q():
         {"xxxy": [0, 0, 1], "xxyx": [-1, 0, -1, 0, -1], "xyxx": [1, 0, 1, 0, 1], "yxxx": [0, 0, -1]}
     ]
     unit = a ** -1 * b ** 2 * q ** 3
-    assert freealg._dense_rows([s_x * unit, FreeElem(R, {})], 4) == freealg._dense_rows([s_x], 4)
-    for row in (word_elem("xy") * a + word_elem("yx"), FreeElem(R, {"xy": q + a})):
+    assert freealg._dense_rows([s_x * unit, FreeElem({})], 4) == freealg._dense_rows([s_x], 4)
+    for row in (word_elem("xy") * a + word_elem("yx"), FreeElem({"xy": q + a})):
         with pytest.raises(ValueError, match="coefficients in q alone"):
             freealg._dense_rows([row], 2)
     with pytest.raises(ValueError, match="not homogeneous of degree 2"):
@@ -187,7 +170,7 @@ def test_rank_specialization_cross_check():
 def test_rank_mod_p_points_and_rejections():
     rng = random.Random(5)
     for _ in range(50):
-        point = freealg.random_residue_point(rng, R)
+        point = freealg.random_residue_point(rng)
         assert len(point) == 3
         assert all(0 < v < freealg._PRIME for v in point)
         assert point[0] ** 2 % freealg._PRIME != 1
@@ -229,9 +212,9 @@ def test_products_are_homogeneous():
 
 def test_tuple_words_multiply_raise_and_print():
     q = R.gen("q")
-    weyl = FreeElem(R, {(0, 1): q, (1, 0): -(q ** -1), (): q ** -1 - q})
+    weyl = FreeElem({(0, 1): q, (1, 0): -(q ** -1), (): q ** -1 - q})
     assert weyl * weyl == weyl ** 2
-    assert weyl ** 0 == FreeElem(R, {(): R.one()})
+    assert weyl ** 0 == FreeElem({(): R.one()})
     assert str(weyl) == "q*0*1 - q^-1*1*0 + (q^-1 - q)"
 
 
@@ -260,7 +243,7 @@ def test_dense_rank_agrees_with_specialization():
             terms = {}
             for w in rng.sample(words_of_length(n), rng.randint(1, 4)):
                 terms[w] = R.qpow(rng.randint(-3, 3)) * rng.choice((1, -1, 2))
-            rows.append(FreeElem(R, terms))
+            rows.append(FreeElem(terms))
         dense = freealg._dense_rows(rows, n)
         assert freealg._rank_dense(dense) == rank_by_specialization(rows, n, rng=rng)
 
@@ -335,7 +318,7 @@ def test_exact_rank_over_mixed_pivot_leads():
             terms = {chosen[0]: rng.choice(leads)}
             for w in chosen[1:] + rng.sample(words[5:], 2):
                 terms[w] = _random_zq(rng, rng.randint(2, 3))
-            rows.append(FreeElem(R, terms))
+            rows.append(FreeElem(terms))
         for _ in range(rng.randint(1, 3)):
             r1, r2 = rng.sample(rows, 2)
             rows.append(r1 * _random_zq(rng, 2) + r2 * rng.choice(leads))

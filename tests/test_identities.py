@@ -5,6 +5,7 @@ import pytest
 from qdg import boxtilde as bt
 from qdg import identities
 from qdg.boxtilde import generator, s_element
+from qdg.expr import ParseError
 from qdg.identities import ALL_TABLES, CoeffTable, M, verdict
 from qdg.qcoeff import DEFAULT_RING, qint
 
@@ -50,6 +51,18 @@ def test_perturbed_fixture_fails():
     table = next(t for t in ALL_TABLES if t.name == "a2")
     assert not identities._table_diff(table, "a2")
     assert identities._table_diff(table, "a2", perturb=True)
+
+
+def test_monomial_specs_are_read_by_the_parser():
+    assert M("x0.x2", "x1.x3", "c0^2.c3^-1.c0") == ((0, 2), (1, 3), (3, 0, 0, -1))
+    assert M() == bt.IDENTITY_MONO
+    # a word letter, a coefficient symbol or a fifth central generator in
+    # the central slot
+    for c in ("x1", "q0", "c4"):
+        with pytest.raises(ParseError):
+            M(c=c)
+    with pytest.raises(ParseError):
+        M("x1")
 
 
 def test_fixture_grid_rows_must_match_the_columns():
