@@ -149,8 +149,6 @@ class BoxElem:
 
     __slots__ = ("state",)
 
-    ring = DEFAULT_RING
-
     def __init__(self, ring: LaurentRing, terms: dict):
         """The element sum c * m over `terms`, a map NormalMono -> coefficient;
         zero coefficients are dropped.  Each m must be normal, with even
@@ -453,8 +451,10 @@ def reduce_word(
         raise ValueError("unknown strategy %r" % strategy)
     if coeff is None:
         coeff = DEFAULT_RING.one()
+    if central is not ZERO_CENTRAL:  # the default is normal as it stands
+        central = _checked_central(central)
     start: dict = {}
-    _enter(start, b"", b"", _checked_central(central), coeff)
+    _enter(start, b"", b"", central, coeff)
     append = strategy == "leftmost"
     return BoxElem._of(_fold(start, bytes(word), append, "reduce_word"))
 
@@ -713,13 +713,12 @@ _LETTER_TO_ODD = {"x": 1, "y": 3}
 
 def oracle_as_box(t: dict) -> BoxElem:
     """Read an oracle value as a normal-form element through the basis
-    bijection (first word, second word, lambda) -> (even, odd, central)."""
-    terms = {}
+    bijection (first word, second word, lambda) -> (even, odd, central).
+    The letter maps send x/y words to normal words, so no monomial is
+    validated."""
+    state: dict = {}
     for (u, v, lam), c in t.items():
-        mono = NormalMono(
-            tuple(_LETTER_TO_EVEN[ch] for ch in u),
-            tuple(_LETTER_TO_ODD[ch] for ch in v),
-            lam,
-        )
-        terms[mono] = c
-    return BoxElem(DEFAULT_RING, terms)
+        even = bytes(_LETTER_TO_EVEN[ch] for ch in u)
+        odd = bytes(_LETTER_TO_ODD[ch] for ch in v)
+        _enter(state, even, odd, lam, c)
+    return BoxElem._of(state)

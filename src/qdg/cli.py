@@ -101,7 +101,7 @@ def cmd_verify(args) -> int:
 
 def cmd_nf(args) -> int:
     try:
-        text = render(eval_text(args.expr, mode="box"))
+        text = render(eval_text(args.expr))
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_nf = sub.add_parser("nf", help="print the normal form of a box-mode expression")
+    p_nf = sub.add_parser("nf", help="print the normal form of an expression")
     p_nf.add_argument("expr")
     p_nf.set_defaults(func=cmd_nf)
 

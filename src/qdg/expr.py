@@ -9,11 +9,11 @@ Grammar (whitespace insignificant, juxtaposition is never multiplication):
              | '(' expr ')' | monomial
     monomial:= '[' wordslot '|' wordslot '|' centralslot ']'
 
-Generators are x0..x3 and c0..c3 in box mode, x and y in free mode.  The
-bracketed monomial atom mirrors the canonical normal-form rendering
-(`x0.x2 | x1 | c0^2`, with '-' for an empty slot) so that printed output
-parses back; it is only valid in box mode.  Negative powers are allowed
-only on invertible atoms (q, a, b, the c_i and their monomials).
+Generators are x0..x3 and c0..c3, and an expression evaluates to a
+normal form in the box algebra.  The bracketed monomial atom mirrors the
+canonical normal-form rendering (`x0.x2 | x1 | c0^2`, with '-' for an
+empty slot) so that printed output parses back.  Negative powers are
+allowed only on invertible atoms (q, a, b, the c_i and their monomials).
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from typing import List, Tuple, Union
 
 from . import boxtilde as bt
 from .boxtilde import BoxElem
-from .freealg import FreeElem, word_elem
-from .qcoeff import DEFAULT_RING as RING, CoefficientTooLargeError, put
+from .qcoeff import DEFAULT_RING as RING, CoefficientTooLargeError
 
 
 class ParseError(ValueError):
-    """Syntax or mode error, carrying the byte offset of the offender."""
+    """Syntax error, carrying the byte offset of the offender."""
 
     def __init__(self, message: str, position: int):
         super().__init__("%s (at offset %d)" % (message, position))
@@ -127,9 +126,7 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
-_BOX_GENERATORS = {"x0", "x1", "x2", "x3", "c0", "c1", "c2", "c3"}
-_FREE_GENERATORS = {"x", "y"}
-_SYMBOLS = {"q", "a", "b"}
+_GENERATORS = {"x0", "x1", "x2", "x3", "c0", "c1", "c2", "c3"}
 
 
 def _int_literal(text: str, pos: int) -> int:
@@ -146,10 +143,7 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str, mode: str):
-        if mode not in ("box", "free"):
-            raise ValueError("mode must be 'box' or 'free'")
-        self.mode = mode
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -233,15 +227,9 @@ class _Parser:
                 n = self.signed_int()
                 self.expect_op(")")
                 return QIntNode(n)
-            if value in _SYMBOLS:
+            if value in RING.symbols:
                 return Sym(value)
-            if value in _BOX_GENERATORS:
-                if self.mode != "box":
-                    raise ParseError("generator %r is not valid in free mode" % value, pos)
-                return Gen(value)
-            if value in _FREE_GENERATORS:
-                if self.mode != "free":
-                    raise ParseError("generator %r is not valid in box mode" % value, pos)
+            if value in _GENERATORS:
                 return Gen(value)
             raise ParseError("unknown name %r" % value, pos)
         if kind == "op" and value == "(":
@@ -253,8 +241,6 @@ class _Parser:
             self.depth -= 1
             return node
         if kind == "op" and value == "[":
-            if self.mode != "box":
-                raise ParseError("normal-form monomials are not valid in free mode", pos)
             return self.monomial()
         raise ParseError("unexpected token %r" % (value or "end of input"), pos)
 
@@ -275,7 +261,7 @@ class _Parser:
         letters = []
         while True:
             kind, value, pos = self.advance()
-            if kind != "name" or value not in _BOX_GENERATORS or value[0] != "x":
+            if kind != "name" or value not in _GENERATORS or value[0] != "x":
                 raise ParseError("expected a word letter", pos)
             i = int(value[1])
             if i not in allowed:
@@ -295,7 +281,7 @@ class _Parser:
             return tuple(exps)
         while True:
             kind, value, pos = self.advance()
-            if kind != "name" or value not in _BOX_GENERATORS or value[0] != "c":
+            if kind != "name" or value not in _GENERATORS or value[0] != "c":
                 raise ParseError("expected a central generator", pos)
             i = int(value[1])
             power = 1
@@ -312,7 +298,11 @@ class _Parser:
 
 
 def parse(text: str, mode: str = "box") -> Expr:
-    return _Parser(text, mode).parse()
+    """The syntax tree of `text`.  `mode` accepts only "box", the one
+    expression language; it stays only because perfbench passes it."""
+    if mode != "box":
+        raise ValueError("mode must be 'box', not %r" % (mode,))
+    return _Parser(text).parse()
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -350,24 +340,17 @@ def _refuse_oversized_power(e: BoxElem, n: int) -> None:
         )
 
 
-def _accumulate(acc: dict, e, sign: int) -> None:
-    """acc += sign * e, on the state map of a BoxElem or the terms of a
-    FreeElem."""
-    if isinstance(e, BoxElem):
-        for key, qd in e.state.items():
-            bt._add_into(acc, key, qd, 0, sign)
-    else:
-        for w, c in e.terms.items():
-            put(acc, w, -c if sign < 0 else c)
+def _accumulate(acc: dict, e: BoxElem, sign: int) -> None:
+    """acc += sign * e, on state maps."""
+    for key, qd in e.state.items():
+        bt._add_into(acc, key, qd, 0, sign)
 
 
-def evaluate(node: Expr, mode: str = "box"):
-    """Exact evaluation; in box mode the result is in normal form."""
+def evaluate(node: Expr) -> BoxElem:
+    """Exact evaluation to a normal form."""
 
     def scalar(c):
-        if mode == "box":
-            return BoxElem._of(bt._scalar_state(c))
-        return FreeElem({"": c})
+        return BoxElem._of(bt._scalar_state(c))
 
     def walk(n):
         if isinstance(n, Lit):
@@ -379,11 +362,9 @@ def evaluate(node: Expr, mode: str = "box"):
             bt._check_term_budget("qint", abs(n.n))
             return scalar(RING.qint(n.n))
         if isinstance(n, Gen):
-            if mode == "box":
-                if n.name[0] == "x":
-                    return bt.generator(int(n.name[1]))
-                return bt.central_gen(int(n.name[1]))
-            return word_elem(n.name)
+            if n.name[0] == "x":
+                return bt.generator(int(n.name[1]))
+            return bt.central_gen(int(n.name[1]))
         if isinstance(n, Mono):
             # the bound a central power is checked against, c0^n alike
             central = bt.scale_central(tuple(n.central), 1)
@@ -397,14 +378,11 @@ def evaluate(node: Expr, mode: str = "box"):
             while isinstance(n, (Add, Sub)):
                 rights.append(n)
                 n = n.left
-            first = walk(n)
             acc: dict = {}
-            _accumulate(acc, first, 1)
+            _accumulate(acc, walk(n), 1)
             for link in reversed(rights):
                 _accumulate(acc, walk(link.right), -1 if isinstance(link, Sub) else 1)
-            if isinstance(first, BoxElem):
-                return BoxElem._of(acc)
-            return FreeElem(acc)
+            return BoxElem._of(acc)
         if isinstance(n, Mul):
             # a chain a * b * c nests to the left as well; multiply it out
             # in the same order without recursing down the chain
@@ -418,22 +396,19 @@ def evaluate(node: Expr, mode: str = "box"):
             return product
         if isinstance(n, Pow):
             base = walk(n.base)
-            if mode == "box":
-                _refuse_oversized_power(base, n.exponent)
+            _refuse_oversized_power(base, n.exponent)
             return base ** n.exponent
         raise TypeError("unknown AST node %r" % (n,))
 
     return walk(node)
 
 
-def eval_text(text: str, mode: str = "box"):
-    return evaluate(parse(text, mode), mode)
+def eval_text(text: str, mode: str = "box") -> BoxElem:
+    return evaluate(parse(text, mode))
 
 
-def render(e) -> str:
+def render(e: BoxElem) -> str:
     """Canonical text for an element; parses back to an equal element."""
     if isinstance(e, BoxElem):
         return e.render()
-    if isinstance(e, FreeElem):
-        return str(e)
     raise TypeError("cannot render %r" % (e,))

@@ -29,7 +29,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .boxtilde import _check_term_budget, _check_word_cap
-from .qcoeff import DEFAULT_RING, LaurentPoly, NotInvertibleError, power, put, render_sum
+from .qcoeff import DEFAULT_RING, LaurentPoly, put, render_sum
 
 DEGREE_CAP = 12  # matrices stay at <= 2^12 columns by default
 
@@ -42,13 +42,12 @@ def words_of_length(n: int) -> list:
 
 
 class FreeElem:
-    """A finite sum of words with LaurentPoly coefficients.  A word is a
-    string over "xy", or a tuple of letters where other alphabets are
-    needed; products concatenate words, so one element keeps one kind."""
+    """A finite sum of words with LaurentPoly coefficients: a row of
+    `relation_span` or a formal relation.  A word is a string over "xy",
+    or a tuple of letters where other alphabets are needed.  Elements add,
+    subtract and scale by ints and LaurentPolys; words never multiply."""
 
     __slots__ = ("terms",)
-
-    ring = DEFAULT_RING
 
     def __init__(self, terms: dict):
         self.terms = {w: c for w, c in terms.items() if c}
@@ -74,37 +73,12 @@ class FreeElem:
         return self + (-other)
 
     def __mul__(self, other) -> "FreeElem":
-        if isinstance(other, (int, LaurentPoly)):
-            c0 = DEFAULT_RING.coerce(other)
-            return FreeElem({w: c * c0 for w, c in self.terms.items()})
-        if not self.terms or not other.terms:
-            return FreeElem({})
-        _check_word_cap(
-            "free product", max(map(len, self.terms)) + max(map(len, other.terms))
-        )
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                put(out, w1 + w2, c1 * c2)
-            _check_term_budget("free product", len(out))
-        return FreeElem(out)
+        if not isinstance(other, (int, LaurentPoly)):
+            return NotImplemented
+        c0 = DEFAULT_RING.coerce(other)
+        return FreeElem({w: c * c0 for w, c in self.terms.items()})
 
-    def __rmul__(self, other) -> "FreeElem":
-        if isinstance(other, (int, LaurentPoly)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "FreeElem":
-        if n >= 0:
-            empty = next(iter(self.terms), "")[:0]  # a string or a tuple
-            return power(self, n, FreeElem({empty: DEFAULT_RING.one()}))
-        # only a unit multiple of the empty word is invertible
-        if len(self.terms) != 1:
-            raise NotInvertibleError("not invertible")
-        ((word, coeff),) = self.terms.items()
-        if word or not coeff.is_unit():
-            raise NotInvertibleError("not invertible")
-        return FreeElem({word: coeff ** n})
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         keys = sorted(self.terms, key=lambda w: (-len(w), w))

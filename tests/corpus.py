@@ -1,4 +1,4 @@
-"""Fifty box-mode expressions drawn from the relation zoo, used for the
+"""Fifty expressions drawn from the relation zoo, used for the
 parser round-trip suite."""
 
 CORPUS = [

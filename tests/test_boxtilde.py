@@ -460,6 +460,27 @@ def test_only_normal_monomials_are_accepted():
     assert BoxElem(R, {mono((0, 2), (3, 1), (1, -2, 0, 5)): ONE}) == reduce_word((0, 2, 3, 1), (1, -2, 0, 5))
 
 
+def test_monomials_normal_by_construction_are_not_validated(monkeypatch):
+    """The oracle's reading and a `reduce_word` with the default central
+    part build normal monomials, so neither calls the validation."""
+    calls = []
+    real = bt._checked_central
+
+    def spy(central):
+        calls.append(central)
+        return real(central)
+
+    monkeypatch.setattr(bt, "_checked_central", spy)
+    rng = random.Random(5)
+    for _ in range(20):
+        w = bt.random_word(rng, max_len=6)
+        oracle = oracle_as_box(module_action_oracle(w + (("c", 1, -1),)))
+        assert oracle == reduce_word(w, (0, -1, 0, 0))
+        assert oracle_as_box(module_action_oracle(w)) == reduce_word(w)
+    # only the explicit central part of each reduce_word above is validated
+    assert calls == [(0, -1, 0, 0)] * 20
+
+
 def test_render_is_deterministic():
     e = reduce_word((1, 0)) + central_gen(2, -1)
     assert e.render() == (

@@ -8,6 +8,8 @@ import inspect
 import pkgutil
 
 import qdg
+from qdg.expr import ParseError, eval_text, parse
+from qdg.freealg import FreeElem, word_elem
 from qdg.qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, qint
 
 R = DEFAULT_RING
@@ -48,10 +50,10 @@ def test_power_and_inversion():
         (2 * Q) ** -1  # 2 is not a unit over the integers
 
 
-def test_the_coefficient_ring_is_fixed():
-    """No function or method of the package takes a ring, apart from the
-    two element constructors that keep an ignored first argument."""
-    takes_ring = set()
+def _functions_taking(parameter: str) -> set:
+    """The qualified names of the package's functions and methods that have
+    a parameter of this name."""
+    found = set()
     for info in pkgutil.iter_modules(qdg.__path__):
         module = importlib.import_module("qdg." + info.name)
         for obj in vars(module).values():
@@ -59,12 +61,34 @@ def test_the_coefficient_ring_is_fixed():
                 continue
             for f in [obj] + (list(vars(obj).values()) if inspect.isclass(obj) else []):
                 f = getattr(f, "__func__", f)  # a classmethod's function
-                if inspect.isfunction(f) and "ring" in inspect.signature(f).parameters:
-                    takes_ring.add(f.__qualname__)
-    assert takes_ring == {"LaurentPoly.__init__", "BoxElem.__init__"}
+                if inspect.isfunction(f) and parameter in inspect.signature(f).parameters:
+                    found.add(f.__qualname__)
+    return found
+
+
+def test_the_coefficient_ring_is_fixed():
+    """No function or method of the package takes a ring, apart from the
+    two element constructors that keep an ignored first argument."""
+    assert _functions_taking("ring") == {"LaurentPoly.__init__", "BoxElem.__init__"}
     assert DEFAULT_RING.symbols == ("q", "a", "b")
     with pytest.raises(TypeError):
         LaurentRing(("q",))
+
+
+def test_the_expression_language_is_fixed():
+    """Only `parse` and `eval_text` take a mode, which must be "box"; the
+    free algebra's letters are unknown names, and its words do not
+    multiply."""
+    assert _functions_taking("mode") == {"parse", "eval_text"}
+    for read in (parse, eval_text):
+        with pytest.raises(ValueError, match="mode must be 'box'"):
+            read("x0", mode="free")
+    with pytest.raises(ParseError, match="unknown name 'x'") as err:
+        parse("x*y")
+    assert err.value.position == 0
+    assert not hasattr(FreeElem, "__pow__")
+    with pytest.raises(TypeError):
+        word_elem("x") * word_elem("y")
 
 
 def test_rendering():
