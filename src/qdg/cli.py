@@ -128,22 +128,24 @@ def cmd_dims(args) -> int:
     import random
 
     rng = random.Random(args.seed)
+    rules: list = []
     rows = []
     for n in range(args.max + 1):
         try:
             span = freealg.relation_span(n)
+            freealg.add_serre_rules(rules, n)
         except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
             print("budget exceeded: %s" % exc, file=sys.stderr)
             return 3
-        rank = freealg.rank_over_fraction_field(span, n)
-        spec_rank = freealg.rank_by_specialization(span, n, rng=rng)
+        # the rank is the number of words a rule rewrites
+        reducible = set(freealg.words_of_length(n)).difference(freealg.irreducible_words(rules, n))
         rows.append(
             {
                 "n": n,
                 "words": 2 ** n,
-                "rank": rank,
-                "dim": 2 ** n - rank,
-                "specialization_agrees": spec_rank == rank,
+                "rank": len(reducible),
+                "dim": 2 ** n - len(reducible),
+                "specialization_agrees": freealg.specialization_agrees(span, n, reducible, rng=rng),
             }
         )
     if args.json:

@@ -1,29 +1,29 @@
 """The free algebra on two generators x, y with its length grading.
 
 Provides the degree-4 q-Serre combinations, the spanning sets of the
-relation ideal in each degree, and an exact rank computation over Q(q)
-for rows with coefficients in q alone.  Coefficients lie in the package's
-one ring Z[q^+-1, a^+-1, b^+-1].  The graded dimensions of the
-quotient by the q-Serre ideal fall out as 2^n minus the rank.
+relation ideal in each degree, a rewriting system for that ideal built one
+degree at a time, and an exact rank over Q(q) for rows with coefficients
+in q alone.  Coefficients lie in the package's one ring
+Z[q^+-1, a^+-1, b^+-1].  The graded dimensions of the quotient by the
+q-Serre ideal are the numbers of words that no rule rewrites.
 
 A span row joins words onto those of a q-Serre combination and shares its
 coefficients; one pass, `_dense_rows`, turns rows into the dense q-lists
-the elimination works on.  No Laurent arithmetic runs on the way.
+that the rules and the exact elimination work on.  No Laurent arithmetic
+runs on the way.
 
-The exact rank is the reference.  It eliminates each bidegree block of
-the span on its own, and gives a y-heavy block the rank of its x <-> y
-mirror once their rows are checked to match.  A row is reduced by a pivot
-whose lead entry is q^k without cross-multiplying or stripping its content,
-which is most reductions of the span; the rest cross-multiply and strip the
-row in full, as does every stored pivot.  An independent cross-check
-takes the rank of the whole span at random points mod the prime 2^61 - 1;
-specializing is a ring map, so that rank is a lower bound on the exact one.
+The rules are the reference for `dims`.  An independent cross-check
+eliminates the whole span at random points mod the prime 2^61 - 1 and
+compares the pivots' lead words with the words the rules rewrite; it
+shares no code with the rules.  The exact rank stays as the reference for
+arbitrary row sets: fraction-free elimination that reduces a row by a
+pivot whose lead entry is q^k without cross-multiplying or stripping it.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from heapq import heappop, heappush
 from itertools import product
 from math import gcd
 from typing import Optional, Sequence
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .boxtilde import _check_term_budget, _check_word_cap
 from .qcoeff import DEFAULT_RING, LaurentPoly, put, render_sum
 
-DEGREE_CAP = 12  # matrices stay at <= 2^12 columns by default
+DEGREE_CAP = 13  # `dims --max 13` takes a few seconds
 
 Word = str  # a word over the alphabet "xy"; "" is the identity
 
@@ -140,7 +140,7 @@ def relation_span(n: int) -> list:
 # is new = q^k * row - row_coeff * pivot: each of the row's lists shifts up
 # by k, and only the common q-power is shifted out afterwards.  This adds no
 # content, since the row is multiplied by a unit, so it needs no strip.  It
-# is 1297 of the 1378 reductions at degree 10 and 5104 of 5384 at degree 11.
+# is 2122 of the 2257 reductions at degree 10.
 #
 # Any other lead is cross-multiplied (Bareiss-style): the update
 # new = pivot_coeff * row - row_coeff * pivot stays in Z[q] but multiplies
@@ -152,26 +152,13 @@ def relation_span(n: int) -> list:
 # enormous cyclotomic factors and elimination beyond degree 9 becomes
 # infeasible.  Skipping the strip at unit steps does not grow rows: at
 # degree 11 the largest entry a row reaches between reductions has 12 bits
-# and 45 coefficients, as with a strip after every step.
+# and 41 coefficients.
 #
 # Rows are fed from the highest lead word down, so the pivots above a row's
 # lead are mostly in place before the row is reduced.  The rank does not
-# depend on the order; this one was measured, on the blocks eliminated, to
-# take about 75 % less time than the span's own order at degree 11 (0.4 s
-# against 1.9 s) and 70 % less at degree 12 (8 s against 26 s), and lowest
-# lead first is slower still (5 s at degree 11).
-#
-# The matrix is block diagonal by bidegree: a row w1 * S_g * w2 keeps its
-# number of x's in every word, so rows are grouped by x-count and each
-# block is eliminated on its own (a set with a row that mixes x-counts stays
-# one block).  Swapping x <-> y carries S_x onto S_y, so block (i, n - i) is
-# the mirror of block (n - i, i).  The mirror is not assumed: a y-heavy
-# block takes the rank of its x-heavy mirror only when the swapped rows of
-# that mirror equal its own rows as a multiset, up to sign; otherwise it is
-# eliminated too.  The x-heavy side is the one eliminated, because with
-# x < y and rows fed from the highest lead down it runs faster than its
-# mirror (0.4 s against 0.8 s at degree 11, 8 s against 13 s at degree 12,
-# counting the self-mirror middle block on both sides; Python 3.11).
+# depend on the order; on the span this one was measured to take about a
+# quarter of the time of the span's own order at degree 11, and lowest lead
+# first is slower still.
 # ---------------------------------------------------------------------------
 
 
@@ -386,41 +373,185 @@ def _dense_rows(rows: Sequence[FreeElem], n: int) -> list:
     return dense
 
 
-_SWAP = str.maketrans("xy", "yx")
-
-
-def _row_key(row: dict, swap: bool = False) -> tuple:
-    """A dense row as sorted (word, coefficients) pairs, its words swapped
-    x <-> y if asked, and its sign fixed by the first word's top coefficient."""
-    items = sorted((w.translate(_SWAP) if swap else w, tuple(e)) for w, e in row.items())
-    if items[0][1][-1] < 0:
-        items = [(w, tuple(-c for c in e)) for w, e in items]
-    return tuple(items)
-
-
 def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
     """Rank of the degree-n coefficient matrix over Q(q); raises ValueError
-    on a row that is not a unit multiple of a row over Z[q]."""
-    dense = _dense_rows(rows, n)
-    blocks: dict = {}
-    for row in dense:
-        counts = {w.count("x") for w in row}
-        if len(counts) > 1:
-            return _rank_dense(dense)
-        blocks.setdefault(counts.pop(), []).append(row)
-    ranks: dict = {}
-    for i in sorted(blocks, reverse=True):
-        mirror = blocks.get(n - i)
-        if (
-            i < n - i
-            and mirror is not None
-            and Counter(map(_row_key, blocks[i]))
-            == Counter(_row_key(row, swap=True) for row in mirror)
-        ):
-            ranks[i] = ranks[n - i]
-        else:
-            ranks[i] = _rank_dense(blocks[i])
-    return sum(ranks.values())
+    on a row that is not a unit multiple of a row over Z[q].  The exact
+    reference for arbitrary row sets; `dims` counts words of the rewriting
+    system below instead."""
+    return _rank_dense(_dense_rows(rows, n))
+
+
+# ---------------------------------------------------------------------------
+# A rewriting system for the q-Serre ideal, built one degree at a time.
+#
+# This is Bergman's diamond lemma truncated by degree.  A rule is a dense row
+# over Z[q] (as above) whose lead is its lexicographically smallest word; on
+# words of one length that order is compatible with concatenation, and
+# rewriting u * lead * v by the rule only brings in larger words, so
+# reduction ends.  The rules of degree 4 are S_x (lead xxxy) and S_y (lead
+# xyyy).  At degree d every overlap of two leads, a word l1 * c = a * l2 of
+# length d with l1 = a * b and l2 = b * c, b nonempty, gives the element
+# lc(l2) * rule1 * c - lc(l1) * a * rule2, which lies in the ideal and has
+# no term on that word.  It is reduced by every rule so far, smallest
+# reducible word first, and a nonzero remainder is stripped of its content
+# and becomes a rule.  Once the remainder of every overlap of length d is a
+# rule, the length-d words with no lead as a factor are a basis of the
+# degree-d slice of the quotient, so dim U_d^+ is their number.
+#
+# A reduction by a rule whose lead entry is q^k is the unit step of
+# `_rank_dense` (q^k * f - a * u * rule * v, then the common q-power shifted
+# out), taken as f - q^-k * a * u * rule * v: while it is reduced, each entry
+# of f is held as a Laurent entry (lowest exponent, dense list), so a step
+# touches only the entries the rule brings in, never all of f.  Any other
+# lead entry is cross-multiplied and the row stripped with
+# `_strip_row_dense`.  Such leads appear only while a degree is built (first
+# at xxyxyxyyxy, 1 + q^2 + q^4 up to a power of q, before its tail is
+# reduced): through degree 13 every finished rule has a lead entry q^k.
+# Then the rules of one degree are reduced by each other, so every word but
+# the lead of a rule is irreducible and the rules are the reduced basis of
+# the ideal through that degree, unique up to the normalisation of
+# `_strip_row_dense`.  Through degree 11 this takes about 0.1 s and
+# through degree 13 about 0.9 s (CPU, Python 3.11, 2-CPU machine).
+# ---------------------------------------------------------------------------
+
+
+def _split_q(e: list) -> tuple:
+    """A nonzero dense list as (k, the list divided by q^k), k maximal."""
+    k = 0
+    while e[k] == 0:
+        k += 1
+    return k, e[k:]
+
+
+def _laurent_sub(f: Optional[tuple], g: tuple) -> Optional[tuple]:
+    """f - g on Laurent entries (k, list) standing for q^k * list, each list
+    with nonzero ends; None stands for 0."""
+    if f is None:
+        return g[0], [-c for c in g[1]]
+    (kf, ef), (kg, eg) = f, g
+    low = min(kf, kg)
+    out = [0] * (kf - low) + ef
+    off = kg - low
+    if len(out) < off + len(eg):
+        out += [0] * (off + len(eg) - len(out))
+    for i, c in enumerate(eg):
+        out[off + i] -= c
+    if not _dtrim(out):
+        return None
+    k, out = _split_q(out)
+    return low + k, out
+
+
+def _rewrite(f: dict, w: Word, i: int, lead: Word, rule: dict) -> dict:
+    """One step on Laurent entries: the word w, with `lead` at offset i,
+    rewritten by the rule (f - q^-k * f[w] * u * rule * v for a lead entry
+    q^k, cross-multiplied and stripped otherwise); the term budget applies."""
+    u, v = w[:i], w[i + len(lead):]
+    ka, a = f.pop(w)
+    kc, c = _split_q(rule[lead])
+    if c != [1]:
+        f = {x: (k, _dmul(c, e)) for x, (k, e) in f.items()}
+    for x, e in rule.items():
+        if x != lead:
+            x = u + x + v
+            k, e = _split_q(e)
+            acc = _laurent_sub(f.get(x), (ka - kc + k, _dmul(a, e)))
+            if acc is None:
+                del f[x]
+            else:
+                f[x] = acc
+    if c != [1] and f:
+        f = {x: _split_q(e) for x, e in _strip_row_dense(_dense_row(f)).items()}
+    _check_term_budget("serre_rules", len(f))
+    return f
+
+
+def _dense_row(f: dict) -> dict:
+    """Laurent entries back to a dense row, shifted by the lowest q-power."""
+    if not f:
+        return {}
+    low = min(k for k, _ in f.values())
+    return {w: [0] * (k - low) + e for w, (k, e) in f.items()}
+
+
+def _reduce(f: dict, rules: list) -> dict:
+    """The Laurent entries f as a dense row with every word that has a lead
+    as a factor rewritten, up to a nonzero factor in Z[q]."""
+    heap = sorted(f)  # words only grow, so each is settled once popped
+    last = None
+    while heap:
+        w = heappop(heap)
+        if w == last or w not in f:
+            continue
+        last = w
+        for lead, rule in rules:
+            i = w.find(lead)
+            if i >= 0:
+                f = _rewrite(f, w, i, lead, rule)
+                for x in rule:
+                    heappush(heap, w[:i] + x + w[i + len(lead):])
+                break
+    return _dense_row(f)
+
+
+def add_serre_rules(rules: list, d: int) -> list:
+    """Appends to `rules`, which holds the rules of degrees below d, those
+    of degree d, and returns the new ones; a rule is (lead, dense row).
+
+    The word cap applies to d and the term budget to each remainder, under
+    the name `serre_rules`."""
+    if d <= 3:
+        return []
+    _check_word_cap("serre_rules", d)
+    new = []
+    if d == 4:
+        for row in _dense_rows(serre_elements(), 4):
+            _check_term_budget("serre_rules", len(row))
+            row = _strip_row_dense(row)
+            new.append((min(row), row))
+    # each overlap word l1 * c = a * l2 of length d: rule1 * c with that
+    # word rewritten by rule2
+    overlaps = [
+        (l1, r1, l2, r2, len(l1) + len(l2) - d)
+        for l1, r1 in rules
+        for l2, r2 in rules
+        if 0 < len(l1) + len(l2) - d < min(len(l1), len(l2))
+    ]
+    for l1, r1, l2, r2, k in overlaps:
+        if l1[-k:] == l2[:k]:
+            f = {w + l2[k:]: _split_q(e) for w, e in r1.items()}
+            f = _rewrite(f, l1 + l2[k:], len(l1) - k, l2, r2)
+            f = _reduce(f, rules + new)
+            if f:
+                f = _strip_row_dense(f)
+                new.append((min(f), f))
+    # the rules of degree d reduced by each other, last first
+    for i in range(len(new) - 2, -1, -1):
+        lead, row = new[i]
+        row = _reduce({w: _split_q(e) for w, e in row.items()}, new[i + 1:])
+        new[i] = (lead, _strip_row_dense(row))
+    new.sort()
+    rules.extend(new)
+    return new
+
+
+def serre_rules(n: int) -> list:
+    """The rules of every degree up to n, lowest degree first."""
+    rules: list = []
+    for d in range(n + 1):
+        add_serre_rules(rules, d)
+    return rules
+
+
+def irreducible_words(rules: list, n: int) -> list:
+    """The length-n words with no lead as a factor, in lexicographic order.
+    A word qualifies when its prefix one letter shorter does and no lead is
+    a suffix of it."""
+    leads = tuple(lead for lead, _ in rules)
+    words = [""]
+    for _ in range(n):
+        words = [w + ch for w in words for ch in "xy" if not (w + ch).endswith(leads)]
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +607,9 @@ def _residue_rows(rows: Sequence[FreeElem], n: int, point: tuple) -> list:
     return out
 
 
-def _rank_mod_p(rows: list) -> int:
+def _pivot_leads_mod_p(rows: list) -> set:
+    """The lead words of an echelon form of the residue rows: the smallest
+    word of each pivot, which are the leading words of the rows' span."""
     pivots: dict = {}
     for row in rows:
         while row:
@@ -493,7 +626,7 @@ def _rank_mod_p(rows: list) -> int:
                     row[w] = acc
                 else:
                     del row[w]
-    return len(pivots)
+    return set(pivots)
 
 
 def rank_by_specialization(
@@ -514,14 +647,37 @@ def rank_by_specialization(
     best = 0
     for _ in range(_POINTS):
         point = random_residue_point(rng)
-        best = max(best, _rank_mod_p(_residue_rows(rows, n, point)))
+        best = max(best, len(_pivot_leads_mod_p(_residue_rows(rows, n, point))))
     return best
 
 
+def specialization_agrees(
+    rows: Sequence[FreeElem], n: int, reducible: set, rng: Optional[random.Random] = None
+) -> bool:
+    """Whether the pivot leads of the rows at a random point mod 2^61 - 1
+    are exactly the words in `reducible`; tries up to _POINTS points and
+    stops at the first that agrees.
+
+    A word w is the smallest word of some element of the span exactly when
+    the columns of the words <= w have a larger rank than those of the words
+    < w.  Each such rank at a point is at most the one over the fraction
+    field, and equal to it away from the roots of a nonzero minor, so at a
+    random point the pivot leads are those of the span over Q(q): for the
+    q-Serre span, the words reducible by a complete rewriting system.
+    """
+    rng = rng or random.Random(0x51DE)
+    for _ in range(_POINTS):
+        point = random_residue_point(rng)
+        if _pivot_leads_mod_p(_residue_rows(rows, n, point)) == reducible:
+            return True
+    return False
+
+
 def dim_uplus(n: int) -> int:
-    """Graded dimension in degree n of the quotient by the q-Serre ideal."""
+    """Graded dimension in degree n of the quotient by the q-Serre ideal:
+    the number of length-n words irreducible by the rewriting system."""
     if n < 0:
         raise ValueError("degree must be a natural number")
     if n > DEGREE_CAP:
         raise ValueError("degree %d exceeds the cap %d" % (n, DEGREE_CAP))
-    return 2 ** n - rank_over_fraction_field(relation_span(n), n)
+    return len(irreducible_words(serre_rules(n), n))

@@ -82,12 +82,18 @@ def test_criterion_2_symbolic_alpha_generalization():
 def test_criterion_3_graded_dimensions():
     with _Timer(3, "graded dimensions to degree 8"):
         rng = random.Random(SEED)
+        rules = []
         for n in range(9):
             span = freealg.relation_span(n)
             rank = freealg.rank_over_fraction_field(span, n)
             spec_rank = freealg.rank_by_specialization(span, n, rng=rng)
             assert spec_rank == rank, "specialization disagrees at degree %d" % n
             assert 2 ** n - rank == EXPECTED_DIMS[n]
+            freealg.add_serre_rules(rules, n)
+            words = freealg.irreducible_words(rules, n)
+            assert len(words) == EXPECTED_DIMS[n]
+            reducible = set(freealg.words_of_length(n)).difference(words)
+            assert freealg.specialization_agrees(span, n, reducible, rng=rng), n
 
 
 def test_criterion_4_confluence_and_oracle_equivalence():

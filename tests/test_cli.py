@@ -253,11 +253,23 @@ def test_dims_budget_errors_exit_3(capsys, monkeypatch, var, value, message):
     assert run(capsys, ["dims", "--max", "6"])[0] == 0
 
 
+def test_dims_rule_budget_exits_3(capsys, monkeypatch):
+    # the span fits in 10 terms; a remainder of the rewriting step does not
+    monkeypatch.setenv("QDG_TERM_BUDGET", "10")
+    code, out, err = run(capsys, ["dims", "--max", "9"])
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: term budget: serre_rules reached ")
+    assert err.endswith(" terms (limit 10)\n")
+
+
 def test_dims_mismatch_fails(capsys, monkeypatch):
-    # negative control: a cross-check one short of the exact rank
-    exact_rank = freealg.rank_by_specialization
+    # negative control: a cross-check against a lead set one word off the
+    # rewriting system's (one word too many, "x" * n, which no rule rewrites)
+    agrees = freealg.specialization_agrees
     monkeypatch.setattr(
-        freealg, "rank_by_specialization", lambda *args, **kw: exact_rank(*args, **kw) - 1
+        freealg,
+        "specialization_agrees",
+        lambda rows, n, reducible, rng=None: agrees(rows, n, reducible | {"x" * n}, rng=rng),
     )
     code, out, _ = run(capsys, ["dims", "--max", "5"])
     assert code == 1

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +11,15 @@ from qdg.freealg import (
     _dgcd,
     _dmul,
     _dquo_exact,
+    add_serre_rules,
     dim_uplus,
+    irreducible_words,
     rank_by_specialization,
     rank_over_fraction_field,
     relation_span,
     serre_elements,
+    serre_rules,
+    specialization_agrees,
     word_elem,
     words_of_length,
 )
@@ -118,10 +124,13 @@ def test_the_dims_path_does_no_laurent_arithmetic(monkeypatch):
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
+    rules = []
     for n, rank in enumerate(KNOWN_RANKS):
         span = relation_span(n)
         assert rank_over_fraction_field(span, n) == rank
         assert rank_by_specialization(span, n, rng=random.Random(n)) == rank
+        add_serre_rules(rules, n)
+        assert specialization_agrees(span, n, _reducible(rules, n), rng=random.Random(n))
 
 
 def test_relation_span_checks_the_budgets_once(monkeypatch):
@@ -275,8 +284,8 @@ def test_a_unit_pivot_lead_neither_cross_multiplies_nor_strips(monkeypatch):
     # none at a unit step
     non_unit_steps = sum(1 for a, b in zip(log, log[1:]) if a == "sub" and b != "sub")
     assert log.count("strip") + log.count("store") == sum(ranks) + non_unit_steps
-    # 1297 of the 1378 reductions at degree 10 are by a q^k lead
-    assert (log.count("unit"), non_unit_steps) == (1297, 81)
+    # 2122 of the 2257 reductions at degree 10 are by a q^k lead
+    assert (log.count("unit"), non_unit_steps) == (2122, 135)
     # stored pivots stay fully stripped: as small as with a strip after every step
     assert max(abs(c).bit_length() for p in stored for e in p.values() for c in e) <= 4
     assert max(len(e) for p in stored for e in p.values()) <= 17
@@ -316,75 +325,178 @@ def test_exact_rank_over_mixed_pivot_leads():
             assert rank_over_fraction_field(rows, n) == rank, trial
 
 
-def _spy_on_blocks(monkeypatch, compute=True):
-    """Record the x-counts of the rows each `_rank_dense` call eliminates."""
+
+# ---------------------------------------------------------------------------
+# The rewriting system
+
+
+def _reducible(rules, n):
+    return set(words_of_length(n)).difference(irreducible_words(rules, n))
+
+
+def _rule_elem(row):
+    """A dense rule row as a FreeElem, entry i of a list standing for q^i."""
+    return FreeElem({w: LaurentPoly(R, {(i, 0, 0): c for i, c in enumerate(e)}) for w, e in row.items()})
+
+
+GOLDEN_LEADS = [
+    "xxxy", "xyyy", "xxyyxy", "xxyxxyy", "xxyxxyxy", "xxyxyyxy", "xyxyyxyy",
+    "xxyxyxxyy", "xxyxyxyyxy", "xxyxyyxxyy",
+]
+
+
+def test_rules_through_degree_10_match_the_golden_file():
+    # recorded from serre_rules(10): each rule's lead and dense q-lists
+    golden = json.loads((Path(__file__).parent / "golden_rules.json").read_text())
+    rules = serre_rules(10)
+    assert [lead for lead, _ in rules] == GOLDEN_LEADS
+    assert [{"lead": lead, "row": row} for lead, row in rules] == golden
+    # the degree-4 rules are S_x and -S_y, whose lead xyyy has entry -1
+    s_x, s_y = serre_elements()
+    assert [row for _, row in rules[:2]] == freealg._dense_rows([s_x, -s_y], 4)
+
+
+def test_rules_are_reduced_primitive_and_lie_in_the_ideal():
+    rules = serre_rules(11)
+    for lead, row in rules:
+        # the lead is the smallest word and its entry is q^k
+        assert lead == min(row)
+        assert row[lead][-1] == 1 and not any(row[lead][:-1])
+        # no word but the lead has a lead of degree <= its own as a factor
+        leads = [l for l, _ in rules if len(l) <= len(lead)]
+        assert all(not any(l in w for l in leads) for w in row if w != lead)
+        # no common q-power or integer content
+        assert any(e[0] for e in row.values())
+        assert freealg._dcontent([c for e in row.values() for c in e]) == 1
+    # each rule of degree <= 9 is in the span of the q-Serre relations
+    for n in range(4, 10):
+        span = relation_span(n)
+        rank = rank_over_fraction_field(span, n)
+        extra = [_rule_elem(row) for lead, row in rules if len(lead) == n]
+        assert rank_over_fraction_field(span + extra, n) == rank
+
+
+def test_irreducible_words_count_the_exact_rank():
+    rules = serre_rules(9)
+    for n in range(10):
+        assert len(irreducible_words(rules, n)) == 2 ** n - rank_over_fraction_field(relation_span(n), n)
+    assert [dim_uplus(n) for n in range(10)] == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154]
+
+
+def _lyndon_factors(word):
+    """Duval's factorization: the word as a non-increasing product of
+    Lyndon words, with x < y."""
+    factors, i = [], 0
+    while i < len(word):
+        j, k = i + 1, i
+        while j < len(word) and word[k] <= word[j]:
+            k = i if word[k] < word[j] else k + 1
+            j += 1
+        while i <= k:
+            factors.append(word[i:i + j - k])
+            i += j - k
+    return factors
+
+
+def test_lyndon_factorization():
+    assert _lyndon_factors("") == []
+    assert _lyndon_factors("yx") == ["y", "x"]
+    assert _lyndon_factors("xyxxy") == ["xy", "xxy"]
+    assert _lyndon_factors("yxyxxy") == ["y", "xy", "xxy"]
+    assert _lyndon_factors("xxyxyyxy") == ["xxyxyyxy"]
+    for w in words_of_length(8):
+        factors = _lyndon_factors(w)
+        assert "".join(factors) == w
+        assert factors == sorted(factors, reverse=True)
+        # a Lyndon word is smaller than each of its proper rotations
+        assert all(f < f[i:] + f[:i] for f in factors for i in range(1, len(f)))
+
+
+def test_irreducible_words_are_products_of_good_lyndon_words():
+    # the three families x(xy)^k, (xy)^k y and x(xy)^(k-1) y: two Lyndon
+    # words in each odd degree, one in each even degree, as in the PBW count
+    n_max = 11
+    good = set()
+    for k in range(n_max // 2 + 1):
+        good.update(("x" + "xy" * k, "xy" * k + "y"))
+        if k:
+            good.add("x" + "xy" * (k - 1) + "y")
+    rules = serre_rules(n_max)
+    for n in range(n_max + 1):
+        expected = [w for w in words_of_length(n) if all(f in good for f in _lyndon_factors(w))]
+        assert irreducible_words(rules, n) == expected, n
+
+
+def test_perturbed_serre_coefficient_moves_a_lead_and_is_caught(monkeypatch):
+    # negative control: S_x with -[3] - 1 in place of -[3] on xxyx
+    true_rules = serre_rules(9)
+    spans = {n: relation_span(n) for n in range(10)}
+    s_x, s_y = serre_elements()
+    bad_s_x = s_x - word_elem("xxyx")
+    monkeypatch.setattr(freealg, "serre_elements", lambda: (bad_s_x, s_y))
+    bad_rules = serre_rules(9)
+    monkeypatch.undo()
+    degree_6 = lambda rules: [lead for lead, _ in rules if len(lead) == 6]
+    assert degree_6(true_rules) == ["xxyyxy"]
+    assert degree_6(bad_rules) == ["xxyxyy"]
+    assert len(irreducible_words(bad_rules, 9)) == 152 != len(irreducible_words(true_rules, 9)) == 154
+    # through degree 8 the counts agree, so only the lead sets tell them apart
+    for n in range(9):
+        assert len(irreducible_words(bad_rules, n)) == len(irreducible_words(true_rules, n))
+    rng = random.Random(3)
+    for n in range(6, 10):
+        assert specialization_agrees(spans[n], n, _reducible(true_rules, n), rng=rng)
+        assert not specialization_agrees(spans[n], n, _reducible(bad_rules, n), rng=rng)
+
+
+def test_specialization_stops_at_the_first_agreeing_point(monkeypatch):
     calls = []
-    real = freealg._rank_dense
+    real = freealg._pivot_leads_mod_p
 
     def spy(rows):
-        calls.append({w.count("x") for row in rows for w in row})
-        return real(rows) if compute else 0
+        calls.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(freealg, "_rank_dense", spy)
-    return calls
-
-
-def _unsplit_rank(rows, n):
-    return freealg._rank_dense(freealg._dense_rows(rows, n))
-
-
-def test_blocked_rank_equals_the_unsplit_elimination():
-    for n in range(4, 11):
-        span = relation_span(n)
-        assert rank_over_fraction_field(span, n) == _unsplit_rank(span, n)
-
-
-def test_only_the_x_heavy_side_of_each_mirror_pair_is_eliminated(monkeypatch):
-    # degree 11 has blocks with 1..10 x's; the mirrors of 6..10 are not
-    # eliminated, and no block is eliminated twice
-    calls = _spy_on_blocks(monkeypatch)
-    span = relation_span(11)
-    assert rank_over_fraction_field(span, 11) == 2 ** 11 - 344  # dim of U_q^+ in degree 11
-    assert all(len(c) == 1 for c in calls)
-    assert sorted(map(min, calls)) == [6, 7, 8, 9, 10]
-    # the same on the shuffled span with every row times a unit +-q^k
-    rng = random.Random(7)
-    rows = [row * (R.qpow(rng.randint(-3, 3)) * rng.choice((1, -1))) for row in span]
-    rng.shuffle(rows)
-    calls = _spy_on_blocks(monkeypatch, compute=False)
-    rank_over_fraction_field(rows, 11)
-    assert sorted(map(min, calls)) == [6, 7, 8, 9, 10]
-    # at even degree the middle block is its own mirror and is eliminated
-    calls = _spy_on_blocks(monkeypatch, compute=False)
-    rank_over_fraction_field(relation_span(8), 8)
-    assert sorted(map(min, calls)) == [4, 5, 6, 7]
+    monkeypatch.setattr(freealg, "_pivot_leads_mod_p", spy)
+    rules = serre_rules(8)
+    span, reducible = relation_span(8), _reducible(rules, 8)
+    assert specialization_agrees(span, 8, reducible, rng=random.Random(1))
+    assert len(calls) == 1
+    # a lead set one word short disagrees at every point
+    del calls[:]
+    assert not specialization_agrees(span, 8, reducible - {min(reducible)}, rng=random.Random(1))
+    assert len(calls) == freealg._POINTS
+    # the pivot leads are the reducible words, not only as many of them
+    del calls[:]
+    swapped = (reducible - {min(reducible)}) | {irreducible_words(rules, 8)[0]}
+    assert len(swapped) == len(reducible)
+    assert not specialization_agrees(span, 8, swapped, rng=random.Random(1))
+    # a point where the elimination loses a pivot is passed over
+    del calls[:]
+    losses = iter([True])
+    monkeypatch.setattr(
+        freealg,
+        "_pivot_leads_mod_p",
+        lambda rows: spy(rows) - ({min(reducible)} if next(losses, False) else set()),
+    )
+    assert specialization_agrees(span, 8, reducible, rng=random.Random(1))
+    assert len(calls) == 2
+    # no rows, no reducible words
+    assert specialization_agrees([], 3, set())
 
 
-def test_mirror_shortcut_falls_back_when_the_mirror_does_not_match(monkeypatch):
-    n = 8
-    span = relation_span(n)
-    y_heavy = [i for i, row in enumerate(span) if 2 * min(w.count("x") for w in row.terms) < n]
-    victim = y_heavy[5]
-    block = min(w.count("x") for w in span[victim].terms)
-    dropped = span[:victim] + span[victim + 1:]
-    w = min(span[victim].terms)
-    altered = list(span)
-    altered[victim] = span[victim] + word_elem(w) * R.qpow(1)
-    doubled = span + [span[victim]]  # same rows as a set, not as a multiset
-    for rows in (dropped, altered, doubled):
-        calls = _spy_on_blocks(monkeypatch)
-        rank = rank_over_fraction_field(rows, n)
-        assert {block} in calls
-        monkeypatch.undo()
-        assert rank == _unsplit_rank(rows, n)
-
-
-def test_rows_that_mix_x_counts_take_the_single_block_path(monkeypatch):
-    n = 6
-    span = relation_span(n)
-    mixed = span[:3] + [span[3] + span[-1]] + span[4:]
-    calls = _spy_on_blocks(monkeypatch)
-    rank = rank_over_fraction_field(mixed, n)
-    assert len(calls) == 1 and len(calls[0]) > 2
+def test_serre_rules_check_the_budgets(monkeypatch):
+    monkeypatch.setattr(LIMITS, "word_cap", 6)
+    rules = serre_rules(6)
+    assert [lead for lead, _ in rules] == GOLDEN_LEADS[:3]
+    with pytest.raises(ReductionBudgetError, match="serre_rules reached 7 letters \\(cap 6\\)"):
+        add_serre_rules(rules, 7)
     monkeypatch.undo()
-    assert rank == _unsplit_rank(mixed, n)
+    monkeypatch.setattr(LIMITS, "term_budget", 3)
+    assert add_serre_rules([], 3) == []
+    with pytest.raises(TermBudgetError, match="serre_rules reached 4 terms \\(limit 3\\)"):
+        serre_rules(4)
+    # a remainder is counted at each reduction step
+    monkeypatch.setattr(LIMITS, "term_budget", 4)
+    with pytest.raises(TermBudgetError, match="serre_rules reached [5-9] terms \\(limit 4\\)"):
+        serre_rules(6)
