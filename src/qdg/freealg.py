@@ -2,22 +2,12 @@
 
 Provides the degree-4 q-Serre combinations, the spanning sets of the
 relation ideal in each degree, a rewriting system for that ideal built one
-degree at a time, and an exact rank over Q(q) for rows with coefficients
-in q alone.  Coefficients lie in the package's one ring
-Z[q^+-1, a^+-1, b^+-1].  The graded dimensions of the quotient by the
-q-Serre ideal are the numbers of words that no rule rewrites.
-
-A span row joins words onto those of a q-Serre combination and shares its
-coefficients; one pass, `_dense_rows`, turns rows into the dense q-lists
-that the rules and the exact elimination work on.  No Laurent arithmetic
-runs on the way.
-
-The rules are the reference for `dims`.  An independent cross-check
-eliminates the whole span at random points mod the prime 2^61 - 1 and
-compares the pivots' lead words with the words the rules rewrite; it
-shares no code with the rules.  The exact rank stays as the reference for
-arbitrary row sets: fraction-free elimination that reduces a row by a
-pivot whose lead entry is q^k without cross-multiplying or stripping it.
+degree at a time, an exact rank over Q(q) for rows with coefficients in q
+alone, and a rank at random points mod a prime.  Coefficients lie in the
+package's one ring Z[q^+-1, a^+-1, b^+-1].  The graded dimensions of the
+quotient by the q-Serre ideal are the numbers of words that no rule
+rewrites; the lead words of the span at a random point mod p cross-check
+them and share no code with the rules.
 """
 
 from __future__ import annotations
@@ -124,41 +114,37 @@ def relation_span(n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Exact rank over the fraction field Q(q).
+# Fraction-free reduction over Z[q]: one step, `_rewrite`, serves the rules
+# and the exact rank.
 #
-# One pass turns each row into dense coefficient lists, shifted by the
-# row's lowest q exponent; no monomial is multiplied.  The entries of a row
-# must share one a/b exponent vector, as those of `relation_span` do (it is
-# the zero vector there); a row that mixes two is rejected with ValueError,
-# since it is no unit multiple of a row over Z[q].  Rows are then reduced
-# fraction-free, in one of two ways.
+# A row maps words of one length to coefficients in Z[q^+-1], and its lead is
+# its lexicographically smallest word.  `_dense_rows` turns span rows into
+# dense q-lists shifted by the row's lowest q exponent, with no Laurent
+# arithmetic; a row whose entries carry more than one a/b exponent vector is
+# rejected, since it is no unit multiple of a row over Z[q].  Every pivot (a
+# rule, or a pivot of the exact rank) is stripped by `_strip_row_dense`, so a
+# lead entry that is a unit of Z[q^+-1] is exactly q^k.
 #
-# Every stored pivot is stripped of its full content (common q-power,
-# integer gcd, and the common polynomial factor of its entries) and given a
-# positive top coefficient in its lead entry, so a pivot is primitive, and a
-# lead that is a unit of Z[q^+-1] is exactly +q^k.  Reducing by such a pivot
-# is new = q^k * row - row_coeff * pivot: each of the row's lists shifts up
-# by k, and only the common q-power is shifted out afterwards.  This adds no
-# content, since the row is multiplied by a unit, so it needs no strip.  It
-# is 2122 of the 2257 reductions at degree 10.
+# A step rewrites the word w = u * lead * v of a row f by a pivot, with each
+# entry of f held as a Laurent entry (lowest exponent, dense list).  For a
+# lead entry q^k it is f - q^-k * f[w] * u * pivot * v: it touches only the
+# entries the pivot brings in, never all of f, and leaves f unscaled, so it
+# adds no content and needs no strip.  Any other lead entry p is
+# cross-multiplied (Bareiss-style), p * f - f[w] * u * pivot * v up to a
+# power of q, which stays over Z[q] but multiplies f by a non-unit; so f is
+# then stripped of its full content: common q-power, integer gcd, and the
+# common polynomial factor of its entries, found by a primitive remainder
+# sequence.  Without that strip the entries pile up cyclotomic factors and
+# elimination past degree 9 is infeasible.  All divisions are exact.  At
+# degree 10 the exact rank takes 2122 unit steps and 135 cross-multiplied
+# ones.
 #
-# Any other lead is cross-multiplied (Bareiss-style): the update
-# new = pivot_coeff * row - row_coeff * pivot stays in Z[q] but multiplies
-# the row by a non-unit, so the row is stripped of its full content
-# afterwards.  All divisions are exact, so the result is exact.  Products are
-# schoolbook loops over the short dense lists, and the content strip uses a
-# primitive polynomial remainder sequence.  Without the polynomial-content
-# strip after these steps and on the stored pivots, the entries accumulate
-# enormous cyclotomic factors and elimination beyond degree 9 becomes
-# infeasible.  Skipping the strip at unit steps does not grow rows: at
-# degree 11 the largest entry a row reaches between reductions has 12 bits
-# and 41 coefficients.
-#
-# Rows are fed from the highest lead word down, so the pivots above a row's
-# lead are mostly in place before the row is reduced.  The rank does not
-# depend on the order; on the span this one was measured to take about a
-# quarter of the time of the span's own order at degree 11, and lowest lead
-# first is slower still.
+# The exact rank rewrites each row at its lead by the pivot there until the
+# lead has none, and the stripped row becomes that pivot.  Rows are fed from
+# the highest lead word down, so the pivots above a row's lead are mostly in
+# place before it is reduced.  The rank does not depend on the order, but on
+# the q-Serre span its own row order took about four times as long at degree
+# 11, and lowest lead first longer still.
 # ---------------------------------------------------------------------------
 
 
@@ -177,21 +163,6 @@ def _dmul(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _dtrim(out)
-
-
-def _dsub_into(a: list, b: list) -> list:
-    """a - b on dense coefficient lists, built in a."""
-    if len(a) < len(b):
-        a += [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        a[i] -= c
-    return _dtrim(a)
-
-
-def _dsub_scaled(pc: list, row_e: list, rc: list, piv_e: list) -> list:
-    """pc * row_e - rc * piv_e on dense coefficient lists."""
-    a = _dmul(pc, row_e) if row_e else []
-    return _dsub_into(a, _dmul(rc, piv_e) if piv_e else [])
 
 
 def _dquo_exact(f: list, g: list) -> list:
@@ -271,22 +242,14 @@ def _dgcd(f: list, g: list) -> list:
         f, g = g, _dprimitive(r)
 
 
-def _shift_q_out(row: dict) -> dict:
-    """The row divided by the highest power of q that divides every entry."""
-    if not row:
-        return row
+def _strip_row_dense(row: dict) -> dict:
+    """A nonzero dense row divided by its full content, signed so that the
+    top coefficient of its lead entry is positive."""
     shift = 0  # each entry is trimmed, so its top coefficient stops the loop
     while not any(e[shift] for e in row.values()):
         shift += 1
     if shift:
         row = {w: e[shift:] for w, e in row.items()}
-    return row
-
-
-def _strip_row_dense(row: dict) -> dict:
-    if not row:
-        return row
-    row = _shift_q_out(row)
     g_int = 0
     for e in row.values():
         g_int = gcd(g_int, _dcontent(e))
@@ -310,37 +273,14 @@ def _strip_row_dense(row: dict) -> dict:
 def _rank_dense(rows: list) -> int:
     pivots: dict = {}
     for row in sorted(rows, key=min, reverse=True):
-        row = dict(row)
-        while row:
-            lead = min(row)
+        f = {w: _split_q(e) for w, e in row.items()}
+        while f:
+            lead = min(f)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = _strip_row_dense(row)
+                pivots[lead] = _strip_row_dense(_dense_row(f))
                 break
-            pc = pivot[lead]
-            rc = row[lead]
-            new: dict = {}
-            if pc[-1] == 1 and not any(pc[:-1]):
-                # the lead is q^k: q^k * row - rc * pivot adds no content,
-                # and its lead entry q^k * rc - rc * q^k is not computed
-                k = len(pc) - 1
-                words = set(row) | set(pivot)
-                words.remove(lead)
-                for w in words:
-                    e = row.get(w)
-                    acc = [0] * k + e if e else []
-                    piv_e = pivot.get(w)
-                    if piv_e:
-                        acc = _dsub_into(acc, _dmul(rc, piv_e))
-                    if acc:
-                        new[w] = acc
-                row = _shift_q_out(new)
-            else:
-                for w in set(row) | set(pivot):
-                    acc = _dsub_scaled(pc, row.get(w, []), rc, pivot.get(w, []))
-                    if acc:
-                        new[w] = acc
-                row = _strip_row_dense(new)
+            f = _rewrite(f, lead, 0, lead, pivot, "rank_over_fraction_field")
     return len(pivots)
 
 
@@ -377,42 +317,8 @@ def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
     """Rank of the degree-n coefficient matrix over Q(q); raises ValueError
     on a row that is not a unit multiple of a row over Z[q].  The exact
     reference for arbitrary row sets; `dims` counts words of the rewriting
-    system below instead."""
+    system below instead.  The term budget applies to each reduced row."""
     return _rank_dense(_dense_rows(rows, n))
-
-
-# ---------------------------------------------------------------------------
-# A rewriting system for the q-Serre ideal, built one degree at a time.
-#
-# This is Bergman's diamond lemma truncated by degree.  A rule is a dense row
-# over Z[q] (as above) whose lead is its lexicographically smallest word; on
-# words of one length that order is compatible with concatenation, and
-# rewriting u * lead * v by the rule only brings in larger words, so
-# reduction ends.  The rules of degree 4 are S_x (lead xxxy) and S_y (lead
-# xyyy).  At degree d every overlap of two leads, a word l1 * c = a * l2 of
-# length d with l1 = a * b and l2 = b * c, b nonempty, gives the element
-# lc(l2) * rule1 * c - lc(l1) * a * rule2, which lies in the ideal and has
-# no term on that word.  It is reduced by every rule so far, smallest
-# reducible word first, and a nonzero remainder is stripped of its content
-# and becomes a rule.  Once the remainder of every overlap of length d is a
-# rule, the length-d words with no lead as a factor are a basis of the
-# degree-d slice of the quotient, so dim U_d^+ is their number.
-#
-# A reduction by a rule whose lead entry is q^k is the unit step of
-# `_rank_dense` (q^k * f - a * u * rule * v, then the common q-power shifted
-# out), taken as f - q^-k * a * u * rule * v: while it is reduced, each entry
-# of f is held as a Laurent entry (lowest exponent, dense list), so a step
-# touches only the entries the rule brings in, never all of f.  Any other
-# lead entry is cross-multiplied and the row stripped with
-# `_strip_row_dense`.  Such leads appear only while a degree is built (first
-# at xxyxyxyyxy, 1 + q^2 + q^4 up to a power of q, before its tail is
-# reduced): through degree 13 every finished rule has a lead entry q^k.
-# Then the rules of one degree are reduced by each other, so every word but
-# the lead of a rule is irreducible and the rules are the reduced basis of
-# the ideal through that degree, unique up to the normalisation of
-# `_strip_row_dense`.  Through degree 11 this takes about 0.1 s and
-# through degree 13 about 0.9 s (CPU, Python 3.11, 2-CPU machine).
-# ---------------------------------------------------------------------------
 
 
 def _split_q(e: list) -> tuple:
@@ -442,10 +348,10 @@ def _laurent_sub(f: Optional[tuple], g: tuple) -> Optional[tuple]:
     return low + k, out
 
 
-def _rewrite(f: dict, w: Word, i: int, lead: Word, rule: dict) -> dict:
-    """One step on Laurent entries: the word w, with `lead` at offset i,
-    rewritten by the rule (f - q^-k * f[w] * u * rule * v for a lead entry
-    q^k, cross-multiplied and stripped otherwise); the term budget applies."""
+def _rewrite(f: dict, w: Word, i: int, lead: Word, rule: dict, op: str) -> dict:
+    """One reduction step on Laurent entries: the word w, with `lead` at
+    offset i, rewritten by the dense row `rule`.  The term budget applies
+    to the result under the name `op`."""
     u, v = w[:i], w[i + len(lead):]
     ka, a = f.pop(w)
     kc, c = _split_q(rule[lead])
@@ -462,7 +368,7 @@ def _rewrite(f: dict, w: Word, i: int, lead: Word, rule: dict) -> dict:
                 f[x] = acc
     if c != [1] and f:
         f = {x: _split_q(e) for x, e in _strip_row_dense(_dense_row(f)).items()}
-    _check_term_budget("serre_rules", len(f))
+    _check_term_budget(op, len(f))
     return f
 
 
@@ -487,7 +393,7 @@ def _reduce(f: dict, rules: list) -> dict:
         for lead, rule in rules:
             i = w.find(lead)
             if i >= 0:
-                f = _rewrite(f, w, i, lead, rule)
+                f = _rewrite(f, w, i, lead, rule, "serre_rules")
                 for x in rule:
                     heappush(heap, w[:i] + x + w[i + len(lead):])
                 break
@@ -497,6 +403,23 @@ def _reduce(f: dict, rules: list) -> dict:
 def add_serre_rules(rules: list, d: int) -> list:
     """Appends to `rules`, which holds the rules of degrees below d, those
     of degree d, and returns the new ones; a rule is (lead, dense row).
+
+    This is Bergman's diamond lemma truncated by degree.  On words of one
+    length the lead order is compatible with concatenation, so rewriting
+    u * lead * v brings in only larger words and reduction ends.  The rules
+    of degree 4 are S_x (lead xxxy) and S_y (lead xyyy).  Each overlap word
+    l1 * c = a * l2 of length d, with l1 = a * b, l2 = b * c and b nonempty,
+    gives rule1 * c with that word rewritten by rule2, which lies in the
+    ideal; it is reduced by every rule so far, smallest reducible word
+    first, and a nonzero remainder is stripped and becomes a rule.  The
+    rules of degree d are then reduced by each other, so they are the
+    reduced basis of the ideal through d, unique up to the normalisation of
+    `_strip_row_dense`, and the length-d words with no lead as a factor are
+    a basis of the quotient's degree-d slice.  Lead entries other than q^k
+    occur only while a degree is built (first at xxyxyxyyxy, 1 + q^2 + q^4
+    up to a power of q); through degree 13 every finished rule has a lead
+    entry q^k.  Through degree 11 this takes about 0.1 s and through degree
+    13 about 0.9 s (CPU, Python 3.11, 2-CPU machine).
 
     The word cap applies to d and the term budget to each remainder, under
     the name `serre_rules`."""
@@ -520,7 +443,7 @@ def add_serre_rules(rules: list, d: int) -> list:
     for l1, r1, l2, r2, k in overlaps:
         if l1[-k:] == l2[:k]:
             f = {w + l2[k:]: _split_q(e) for w, e in r1.items()}
-            f = _rewrite(f, l1 + l2[k:], len(l1) - k, l2, r2)
+            f = _rewrite(f, l1 + l2[k:], len(l1) - k, l2, r2, "serre_rules")
             f = _reduce(f, rules + new)
             if f:
                 f = _strip_row_dense(f)
@@ -560,7 +483,7 @@ def irreducible_words(rules: list, n: int) -> list:
 # Each of q, a and b is sent to a random nonzero residue mod _PRIME (with
 # q^2 != 1), each entry is evaluated there, and the rows are eliminated over
 # F_p with every pivot scaled to a leading 1.  This route shares no code with
-# the exact elimination.
+# `_rewrite`, the reduction step of both the rules and the exact rank.
 # ---------------------------------------------------------------------------
 
 _PRIME = (1 << 61) - 1
@@ -629,11 +552,19 @@ def _pivot_leads_mod_p(rows: list) -> set:
     return set(pivots)
 
 
+def _leads_at_points(rows: Sequence[FreeElem], n: int, rng: random.Random):
+    """The pivot leads of the rows at each of _POINTS random points, drawn
+    from rng one point at a time."""
+    for _ in range(_POINTS):
+        yield _pivot_leads_mod_p(_residue_rows(rows, n, random_residue_point(rng)))
+
+
 def rank_by_specialization(
     rows: Sequence[FreeElem], n: int, rng: Optional[random.Random] = None
 ) -> int:
-    """Max rank over _POINTS random points mod 2^61 - 1, an independent
-    cross-check of the exact rank.
+    """Max rank over _POINTS random points mod 2^61 - 1.  It shares no code
+    with `_rewrite`, so it checks the exact rank and the rules, which both
+    reduce by that step.
 
     Evaluation at a point is a ring map Z[q^+-1, a^+-1, b^+-1] -> F_p, so
     the result is a lower bound for the rank over the fraction field.  It
@@ -643,12 +574,7 @@ def rank_by_specialization(
     """
     if not rows:
         return 0
-    rng = rng or random.Random(0x51DE)
-    best = 0
-    for _ in range(_POINTS):
-        point = random_residue_point(rng)
-        best = max(best, len(_pivot_leads_mod_p(_residue_rows(rows, n, point))))
-    return best
+    return max(map(len, _leads_at_points(rows, n, rng or random.Random(0x51DE))))
 
 
 def specialization_agrees(
@@ -665,12 +591,7 @@ def specialization_agrees(
     random point the pivot leads are those of the span over Q(q): for the
     q-Serre span, the words reducible by a complete rewriting system.
     """
-    rng = rng or random.Random(0x51DE)
-    for _ in range(_POINTS):
-        point = random_residue_point(rng)
-        if _pivot_leads_mod_p(_residue_rows(rows, n, point)) == reducible:
-            return True
-    return False
+    return any(leads == reducible for leads in _leads_at_points(rows, n, rng or random.Random(0x51DE)))
 
 
 def dim_uplus(n: int) -> int:

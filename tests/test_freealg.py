@@ -208,7 +208,7 @@ def test_degree_cap():
         dim_uplus(DEGREE_CAP + 1)
 
 
-def test_tuple_words_multiply_raise_and_print():
+def test_tuple_words_print():
     q = R.gen("q")
     weyl = FreeElem({(0, 1): q, (1, 0): -(q ** -1), (): q ** -1 - q})
     assert str(weyl) == "q*0*1 - q^-1*1*0 + (q^-1 - q)"
@@ -245,47 +245,49 @@ def test_dense_rank_agrees_with_specialization():
 
 
 def test_a_unit_pivot_lead_neither_cross_multiplies_nor_strips(monkeypatch):
-    # The log holds "sub" for each entry of a cross-multiplied step, "strip"
-    # for the full strip after such a step, "store" for the strip of a new
-    # pivot, and "unit" for a reduction by a pivot whose lead is q^k.
-    log, stored, ranks, depth = [], [], [], [0]
-    real_strip, real_sub = freealg._strip_row_dense, freealg._dsub_scaled
-    real_shift, real_rank = freealg._shift_q_out, freealg._rank_dense
+    # Every step of the exact rank is a `_rewrite`: the log holds "unit" for
+    # a step by a pivot whose lead is q^k, "cross" for a cross-multiplied
+    # step, "strip" for the full strip within such a step, and "store" for
+    # the strip of a new pivot.
+    assert not hasattr(freealg, "_dsub_scaled") and not hasattr(freealg, "_dsub_into")
+    log, stored, ranks, step = [], [], [], [None]
+    nonzero_after_cross = [0]
+    real_strip, real_rewrite, real_rank = freealg._strip_row_dense, freealg._rewrite, freealg._rank_dense
+
+    def rewrite(f, w, i, lead, rule, op):
+        assert op == "rank_over_fraction_field"
+        unit = rule[lead][-1] == 1 and not any(rule[lead][:-1])
+        step[0] = "unit" if unit else "cross"
+        log.append(step[0])
+        out = real_rewrite(f, w, i, lead, rule, op)
+        if not unit and out:
+            nonzero_after_cross[0] += 1
+        step[0] = None
+        return out
 
     def strip(row):
-        depth[0] += 1
+        assert step[0] != "unit", "a step by a q^k lead was stripped"
         out = real_strip(row)
-        depth[0] -= 1
-        if log[-1:] == ["sub"]:
+        if step[0] == "cross":
             log.append("strip")
         else:
             log.append("store")
             stored.append(out)
         return out
 
-    def sub(pc, row_e, rc, piv_e):
-        assert not (pc[-1] == 1 and not any(pc[:-1])), "a q^k lead was cross-multiplied"
-        log.append("sub")
-        return real_sub(pc, row_e, rc, piv_e)
-
-    def shift(row):
-        if not depth[0]:
-            log.append("unit")
-        return real_shift(row)
-
     def rank(rows):
         ranks.append(real_rank(rows))
         return ranks[-1]
 
-    for name, spy in (("_strip_row_dense", strip), ("_dsub_scaled", sub), ("_shift_q_out", shift), ("_rank_dense", rank)):
+    for name, spy in (("_strip_row_dense", strip), ("_rewrite", rewrite), ("_rank_dense", rank)):
         monkeypatch.setattr(freealg, name, spy)
     assert rank_over_fraction_field(relation_span(10), 10) == 2 ** 10 - 232
-    # full strips: one per stored pivot and one per cross-multiplied step, so
-    # none at a unit step
-    non_unit_steps = sum(1 for a, b in zip(log, log[1:]) if a == "sub" and b != "sub")
-    assert log.count("strip") + log.count("store") == sum(ranks) + non_unit_steps
     # 2122 of the 2257 reductions at degree 10 are by a q^k lead
-    assert (log.count("unit"), non_unit_steps) == (2122, 135)
+    assert (log.count("unit"), log.count("cross")) == (2122, 135)
+    # full strips: one per stored pivot and one per cross-multiplied step
+    # that leaves a nonzero row, so none at a unit step
+    assert log.count("store") == sum(ranks)
+    assert log.count("strip") == nonzero_after_cross[0]
     # stored pivots stay fully stripped: as small as with a strip after every step
     assert max(abs(c).bit_length() for p in stored for e in p.values() for c in e) <= 4
     assert max(len(e) for p in stored for e in p.values()) <= 17
@@ -374,12 +376,19 @@ def test_rules_are_reduced_primitive_and_lie_in_the_ideal():
         rank = rank_over_fraction_field(span, n)
         extra = [_rule_elem(row) for lead, row in rules if len(lead) == n]
         assert rank_over_fraction_field(span + extra, n) == rank
+        # the same ranks mod p, which shares no code with `_rewrite`
+        rng = random.Random(n)
+        assert rank_by_specialization(span, n, rng=rng) == rank
+        assert rank_by_specialization(span + extra, n, rng=rng) == rank
 
 
 def test_irreducible_words_count_the_exact_rank():
     rules = serre_rules(9)
     for n in range(10):
-        assert len(irreducible_words(rules, n)) == 2 ** n - rank_over_fraction_field(relation_span(n), n)
+        span = relation_span(n)
+        dim = len(irreducible_words(rules, n))
+        assert dim == 2 ** n - rank_over_fraction_field(span, n)
+        assert dim == 2 ** n - rank_by_specialization(span, n, rng=random.Random(n))
     assert [dim_uplus(n) for n in range(10)] == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154]
 
 
@@ -500,3 +509,13 @@ def test_serre_rules_check_the_budgets(monkeypatch):
     monkeypatch.setattr(LIMITS, "term_budget", 4)
     with pytest.raises(TermBudgetError, match="serre_rules reached [5-9] terms \\(limit 4\\)"):
         serre_rules(6)
+
+
+def test_exact_rank_checks_the_term_budget(monkeypatch):
+    # each reduced row is counted, under the name of the exact rank
+    span = relation_span(7)
+    monkeypatch.setattr(LIMITS, "term_budget", 8)
+    assert rank_over_fraction_field(span, 7) == 2 ** 7 - 64
+    monkeypatch.setattr(LIMITS, "term_budget", 6)
+    with pytest.raises(TermBudgetError, match="rank_over_fraction_field reached 8 terms \\(limit 6\\)"):
+        rank_over_fraction_field(span, 7)
