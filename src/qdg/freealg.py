@@ -4,7 +4,9 @@ Provides the degree-4 q-Serre combinations, the spanning sets of the
 relation ideal in each degree, a rewriting system for that ideal built one
 degree at a time, an exact rank over Q(q) for rows with coefficients in q
 alone, and a rank at random points mod a prime.  Coefficients lie in the
-package's one ring Z[q^+-1, a^+-1, b^+-1].  The graded dimensions of the
+package's one ring Z[q^+-1, a^+-1, b^+-1]; the rules and the exact rank
+hold them as Laurent entries over Z[q], and the mod-p rank reads the
+`LaurentPoly` coefficients, a and b included.  The graded dimensions of the
 quotient by the q-Serre ideal are the numbers of words that no rule
 rewrites; the lead words of the span at a random point mod p cross-check
 them and share no code with the rules.
@@ -118,15 +120,15 @@ def relation_span(n: int) -> list:
 # and the exact rank.
 #
 # A row maps words of one length to coefficients in Z[q^+-1], and its lead is
-# its lexicographically smallest word.  `_dense_rows` turns span rows into
-# dense q-lists shifted by the row's lowest q exponent, with no Laurent
-# arithmetic; a row whose entries carry more than one a/b exponent vector is
-# rejected, since it is no unit multiple of a row over Z[q].  Every pivot (a
-# rule, or a pivot of the exact rank) is stripped by `_strip_row_dense`, so a
-# lead entry that is a unit of Z[q^+-1] is exactly q^k.
+# its lexicographically smallest word.  Rows, rules and pivots hold one form:
+# each coefficient is a Laurent entry (k, list) for q^k * sum list[i] q^i,
+# with both ends of the list nonzero.  `_dense_rows` builds span rows in that
+# form with no Laurent arithmetic; a row whose entries carry more than one
+# a/b exponent vector is rejected, since it is no unit multiple of a row over
+# Z[q].  Every pivot (a rule, or a pivot of the exact rank) is stripped by
+# `_strip_row_dense`, so a lead entry that is a unit of Z[q^+-1] is (k, [1]).
 #
-# A step rewrites the word w = u * lead * v of a row f by a pivot, with each
-# entry of f held as a Laurent entry (lowest exponent, dense list).  For a
+# A step rewrites the word w = u * lead * v of a row f by a pivot.  For a
 # lead entry q^k it is f - q^-k * f[w] * u * pivot * v: it touches only the
 # entries the pivot brings in, never all of f, and leaves f unscaled, so it
 # adds no content and needs no strip.  Any other lead entry p is
@@ -205,16 +207,9 @@ def _dprimitive(f: list) -> list:
 
 
 def _dgcd(f: list, g: list) -> list:
-    """Primitive gcd of the polynomial parts (low-order q-powers removed)."""
-
-    def shift_out(h):
-        k = 0
-        while k < len(h) and h[k] == 0:
-            k += 1
-        return h[k:]
-
-    f = _dprimitive(shift_out(list(f)))
-    g = _dprimitive(shift_out(list(g)))
+    """Primitive gcd of two lists, each empty (zero) or with nonzero ends."""
+    f = _dprimitive(f)
+    g = _dprimitive(g)
     if not f:
         return g
     if not g:
@@ -243,52 +238,48 @@ def _dgcd(f: list, g: list) -> list:
 
 
 def _strip_row_dense(row: dict) -> dict:
-    """A nonzero dense row divided by its full content, signed so that the
-    top coefficient of its lead entry is positive."""
-    shift = 0  # each entry is trimmed, so its top coefficient stops the loop
-    while not any(e[shift] for e in row.values()):
-        shift += 1
-    if shift:
-        row = {w: e[shift:] for w, e in row.items()}
+    """A nonzero row divided by its full content, with lowest q-power 0 and
+    signed so that the top coefficient of its lead entry is positive."""
+    low = min(k for k, _ in row.values())
     g_int = 0
-    for e in row.values():
+    for _, e in row.values():
         g_int = gcd(g_int, _dcontent(e))
         if g_int == 1:
             break
-    if g_int > 1:
-        row = {w: [c // g_int for c in e] for w, e in row.items()}
-    g = None
-    for e in sorted(row.values(), key=len):
-        g = e if g is None else _dgcd(g, e)
+    g = []
+    for e in sorted((e for _, e in row.values()), key=len):
+        g = _dgcd(g, e)
         if len(g) == 1:
-            g = None
             break
-    if g is not None and len(g) > 1:
-        row = {w: _dquo_exact(e, g) for w, e in row.items()}
-    if row[min(row)][-1] < 0:
-        row = {w: [-c for c in e] for w, e in row.items()}
+    content = [g_int * c for c in g]
+    if row[min(row)][1][-1] < 0:
+        content = [-c for c in content]
+    if content != [1]:
+        row = {w: (k - low, _dquo_exact(e, content)) for w, (k, e) in row.items()}
+    elif low:
+        row = {w: (k - low, e) for w, (k, e) in row.items()}
     return row
 
 
 def _rank_dense(rows: list) -> int:
     pivots: dict = {}
     for row in sorted(rows, key=min, reverse=True):
-        f = {w: _split_q(e) for w, e in row.items()}
+        f = dict(row)
         while f:
             lead = min(f)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = _strip_row_dense(_dense_row(f))
+                pivots[lead] = _strip_row_dense(f)
                 break
             f = _rewrite(f, lead, 0, lead, pivot, "rank_over_fraction_field")
     return len(pivots)
 
 
 def _dense_rows(rows: Sequence[FreeElem], n: int) -> list:
-    """Each nonzero row as word -> dense coefficient list in q, shifted by
-    the row's lowest q exponent.  Raises ValueError on a word whose length
-    is not n, and on a row whose entries carry more than one a/b exponent
-    vector: that row is not a unit multiple of a row over Z[q]."""
+    """Each nonzero row as word -> Laurent entry, shifted by the row's
+    lowest q exponent.  Raises ValueError on a word whose length is not n,
+    and on a row whose entries carry more than one a/b exponent vector:
+    that row is not a unit multiple of a row over Z[q]."""
     dense = []
     for row in rows:
         entries = {}
@@ -305,10 +296,11 @@ def _dense_rows(rows: Sequence[FreeElem], n: int) -> list:
         low = min(min(e) for e in entries.values())
         drow = {}
         for w, e in entries.items():
-            lst = [0] * (max(e) - low + 1)
-            for k, c in e.items():
-                lst[k - low] = c
-            drow[w] = lst
+            k = min(e)
+            lst = [0] * (max(e) - k + 1)
+            for j, c in e.items():
+                lst[j - k] = c
+            drow[w] = (k - low, lst)
         dense.append(drow)
     return dense
 
@@ -321,17 +313,8 @@ def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
     return _rank_dense(_dense_rows(rows, n))
 
 
-def _split_q(e: list) -> tuple:
-    """A nonzero dense list as (k, the list divided by q^k), k maximal."""
-    k = 0
-    while e[k] == 0:
-        k += 1
-    return k, e[k:]
-
-
 def _laurent_sub(f: Optional[tuple], g: tuple) -> Optional[tuple]:
-    """f - g on Laurent entries (k, list) standing for q^k * list, each list
-    with nonzero ends; None stands for 0."""
+    """f - g on Laurent entries; None stands for 0."""
     if f is None:
         return g[0], [-c for c in g[1]]
     (kf, ef), (kg, eg) = f, g
@@ -344,45 +327,39 @@ def _laurent_sub(f: Optional[tuple], g: tuple) -> Optional[tuple]:
         out[off + i] -= c
     if not _dtrim(out):
         return None
-    k, out = _split_q(out)
-    return low + k, out
+    k = 0
+    while out[k] == 0:
+        k += 1
+    return low + k, out[k:]
 
 
 def _rewrite(f: dict, w: Word, i: int, lead: Word, rule: dict, op: str) -> dict:
-    """One reduction step on Laurent entries: the word w, with `lead` at
-    offset i, rewritten by the dense row `rule`.  The term budget applies
-    to the result under the name `op`."""
+    """One reduction step: the word w of the row f, with `lead` at offset
+    i, rewritten by `rule`.  Takes f over, and applies the term budget to
+    the result under the name `op`."""
     u, v = w[:i], w[i + len(lead):]
     ka, a = f.pop(w)
-    kc, c = _split_q(rule[lead])
+    kc, c = rule[lead]
     if c != [1]:
         f = {x: (k, _dmul(c, e)) for x, (k, e) in f.items()}
-    for x, e in rule.items():
+    for x, (k, e) in rule.items():
         if x != lead:
             x = u + x + v
-            k, e = _split_q(e)
             acc = _laurent_sub(f.get(x), (ka - kc + k, _dmul(a, e)))
             if acc is None:
                 del f[x]
             else:
                 f[x] = acc
     if c != [1] and f:
-        f = {x: _split_q(e) for x, e in _strip_row_dense(_dense_row(f)).items()}
+        f = _strip_row_dense(f)
     _check_term_budget(op, len(f))
     return f
 
 
-def _dense_row(f: dict) -> dict:
-    """Laurent entries back to a dense row, shifted by the lowest q-power."""
-    if not f:
-        return {}
-    low = min(k for k, _ in f.values())
-    return {w: [0] * (k - low) + e for w, (k, e) in f.items()}
-
-
 def _reduce(f: dict, rules: list) -> dict:
-    """The Laurent entries f as a dense row with every word that has a lead
-    as a factor rewritten, up to a nonzero factor in Z[q]."""
+    """The row f with every word that has a lead as a factor rewritten, up
+    to a nonzero factor in Z[q]; f itself is left as it is."""
+    f = dict(f)
     heap = sorted(f)  # words only grow, so each is settled once popped
     last = None
     while heap:
@@ -397,12 +374,13 @@ def _reduce(f: dict, rules: list) -> dict:
                 for x in rule:
                     heappush(heap, w[:i] + x + w[i + len(lead):])
                 break
-    return _dense_row(f)
+    return f
 
 
 def add_serre_rules(rules: list, d: int) -> list:
     """Appends to `rules`, which holds the rules of degrees below d, those
-    of degree d, and returns the new ones; a rule is (lead, dense row).
+    of degree d, and returns the new ones; a rule is (lead, row of Laurent
+    entries).
 
     This is Bergman's diamond lemma truncated by degree.  On words of one
     length the lead order is compatible with concatenation, so rewriting
@@ -442,7 +420,7 @@ def add_serre_rules(rules: list, d: int) -> list:
     ]
     for l1, r1, l2, r2, k in overlaps:
         if l1[-k:] == l2[:k]:
-            f = {w + l2[k:]: _split_q(e) for w, e in r1.items()}
+            f = {w + l2[k:]: e for w, e in r1.items()}
             f = _rewrite(f, l1 + l2[k:], len(l1) - k, l2, r2, "serre_rules")
             f = _reduce(f, rules + new)
             if f:
@@ -451,7 +429,7 @@ def add_serre_rules(rules: list, d: int) -> list:
     # the rules of degree d reduced by each other, last first
     for i in range(len(new) - 2, -1, -1):
         lead, row = new[i]
-        row = _reduce({w: _split_q(e) for w, e in row.items()}, new[i + 1:])
+        row = _reduce(row, new[i + 1:])
         new[i] = (lead, _strip_row_dense(row))
     new.sort()
     rules.extend(new)
@@ -552,9 +530,10 @@ def _pivot_leads_mod_p(rows: list) -> set:
     return set(pivots)
 
 
-def _leads_at_points(rows: Sequence[FreeElem], n: int, rng: random.Random):
+def _leads_at_points(rows: Sequence[FreeElem], n: int, rng: Optional[random.Random] = None):
     """The pivot leads of the rows at each of _POINTS random points, drawn
-    from rng one point at a time."""
+    from rng (by default a fixed seed) one point at a time."""
+    rng = rng or random.Random(0x51DE)
     for _ in range(_POINTS):
         yield _pivot_leads_mod_p(_residue_rows(rows, n, random_residue_point(rng)))
 
@@ -574,7 +553,7 @@ def rank_by_specialization(
     """
     if not rows:
         return 0
-    return max(map(len, _leads_at_points(rows, n, rng or random.Random(0x51DE))))
+    return max(map(len, _leads_at_points(rows, n, rng)))
 
 
 def specialization_agrees(
@@ -591,7 +570,7 @@ def specialization_agrees(
     random point the pivot leads are those of the span over Q(q): for the
     q-Serre span, the words reducible by a complete rewriting system.
     """
-    return any(leads == reducible for leads in _leads_at_points(rows, n, rng or random.Random(0x51DE)))
+    return any(leads == reducible for leads in _leads_at_points(rows, n, rng))
 
 
 def dim_uplus(n: int) -> int:

@@ -3,6 +3,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qdg import boxtilde as bt
 from qdg import freealg
@@ -151,6 +153,27 @@ def test_nf_qint_counts_against_the_term_budget(capsys, monkeypatch):
     assert "qint reached 1000000000 terms (limit 10)" in err
 
 
+# Tokens of the surface syntax, joined by spaces so that no two digits merge
+# into a larger exponent: the time of a power of a many-term coefficient is
+# not bounded by any budget, so this test checks exit codes, not time.
+_NF_TOKENS = (
+    "0", "1", "2", "3", "9" * 5000, "q", "a", "b", "x0", "x1", "x2", "x3", "c0", "c1", "c3",
+    "qint", "x", "-", "+", "*", "^", "(", ")", "[", "]", "|", ".",
+)
+
+
+@given(st.lists(st.sampled_from(_NF_TOKENS), max_size=20).map(" ".join))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_nf_exits_0_2_or_3_on_any_token_string(capsys, monkeypatch, text):
+    monkeypatch.delenv("QDG_TERM_BUDGET", raising=False)
+    monkeypatch.delenv("QDG_WORD_CAP", raising=False)
+    monkeypatch.setattr(bt.LIMITS, "word_cap", 4)
+    monkeypatch.setattr(bt.LIMITS, "term_budget", 12)
+    code, out, err = run(capsys, ["nf", "--", text])
+    assert code in (0, 2, 3), text
+    assert (out != "") == (code == 0) and (err != "") == (code != 0), text
+
+
 def test_verify_filter_and_exit_codes(capsys):
     code, out, _ = run(capsys, ["verify", "--check", "s_commutation.*"])
     assert code == 0
@@ -260,6 +283,19 @@ def test_dims_rule_budget_exits_3(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("budget exceeded: term budget: serre_rules reached ")
     assert err.endswith(" terms (limit 10)\n")
+
+
+@pytest.mark.parametrize(
+    "budget, reached",
+    [(4, 6), (5, 6), (6, 8), (8, 10), (10, 13), (13, 15), (16, 18), (20, 30), (30, 35)],
+)
+def test_dims_term_budget_messages_are_pinned(capsys, monkeypatch, budget, reached):
+    # the size of the first remainder past each budget: it depends on the
+    # order of the reduction steps, not on how a row is stored
+    monkeypatch.setenv("QDG_TERM_BUDGET", str(budget))
+    code, out, err = run(capsys, ["dims", "--max", "10"])
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: term budget: serre_rules reached %d terms (limit %d)\n" % (reached, budget)
 
 
 def test_dims_mismatch_fails(capsys, monkeypatch):

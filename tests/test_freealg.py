@@ -1,5 +1,6 @@
 import json
 import random
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -147,9 +148,10 @@ def test_relation_span_checks_the_budgets_once(monkeypatch):
 def test_dense_rows_shift_q_and_refuse_what_is_not_over_z_q():
     a, b, q = R.gen("a"), R.gen("b"), R.gen("q")
     s_x, _ = serre_elements()
-    # [3] = q^-2 + 1 + q^2, so the row shifts by q^2
+    # [3] = q^-2 + 1 + q^2, so the row shifts by q^2; each entry is
+    # (k, list) for q^k times the list, with nonzero ends
     assert freealg._dense_rows([s_x], 4) == [
-        {"xxxy": [0, 0, 1], "xxyx": [-1, 0, -1, 0, -1], "xyxx": [1, 0, 1, 0, 1], "yxxx": [0, 0, -1]}
+        {"xxxy": (2, [1]), "xxyx": (0, [-1, 0, -1, 0, -1]), "xyxx": (0, [1, 0, 1, 0, 1]), "yxxx": (2, [-1])}
     ]
     unit = a ** -1 * b ** 2 * q ** 3
     assert freealg._dense_rows([s_x * unit, FreeElem({})], 4) == freealg._dense_rows([s_x], 4)
@@ -256,7 +258,7 @@ def test_a_unit_pivot_lead_neither_cross_multiplies_nor_strips(monkeypatch):
 
     def rewrite(f, w, i, lead, rule, op):
         assert op == "rank_over_fraction_field"
-        unit = rule[lead][-1] == 1 and not any(rule[lead][:-1])
+        unit = rule[lead][1] == [1]
         step[0] = "unit" if unit else "cross"
         log.append(step[0])
         out = real_rewrite(f, w, i, lead, rule, op)
@@ -289,8 +291,8 @@ def test_a_unit_pivot_lead_neither_cross_multiplies_nor_strips(monkeypatch):
     assert log.count("store") == sum(ranks)
     assert log.count("strip") == nonzero_after_cross[0]
     # stored pivots stay fully stripped: as small as with a strip after every step
-    assert max(abs(c).bit_length() for p in stored for e in p.values() for c in e) <= 4
-    assert max(len(e) for p in stored for e in p.values()) <= 17
+    assert max(abs(c).bit_length() for p in stored for _, e in p.values() for c in e) <= 4
+    assert max(k + len(e) for p in stored for k, e in p.values()) <= 17
 
 
 def _random_zq(rng, terms):
@@ -299,6 +301,30 @@ def _random_zq(rng, terms):
     for k in rng.sample(range(-3, 5), terms):
         out = out + R.qpow(k) * rng.choice((-3, -2, -1, 1, 2, 3))
     return out
+
+
+def test_strip_is_canonical():
+    # a row strips to the same row as its multiples by a unit +-q^j, by an
+    # integer and by 1 + q^2, and the stripped row is in normal form
+    rng = random.Random(18)
+    words = words_of_length(3)
+    for trial in range(200):
+        terms = {w: _random_zq(rng, rng.randint(1, 4)) for w in rng.sample(words, rng.randint(1, 5))}
+        (row,) = freealg._dense_rows([FreeElem(terms)], 3)
+        stripped = freealg._strip_row_dense(row)
+        j, sign, m = rng.randint(-3, 3), rng.choice((1, -1)), rng.choice((-6, -2, 3, 10))
+        for multiple in (
+            {w: (k + j, [sign * c for c in e]) for w, (k, e) in row.items()},
+            {w: (k, [m * c for c in e]) for w, (k, e) in row.items()},
+            {w: (k, _dmul([1, 0, 1], e)) for w, (k, e) in row.items()},
+        ):
+            assert freealg._strip_row_dense(multiple) == stripped, trial
+        entries = [e for _, e in stripped.values()]
+        assert min(k for k, _ in stripped.values()) == 0
+        assert all(e[0] and e[-1] for e in entries)
+        assert freealg._dcontent([c for e in entries for c in e]) == 1
+        assert reduce(_dgcd, entries) == [1]
+        assert stripped[min(stripped)][1][-1] > 0
 
 
 def test_exact_rank_over_mixed_pivot_leads():
@@ -337,8 +363,10 @@ def _reducible(rules, n):
 
 
 def _rule_elem(row):
-    """A dense rule row as a FreeElem, entry i of a list standing for q^i."""
-    return FreeElem({w: LaurentPoly(R, {(i, 0, 0): c for i, c in enumerate(e)}) for w, e in row.items()})
+    """A rule row as a FreeElem, entry (k, list) standing for q^k * list."""
+    return FreeElem(
+        {w: LaurentPoly(R, {(k + i, 0, 0): c for i, c in enumerate(e)}) for w, (k, e) in row.items()}
+    )
 
 
 GOLDEN_LEADS = [
@@ -348,11 +376,13 @@ GOLDEN_LEADS = [
 
 
 def test_rules_through_degree_10_match_the_golden_file():
-    # recorded from serre_rules(10): each rule's lead and dense q-lists
+    # recorded from serre_rules(10): each rule's lead and dense q-lists, the
+    # entry (k, list) written as [0] * k + list
     golden = json.loads((Path(__file__).parent / "golden_rules.json").read_text())
     rules = serre_rules(10)
     assert [lead for lead, _ in rules] == GOLDEN_LEADS
-    assert [{"lead": lead, "row": row} for lead, row in rules] == golden
+    dense = lambda row: {w: [0] * k + e for w, (k, e) in row.items()}
+    assert [{"lead": lead, "row": dense(row)} for lead, row in rules] == golden
     # the degree-4 rules are S_x and -S_y, whose lead xyyy has entry -1
     s_x, s_y = serre_elements()
     assert [row for _, row in rules[:2]] == freealg._dense_rows([s_x, -s_y], 4)
@@ -363,13 +393,14 @@ def test_rules_are_reduced_primitive_and_lie_in_the_ideal():
     for lead, row in rules:
         # the lead is the smallest word and its entry is q^k
         assert lead == min(row)
-        assert row[lead][-1] == 1 and not any(row[lead][:-1])
+        assert row[lead][1] == [1]
         # no word but the lead has a lead of degree <= its own as a factor
         leads = [l for l, _ in rules if len(l) <= len(lead)]
         assert all(not any(l in w for l in leads) for w in row if w != lead)
-        # no common q-power or integer content
-        assert any(e[0] for e in row.values())
-        assert freealg._dcontent([c for e in row.values() for c in e]) == 1
+        # every list has nonzero ends; no common q-power or integer content
+        assert all(e[0] and e[-1] for _, e in row.values())
+        assert min(k for k, _ in row.values()) == 0
+        assert freealg._dcontent([c for _, e in row.values() for c in e]) == 1
     # each rule of degree <= 9 is in the span of the q-Serre relations
     for n in range(4, 10):
         span = relation_span(n)
