@@ -19,14 +19,7 @@ from .boxtilde import (
     scale_auto,
     specialize_central,
 )
-from .freealg import (
-    FreeElem,
-    dim_uplus,
-    rank_over_fraction_field,
-    relation_span,
-    serre_elements,
-    word_elem,
-)
+from .freealg import dim_uplus, rank_over_fraction_field, relation_span, serre_elements
 from .gradings import bidegree_components, phi_n, pi, sharp_lift
 from .identities import CheckResult
 from .expr import ParseError, eval_text, evaluate, parse, render

@@ -3,13 +3,15 @@
 Provides the degree-4 q-Serre combinations, the spanning sets of the
 relation ideal in each degree, a rewriting system for that ideal built one
 degree at a time, an exact rank over Q(q) for rows with coefficients in q
-alone, and a rank at random points mod a prime.  Coefficients lie in the
-package's one ring Z[q^+-1, a^+-1, b^+-1]; the rules and the exact rank
-hold them as Laurent entries over Z[q], and the mod-p rank reads the
-`LaurentPoly` coefficients, a and b included.  The graded dimensions of the
-quotient by the q-Serre ideal are the numbers of words that no rule
-rewrites; the lead words of the span at a random point mod p cross-check
-them and share no code with the rules.
+alone, and a rank at random points mod a prime.  A q-Serre combination and
+a row of a span are plain dicts word -> `LaurentPoly` over the package's
+one ring Z[q^+-1, a^+-1, b^+-1], and a zero coefficient counts as an
+absent word.  The rules and the exact rank hold the coefficients as
+Laurent entries over Z[q], and the mod-p rank reads the `LaurentPoly`s,
+a and b included.  The graded dimensions of the quotient by the q-Serre
+ideal are the numbers of words that no rule rewrites; the lead words of
+the span at a random point mod p cross-check them and share no code with
+the rules.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .boxtilde import _check_term_budget, _check_word_cap
-from .qcoeff import DEFAULT_RING, LaurentPoly, put, render_sum
+from .qcoeff import DEFAULT_RING
 
 DEGREE_CAP = 13  # `dims --max 13` takes a few seconds
 
@@ -33,64 +35,11 @@ def words_of_length(n: int) -> list:
     return ["".join(w) for w in product("xy", repeat=n)]
 
 
-class FreeElem:
-    """A finite sum of words with LaurentPoly coefficients: a row of
-    `relation_span` or a formal relation.  A word is a string over "xy",
-    or a tuple of letters where other alphabets are needed.  Elements add,
-    subtract and scale by ints and LaurentPolys; words never multiply."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {w: c for w, c in terms.items() if c}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeElem) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "FreeElem") -> "FreeElem":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            put(terms, w, c)
-        return FreeElem(terms)
-
-    def __neg__(self) -> "FreeElem":
-        return FreeElem({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FreeElem") -> "FreeElem":
-        return self + (-other)
-
-    def __mul__(self, other) -> "FreeElem":
-        if not isinstance(other, (int, LaurentPoly)):
-            return NotImplemented
-        c0 = DEFAULT_RING.coerce(other)
-        return FreeElem({w: c * c0 for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        keys = sorted(self.terms, key=lambda w: (-len(w), w))
-        return render_sum(((self.terms[w].terms, "*".join(map(str, w))) for w in keys), "*")
-
-    def __repr__(self) -> str:
-        return "<FreeElem %s>" % self
-
-
-def word_elem(word: Word) -> FreeElem:
-    if any(ch not in "xy" for ch in word):
-        raise ValueError("free words use the alphabet {x, y}")
-    return FreeElem({word: DEFAULT_RING.one()})
-
-
 def serre_elements() -> tuple:
     """The two degree-4 q-Serre combinations, one per generator."""
     one, three = DEFAULT_RING.one(), DEFAULT_RING.qint(3)
-    s_x = FreeElem({"xxxy": one, "xxyx": -three, "xyxx": three, "yxxx": -one})
-    s_y = FreeElem({"yyyx": one, "yyxy": -three, "yxyy": three, "xyyy": -one})
+    s_x = {"xxxy": one, "xxyx": -three, "xyxx": three, "yxxx": -one}
+    s_y = {"yyyx": one, "yyxy": -three, "yxyy": three, "xyyy": -one}
     return s_x, s_y
 
 
@@ -105,13 +54,13 @@ def relation_span(n: int) -> list:
         return []
     gens = serre_elements()
     _check_word_cap("relation_span", n)
-    _check_term_budget("relation_span", max(len(g.terms) for g in gens))
+    _check_term_budget("relation_span", max(map(len, gens)))
     out = []
     for r in range(n - 3):
         for w1 in words_of_length(r):
             for g in gens:
                 for w2 in words_of_length(n - 4 - r):
-                    out.append(FreeElem({w1 + w + w2: c for w, c in g.terms.items()}))
+                    out.append({w1 + w + w2: c for w, c in g.items()})
     return out
 
 
@@ -275,18 +224,21 @@ def _rank_dense(rows: list) -> int:
     return len(pivots)
 
 
-def _dense_rows(rows: Sequence[FreeElem], n: int) -> list:
+def _dense_rows(rows: Sequence[dict], n: int) -> list:
     """Each nonzero row as word -> Laurent entry, shifted by the row's
-    lowest q exponent.  Raises ValueError on a word whose length is not n,
-    and on a row whose entries carry more than one a/b exponent vector:
-    that row is not a unit multiple of a row over Z[q]."""
+    lowest q exponent, with zero coefficients left out.  Raises ValueError
+    on a word whose length is not n, and on a row whose entries carry more
+    than one a/b exponent vector: that row is not a unit multiple of a row
+    over Z[q]."""
     dense = []
     for row in rows:
         entries = {}
         ab = set()
-        for w, poly in row.terms.items():
+        for w, poly in row.items():
             if len(w) != n:
                 raise ValueError("row is not homogeneous of degree %d" % n)
+            if not poly:
+                continue
             entries[w] = {exps[0]: c for exps, c in poly.terms.items()}
             ab.update(exps[1:] for exps in poly.terms)
         if len(ab) > 1:
@@ -305,7 +257,7 @@ def _dense_rows(rows: Sequence[FreeElem], n: int) -> list:
     return dense
 
 
-def rank_over_fraction_field(rows: Sequence[FreeElem], n: int) -> int:
+def rank_over_fraction_field(rows: Sequence[dict], n: int) -> int:
     """Rank of the degree-n coefficient matrix over Q(q); raises ValueError
     on a row that is not a unit multiple of a row over Z[q].  The exact
     reference for arbitrary row sets; `dims` counts words of the rewriting
@@ -481,15 +433,15 @@ def random_residue_point(rng: random.Random) -> tuple:
     return tuple(values)
 
 
-def _residue_rows(rows: Sequence[FreeElem], n: int, point: tuple) -> list:
+def _residue_rows(rows: Sequence[dict], n: int, point: tuple) -> list:
     """Each row as word -> nonzero residue at the point."""
     monomials: dict = {}
     out = []
     for row in rows:
-        if any(len(w) != n for w in row.terms):
+        if any(len(w) != n for w in row):
             raise ValueError("row is not homogeneous of degree %d" % n)
         residues = {}
-        for w, poly in row.terms.items():
+        for w, poly in row.items():
             total = 0
             for exps, coeff in poly.terms.items():
                 m = monomials.get(exps)
@@ -530,7 +482,7 @@ def _pivot_leads_mod_p(rows: list) -> set:
     return set(pivots)
 
 
-def _leads_at_points(rows: Sequence[FreeElem], n: int, rng: Optional[random.Random] = None):
+def _leads_at_points(rows: Sequence[dict], n: int, rng: Optional[random.Random] = None):
     """The pivot leads of the rows at each of _POINTS random points, drawn
     from rng (by default a fixed seed) one point at a time."""
     rng = rng or random.Random(0x51DE)
@@ -539,7 +491,7 @@ def _leads_at_points(rows: Sequence[FreeElem], n: int, rng: Optional[random.Rand
 
 
 def rank_by_specialization(
-    rows: Sequence[FreeElem], n: int, rng: Optional[random.Random] = None
+    rows: Sequence[dict], n: int, rng: Optional[random.Random] = None
 ) -> int:
     """Max rank over _POINTS random points mod 2^61 - 1.  It shares no code
     with `_rewrite`, so it checks the exact rank and the rules, which both
@@ -557,7 +509,7 @@ def rank_by_specialization(
 
 
 def specialization_agrees(
-    rows: Sequence[FreeElem], n: int, reducible: set, rng: Optional[random.Random] = None
+    rows: Sequence[dict], n: int, reducible: set, rng: Optional[random.Random] = None
 ) -> bool:
     """Whether the pivot leads of the rows at a random point mod 2^61 - 1
     are exactly the words in `reducible`; tries up to _POINTS points and

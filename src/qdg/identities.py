@@ -3,7 +3,7 @@
 Every coefficient table is stored as data, with a one-line provenance note
 per table, and compared against the rewriting engine; a transcription error
 in a fixture therefore shows up as a disagreement instead of being silently
-shared with the engine.  Each positive check has a registered negative
+shared with the engine.  Every check group has a registered negative
 control: a deliberately perturbed twin that must fail.
 """
 
@@ -28,7 +28,6 @@ from .boxtilde import (
     scale_auto,
 )
 from .expr import Mono, parse
-from .freealg import FreeElem
 from .qcoeff import DEFAULT_RING, LaurentPoly, put
 
 RING = DEFAULT_RING
@@ -602,36 +601,37 @@ def _relation_diff(i: int, central: int = 0, sign: int = -1) -> BoxElem:
     )
 
 
-def _formal_weyl(a, b) -> FreeElem:
-    """q ab - q^-1 ba - (q - q^-1) in the distinct letters a, b."""
-    return FreeElem({(a, b): _qp(1), (b, a): -_qp(-1), (): _qp(-1) - _qp(1)})
+def _formal_weyl(a, b) -> dict:
+    """q ab - q^-1 ba - (q - q^-1) in the distinct letters a, b, as a dict
+    from tuple words to coefficients."""
+    return {(a, b): _qp(1), (b, a): -_qp(-1), (): _qp(-1) - _qp(1)}
 
 
-def _formal_serre(a, b) -> FreeElem:
+def _formal_serre(a, b) -> dict:
     """aaab - [3] aaba + [3] abaa - baaa in the distinct letters a, b."""
-    return FreeElem({(a, a, a, b): _ONE, (a, a, b, a): -_THREE, (a, b, a, a): _THREE, (b, a, a, a): -_ONE})
+    return {(a, a, a, b): _ONE, (a, a, b, a): -_THREE, (a, b, a, a): _THREE, (b, a, a, a): -_ONE}
 
 
 # kind -> (builder, index step from the first letter to the second)
 _RELATIONS = {"weyl": (_formal_weyl, 1), "serre": (_formal_serre, 2)}
 
 
-def _relation(kind: str, i: int, letter=lambda l: l % 4) -> FreeElem:
+def _relation(kind: str, i: int, letter=lambda l: l % 4) -> dict:
     build, step = _RELATIONS[kind]
     return build(letter(i), letter(i + step))
 
 
-def _formal_substitute(poly: FreeElem, image) -> FreeElem:
+def _formal_substitute(relation: dict, image) -> dict:
     """image: letter -> (new letter, scalar factor)."""
     terms: dict = {}
-    for word, coeff in poly.terms.items():
+    for word, coeff in relation.items():
         new_word = []
         for l in word:
             nl, factor = image(l)
             new_word.append(nl)
             coeff = coeff * factor
         put(terms, tuple(new_word), coeff)
-    return FreeElem(terms)
+    return terms
 
 
 def _pair(l: int) -> tuple:
@@ -649,8 +649,8 @@ def _scales_as_stated(kind: str, i: int) -> bool:
     a = RING.gen("a")
     relation = _relation(kind, i)
     image = _formal_substitute(relation, lambda l: (l, a if l % 2 == 0 else a ** -1))
-    power = 0 if kind == "weyl" else (4 if i % 2 == 0 else -4)
-    return image == relation * RING.gen("a", power)
+    scale = RING.gen("a", 0 if kind == "weyl" else (4 if i % 2 == 0 else -4))
+    return image == {w: c * scale for w, c in relation.items()}
 
 
 def _relabels_to_schema(kind: str, i: int) -> bool:

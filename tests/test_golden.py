@@ -1,8 +1,9 @@
 """Renderings recorded from the earlier rewriting kernel, which found and
 rewrote one redex at a time: every normal form computed now must print
 byte for byte the same.  The relation-span section was recorded from the
-printer that `FreeElem` had before it shared `render_sum` with `BoxElem`,
-and `str` of a row must still print it."""
+printer of the free algebra's former element class; a span row, now a
+plain dict, printed through `render_sum` with its words longest first and
+then in lexicographic order, letters joined by "*", must still print it."""
 
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from qdg.expr import eval_text, render
 from qdg.freealg import relation_span
 from qdg.gradings import all_ab_words, sharp_lift
-from qdg.qcoeff import DEFAULT_RING
+from qdg.qcoeff import DEFAULT_RING, render_sum
 
 from corpus import CORPUS
 
@@ -35,11 +36,16 @@ def test_sharp_lift_renderings_are_unchanged(word):
     assert render(sharp_lift(word)) == GOLDEN["lifts"][word]
 
 
+def _row_text(row: dict) -> str:
+    words = sorted(row, key=lambda w: (-len(w), w))
+    return render_sum(((row[w].terms, "*".join(w)) for w in words), "*")
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_free_relation_span_renderings_are_unchanged(n):
     # each row, and the row times a^-1 minus the row: multi-term
     # coefficients of both signs, in q and a together
     rows = relation_span(n)
     a_inv = DEFAULT_RING.gen("a", -1)
-    assert [str(row) for row in rows] == FREE["span"][str(n)]
-    assert [str(row * a_inv - row) for row in rows] == FREE["scaled"][str(n)]
+    assert [_row_text(row) for row in rows] == FREE["span"][str(n)]
+    assert [_row_text({w: c * a_inv - c for w, c in row.items()}) for row in rows] == FREE["scaled"][str(n)]

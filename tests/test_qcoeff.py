@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ast
 import importlib
 import inspect
 import pkgutil
 
 import qdg
+from qdg import freealg, identities
 from qdg.expr import ParseError, eval_text, parse
-from qdg.freealg import FreeElem, word_elem
 from qdg.qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, qint
 
 R = DEFAULT_RING
@@ -77,8 +78,8 @@ def test_the_coefficient_ring_is_fixed():
 
 def test_the_expression_language_is_fixed():
     """Only `parse` and `eval_text` take a mode, which must be "box"; the
-    free algebra's letters are unknown names, and its words do not
-    multiply."""
+    free algebra's letters are unknown names, and it has no element class
+    whose words could multiply."""
     assert _functions_taking("mode") == {"parse", "eval_text"}
     for read in (parse, eval_text):
         with pytest.raises(ValueError, match="mode must be 'box'"):
@@ -86,9 +87,14 @@ def test_the_expression_language_is_fixed():
     with pytest.raises(ParseError, match="unknown name 'x'") as err:
         parse("x*y")
     assert err.value.position == 0
-    assert not hasattr(FreeElem, "__pow__")
-    with pytest.raises(TypeError):
-        word_elem("x") * word_elem("y")
+    assert not hasattr(freealg, "FreeElem") and not hasattr(freealg, "word_elem")
+    # formal relations are plain dicts too, built without the free algebra
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(identities))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+            imported.add(getattr(node, "module", None) or "")
+    assert not any(name.rsplit(".", 1)[-1] == "freealg" for name in imported)
 
 
 def test_rendering():
