@@ -115,13 +115,15 @@ def _checked_central(central) -> tuple:
 
 def _mono_text(even: bytes, odd: bytes, central: tuple) -> str:
     """The bracket text of the normal monomial (even | odd | central)."""
-    central_text = ".".join(
-        "c%d" % i if e == 1 else "c%d^%d" % (i, e) for i, e in enumerate(central) if e
-    )
+    central_text = "-"
+    if any(central):
+        central_text = ".".join(
+            "c%d" % i if e == 1 else "c%d^%d" % (i, e) for i, e in enumerate(central) if e
+        )
     return "[%s | %s | %s]" % (
-        ".".join("x%d" % i for i in even) or "-",
-        ".".join("x%d" % i for i in odd) or "-",
-        central_text or "-",
+        "x" + ".x".join(map(str, even)) if even else "-",
+        "x" + ".x".join(map(str, odd)) if odd else "-",
+        central_text,
     )
 
 
@@ -459,17 +461,17 @@ def reduce_word(
     return BoxElem._of(_fold(start, bytes(word), append, "reduce_word"))
 
 
+def _longest(state: dict) -> int:
+    return max(len(even) + len(odd) for even, odd, _, _ in state)
+
+
 def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     """Bilinear extension of concatenate-then-reduce: the even word of each
     right-hand monomial is folded into the state map of `lhs`, and its odd
     word is appended.  Monomials sharing an even word share the fold."""
     if not lhs.state or not rhs.state:
         return zero()
-    _check_word_cap(
-        "multiply",
-        max(len(even) + len(odd) for even, odd, _, _ in lhs.state)
-        + max(len(even) + len(odd) for even, odd, _, _ in rhs.state),
-    )
+    _check_word_cap("multiply", _longest(lhs.state) + _longest(rhs.state))
     # a scalar factor only scales the coefficients of the other
     if _is_scalar(rhs.state):
         return BoxElem._of(_scaled(lhs.state, rhs.state))
@@ -497,6 +499,51 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
                     _add_into(out, key, qd, k, v)
             _check_term_budget("multiply", len(out))
     return BoxElem._of(out)
+
+
+# `multiply` with a one-atom right factor, on state maps: the same checks
+# in the same order, under the same name, and the same state map in the
+# same order, without building the right factor
+
+
+def _times_letter(state: dict, letter: int) -> dict:
+    """The state map times x_letter."""
+    if not state:
+        return {}
+    _check_word_cap("multiply", _longest(state) + 1)
+    unit = bytes((letter,))
+    if _is_scalar(state):
+        # a scalar left factor only scales the letter, unchecked
+        words = (unit, b"") if letter & 1 == 0 else (b"", unit)
+        return {words + key[2:]: qd for key, qd in state.items()}
+    state = _fold(state, unit, True, "multiply")
+    _check_term_budget("multiply", len(state))
+    return state
+
+
+def _times_unit(state: dict, coeff: int, k: int, ab: tuple, central: tuple) -> dict:
+    """The state map times coeff q^k a^i b^j c^central, with (i, j) = ab:
+    the q exponents shift, the a/b and central exponents add, and the
+    integers multiply, in one pass."""
+    if not state or not coeff:
+        return {}
+    _check_word_cap("multiply", _longest(state))
+    shift_ab = any(ab)
+    shift_central = central != ZERO_CENTRAL
+    # a central factor is added in per entry and then budget-checked, unless
+    # the left factor is a scalar, which scales it instead
+    checked = shift_central and not _is_scalar(state)
+    same = k == 0 and coeff == 1
+    out: dict = {}
+    for (even, odd, cent, ab1), qd in state.items():
+        if shift_central:
+            cent = add_central(cent, central)
+        if shift_ab:
+            ab1 = (ab1[0] + ab[0], ab1[1] + ab[1])
+        out[even, odd, cent, ab1] = qd if same else {e + k: v * coeff for e, v in qd.items()}
+    if checked:
+        _check_term_budget("multiply", len(out))
+    return out
 
 
 def s_element(i: int) -> BoxElem:

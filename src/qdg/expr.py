@@ -14,6 +14,13 @@ normal form in the box algebra.  The bracketed monomial atom mirrors the
 canonical normal-form rendering (`x0.x2 | x1 | c0^2`, with '-' for an
 empty slot) so that printed output parses back.  Negative powers are
 allowed only on invertible atoms (q, a, b, the c_i and their monomials).
+
+A product is evaluated left to right into one running state map.  An
+atom (a letter x_i, an int, or a power of q, a, b or c_i) is applied to
+it in one pass, by `boxtilde._times_letter` or `boxtilde._times_unit`,
+with the checks, errors and results of `multiply`; any other factor (a
+parenthesised sum, a bracket monomial, `qint`, a power of a non-unit) is
+evaluated and multiplied in by `multiply`.
 """
 
 from __future__ import annotations
@@ -346,25 +353,46 @@ def _accumulate(acc: dict, e: BoxElem, sign: int) -> None:
         bt._add_into(acc, key, qd, 0, sign)
 
 
+# exponents of q and of (a, b) in each ring symbol
+_SYMBOL_EXPS = {"q": (1, 0, 0), "a": (0, 1, 0), "b": (0, 0, 1)}
+_CENTRAL_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _atom(n: Expr):
+    """A factor that a product applies to its state map directly: a letter
+    x_i as its index i, and an int or a power of q, a, b or c_i as the
+    arguments (coefficient, q exponent, a/b exponents, central exponents)
+    of `boxtilde._times_unit`.  None for any other node.  A central power
+    past the checked 64-bit range raises CentralOverflowError here."""
+    power = 1
+    if isinstance(n, Pow) and isinstance(n.base, (Sym, Gen)) and n.base.name[0] != "x":
+        n, power = n.base, n.exponent
+    if isinstance(n, Lit):
+        return (n.value, 0, (0, 0), bt.ZERO_CENTRAL)
+    if isinstance(n, Sym):
+        k, i, j = _SYMBOL_EXPS[n.name]
+        return (1, k * power, (i * power, j * power), bt.ZERO_CENTRAL)
+    if isinstance(n, Gen):
+        if n.name[0] == "x":
+            return int(n.name[1])
+        return (1, 0, (0, 0), bt.scale_central(_CENTRAL_UNITS[int(n.name[1])], power))
+    return None
+
+
 def evaluate(node: Expr) -> BoxElem:
     """Exact evaluation to a normal form."""
 
-    def scalar(c):
-        return BoxElem._of(bt._scalar_state(c))
-
     def walk(n):
-        if isinstance(n, Lit):
-            return scalar(RING.from_int(n.value))
-        if isinstance(n, Sym):
-            return scalar(RING.gen(n.name))
+        atom = _atom(n)
+        if atom is not None:
+            if isinstance(atom, int):
+                return bt.generator(atom)
+            coeff, k, ab, central = atom
+            return BoxElem._of({(b"", b"", central, ab): {k: coeff}} if coeff else {})
         if isinstance(n, QIntNode):
             # [n]_q has |n| terms, so a huge n is refused before it is built
             bt._check_term_budget("qint", abs(n.n))
-            return scalar(RING.qint(n.n))
-        if isinstance(n, Gen):
-            if n.name[0] == "x":
-                return bt.generator(int(n.name[1]))
-            return bt.central_gen(int(n.name[1]))
+            return BoxElem._of(bt._scalar_state(RING.qint(n.n)))
         if isinstance(n, Mono):
             # the bound a central power is checked against, c0^n alike
             central = bt.scale_central(tuple(n.central), 1)
@@ -385,15 +413,22 @@ def evaluate(node: Expr) -> BoxElem:
             return BoxElem._of(acc)
         if isinstance(n, Mul):
             # a chain a * b * c nests to the left as well; multiply it out
-            # in the same order without recursing down the chain
+            # in the same order, into one running state map: an atom is
+            # applied to it in one pass, any other factor by `multiply`
             rights = []
             while isinstance(n, Mul):
                 rights.append(n.right)
                 n = n.left
-            product = walk(n)
+            state = walk(n).state
             for right in reversed(rights):
-                product = product * walk(right)
-            return product
+                atom = _atom(right)
+                if atom is None:
+                    state = bt.multiply(BoxElem._of(state), walk(right)).state
+                elif isinstance(atom, int):
+                    state = bt._times_letter(state, atom)
+                else:
+                    state = bt._times_unit(state, *atom)
+            return BoxElem._of(state)
         if isinstance(n, Pow):
             base = walk(n.base)
             _refuse_oversized_power(base, n.exponent)

@@ -10,7 +10,7 @@ anywhere in the ring itself.
 The three jobs every sparse sum of the package shares live here, once:
 `put` accumulates into a map and drops what cancels, `power` raises by
 repeated squaring, and `render_sum` prints a sum of coefficient-times-body
-pieces, each coefficient through `poly_text`.
+pieces, each coefficient in the order `poly_text` prints it.
 """
 
 from __future__ import annotations
@@ -227,8 +227,11 @@ class LaurentPoly:
 
 
 def _monomial_text(coeff_abs: int, exps: Exponents) -> str:
+    """coeff_abs q^k a^i b^j, with a coefficient of 1 left out before a
+    symbol."""
+    k, i, j = exps
     factors = []
-    if coeff_abs != 1 or not any(exps):
+    if coeff_abs != 1 or not (k or i or j):
         try:
             factors.append(str(coeff_abs))
         except ValueError:
@@ -237,24 +240,42 @@ def _monomial_text(coeff_abs: int, exps: Exponents) -> str:
                 "a coefficient of %d bits is too large to print in decimal"
                 % coeff_abs.bit_length()
             ) from None
-    factors += [sym if e == 1 else "%s^%d" % (sym, e) for sym, e in zip(_SYMBOLS, exps) if e]
+    if k:
+        factors.append("q" if k == 1 else "q^%d" % k)
+    if i:
+        factors.append("a" if i == 1 else "a^%d" % i)
+    if j:
+        factors.append("b" if j == 1 else "b^%d" % j)
     return "*".join(factors)
 
 
-def _signed_sum(pieces) -> str:
-    """Joins (negative, text) pieces into a sum: the first piece carries
-    only a minus sign, the others " + " or " - "; "0" for no pieces."""
-    text = "".join((" - " if negative else " + ") + piece for negative, piece in pieces)
-    if not text:
-        return "0"
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+def _split_terms(terms: dict) -> tuple:
+    """The texts of the positive terms and of the negated negative terms
+    of the polynomial with map exponents -> coefficient `terms`, each by
+    descending exponents."""
+    positive, negative = [], []
+    # exponent vectors are distinct, so the items sort by them alone
+    for e, c in sorted(terms.items(), reverse=True):
+        if c > 0:
+            positive.append(_monomial_text(c, e))
+        else:
+            negative.append(_monomial_text(-c, e))
+    return positive, negative
+
+
+def _signed_text(positive: list, negative: list) -> str:
+    """The sum of the `positive` terms minus the `negative` ones; "0" for
+    none."""
+    if not positive:
+        return "-" + " - ".join(negative) if negative else "0"
+    text = " + ".join(positive)
+    return text + " - " + " - ".join(negative) if negative else text
 
 
 def poly_text(terms: dict) -> str:
     """The text of the polynomial with map exponents -> coefficient
     `terms`: positive terms first, each sign by descending exponents."""
-    order = sorted(sorted(terms, reverse=True), key=lambda e: terms[e] < 0)
-    return _signed_sum((terms[e] < 0, _monomial_text(abs(terms[e]), e)) for e in order)
+    return _signed_text(*_split_terms(terms))
 
 
 def render_sum(pieces, sep: str) -> str:
@@ -263,19 +284,23 @@ def render_sum(pieces, sep: str) -> str:
     are all negative is negated after a minus sign, and one of several
     terms goes in parentheses; `sep` joins a coefficient to its body, and
     an empty body leaves the coefficient alone."""
-
-    def piece(terms: dict, body: str) -> tuple:
-        negative = all(v < 0 for v in terms.values())
-        if negative:
-            terms = {e: -v for e, v in terms.items()}
-        text = poly_text(terms)
+    out = []
+    for terms, body in pieces:
+        positive, negative = _split_terms(terms)
+        if positive:
+            out.append(" + ")
+            text = _signed_text(positive, negative)
+        else:
+            out.append(" - ")
+            text = " + ".join(negative) or "0"
         if len(terms) > 1:
-            text = "(%s)" % text
+            text = "(" + text + ")"
         if body:
             text = body if text == "1" else text + sep + body
-        return negative, text
-
-    return _signed_sum(piece(terms, body) for terms, body in pieces)
+        out.append(text)
+    if not out:
+        return "0"
+    return "".join(out[1:]) if out[0] == " + " else "-" + "".join(out[1:])
 
 
 def qint(n: int) -> LaurentPoly:

@@ -1,8 +1,12 @@
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdg import boxtilde as bt
+from qdg import cli
 from qdg.boxtilde import BoxElem, NormalMono, central_gen, generator, reduce_word, s_element
 from qdg.expr import ParseError, eval_text, evaluate, parse, render
 from qdg.qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentPoly, NotInvertibleError
@@ -99,6 +103,7 @@ def test_nf_rendering_contract():
     assert render(eval_text("x1*x0")) == "q^2 * [x0 | x1 | -] + (1 - q^2) * [- | - | c0]"
     assert render(eval_text("x0*x1")) == "[x0 | x1 | -]"
     assert render(eval_text("x3*x0")) == "q^-2 * [x0 | x3 | -] + (1 - q^-2) * [- | - | c3]"
+    assert render(eval_text("(-q)^-1")) == "-q^-1 * [- | - | -]"
 
 
 def test_corpus_round_trip():
@@ -169,3 +174,116 @@ monos = st.builds(
 def test_box_render_parses_back(terms):
     e = BoxElem(R, terms)
     assert eval_text(render(e)) == e
+
+
+# -- products of atoms -------------------------------------------------------
+
+
+def _nf(text: str) -> tuple:
+    """Exit code, standard output and standard error of `qdg nf -- text`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["nf", "--", text])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _nf_by_factors(factors: list) -> tuple:
+    """What `qdg nf` prints for the product of `factors`, from each factor
+    evaluated alone and the values multiplied left to right by
+    `BoxElem.__mul__`."""
+    try:
+        product = eval_text(factors[0])
+        for factor in factors[1:]:
+            product = product * eval_text(factor)
+        return 0, render(product) + "\n", ""
+    except NotInvertibleError as exc:
+        return 2, "", "error: %s\n" % exc
+    except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
+        return 3, "", "budget exceeded: %s\n" % exc
+    except (bt.CentralOverflowError, CoefficientTooLargeError) as exc:
+        return 3, "", "overflow: %s\n" % exc
+
+
+ATOMS = ["x0", "x1", "x2", "x3", "q", "a", "b", "c0", "c1", "c2", "c3", "0", "1", "2", "q^-2", "a^3", "b^0",
+         "c1^-1", "c3^2", "c0^4611686018427387904", "q^99999999999999"]
+# factors that are not atoms, among them a bracket past the low word cap
+# and sums past the low term budget, with and without words
+OTHER_FACTORS = ["[x0.x2 | x1.x3 | -]", "qint(2)", "x1^2", "(-q)^-1", "(1 + a + b)", "(1 + a + b)^2",
+                 "(x0 + x1 + x2)", "(x1 + x3 + x1*x3 + c0)", "(x0 - x1)^3"]
+LOW_LIMITS = [(5, 6), (3, 2)]
+
+atoms = st.one_of(
+    st.sampled_from(ATOMS),
+    st.builds(
+        "%s^%d".__mod__,
+        st.tuples(st.sampled_from(["q", "a", "b", "c0", "c1", "c2", "c3", "x0", "x1", "2"]), st.integers(-2, 3)),
+    ),
+)
+small_sums = st.builds(
+    lambda terms, signs, power: "(%s)%s" % (
+        "".join(sign + "*".join(term) for sign, term in zip(signs, terms))[1:], power
+    ),
+    st.lists(st.lists(atoms, min_size=1, max_size=3), min_size=1, max_size=3),
+    st.lists(st.sampled_from(["+", "-"]), min_size=3, max_size=3),
+    st.sampled_from(["", "", "^0", "^2", "^3"]),
+)
+
+
+@contextlib.contextmanager
+def _limits(limits):
+    saved = (bt.LIMITS.word_cap, bt.LIMITS.term_budget)
+    bt.LIMITS.word_cap, bt.LIMITS.term_budget = limits
+    try:
+        yield
+    finally:
+        bt.LIMITS.word_cap, bt.LIMITS.term_budget = saved
+
+
+def _check_product(factors):
+    assert _nf("*".join(factors)) == _nf_by_factors(factors), factors
+
+
+@given(
+    st.lists(st.one_of(atoms, atoms, small_sums, st.sampled_from(OTHER_FACTORS)), min_size=1, max_size=8),
+    st.sampled_from([(64, 1_000_000)] + LOW_LIMITS),
+)
+@settings(max_examples=400, deadline=None)
+def test_products_match_factor_by_factor_multiplication(factors, limits):
+    with _limits(limits):
+        _check_product(factors)
+
+
+def test_every_atom_after_every_other_factor_at_low_limits():
+    for limits in LOW_LIMITS:
+        with _limits(limits):
+            for first in OTHER_FACTORS:
+                for atom in ATOMS:
+                    _check_product([first, atom])
+
+
+def test_product_edge_inputs():
+    # the power is evaluated, and trips the cap, before the zero factor is applied
+    assert _nf("0*x0^99999") == (3, "", "budget exceeded: reduction budget: multiply reached 128 letters (cap 64)\n")
+    assert _nf("x0*x0*x0*x0*x0*x0*0") == (0, "0\n", "")
+    # the second factor overflows, so the third may not bring it back
+    overflow = (3, "", "overflow: central exponent outside the checked 64-bit range\n")
+    assert _nf("c0^4611686018427387904*c0^4611686018427387904") == overflow
+    assert _nf("c0^4611686018427387904*c0^4611686018427387904*c0^-4611686018427387904") == overflow
+    assert _nf("q^99999999999999") == (0, "q^99999999999999 * [- | - | -]\n", "")
+
+
+def test_products_of_atoms_make_no_multiply(monkeypatch):
+    calls = []
+    multiply = bt.multiply
+
+    def counting(lhs, rhs):
+        calls.append(1)
+        return multiply(lhs, rhs)
+
+    monkeypatch.setattr(bt, "multiply", counting)
+    assert eval_text("3*q^-1*a^2*x0*x1*x2*c3^-1") == (
+        3 * Q ** -1 * R.gen("a", 2) * reduce_word((0, 1, 2), (0, 0, 0, -1))
+    )
+    assert calls == []
+    eval_text("(x0+x1)*(x2+x3)")
+    assert calls == [1]

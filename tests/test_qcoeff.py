@@ -104,6 +104,9 @@ def test_rendering():
     assert str(R.zero()) == "0"
     assert str(-qint(3)) == "-q^2 - 1 - q^-2"
     assert str(2 * Q ** 2 * R.gen("a", -1)) == "2*q^2*a^-1"
+    # positive terms first, each sign by descending exponent vector
+    a, b = R.gen("a"), R.gen("b")
+    assert str(Q - 2 + 3 * Q ** -1 * a - Q ** 2 * b ** -1) == "q + 3*q^-1*a - q^2*b^-1 - 2"
 
 
 @given(polys(), polys(), polys())
