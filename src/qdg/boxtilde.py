@@ -29,7 +29,10 @@ the state map.  `BoxElem.terms`, the map NormalMono -> LaurentPoly, is a
 view built anew on each access, for the API only.  State maps share their
 inner q-dicts, so no stored state map or inner dict is ever mutated: an
 operation fills only an outer map it created, and `_add_into` changes in
-place only the inner dicts it created itself.
+place only the inner dicts it created itself.  A product map holds q-dicts
+of its left factor only under the keys of its last right-hand group, and
+only when that group has an empty even word, so it crosses no letter and
+no later group writes to them.
 
 A central unit is a one-term `BoxElem` with empty words and coefficient
 +-q^k a^i b^j (`central_gen(i, p)` times a unit scalar), and `e ** -n`
@@ -44,7 +47,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, power, render_sum
+from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, power, put, render_sum
 
 EVEN_LETTERS = (0, 2)
 ODD_LETTERS = (1, 3)
@@ -55,6 +58,8 @@ PAIRING = {(0, 1): 2, (0, 3): -2, (2, 1): -2, (2, 3): 2}
 CORRECTION = {(0, 1): 0, (0, 3): 3, (2, 1): 1, (2, 3): 2}
 
 ZERO_CENTRAL = (0, 0, 0, 0)
+# the q-dict of the coefficient 1
+_ONE_Q = {0: 1}
 _CENTRAL_BOUND = 2 ** 63
 
 
@@ -197,6 +202,7 @@ class BoxElem:
                 # a copy, so the sum leaves both summands' q-dicts as they are
                 _add_into(state, key, mine, 0, 1)
             _add_into(state, key, qd, 0, sign)
+        _check_term_budget("sum", len(state))
         return BoxElem._of(state)
 
     def __add__(self, other: "BoxElem") -> "BoxElem":
@@ -354,25 +360,54 @@ def _add_into(acc: dict, key, qd: dict, shift: int, factor: int) -> None:
         del acc[key]
 
 
-def _cross(state: dict, letter: int, append: bool, op: str) -> dict:
+def _add_drop(acc: dict, key, qd: dict, lo: int, hi: int) -> None:
+    """acc[key] += (q^lo - q^hi) * qd, in one pass over qd, dropping
+    entries and keys that vanish; as in `_add_into`, a new key gets a new
+    dict."""
+    target = acc.get(key)
+    if target is None:
+        target = acc[key] = {}
+    get = target.get
+    for k, v in qd.items():
+        e = k + lo
+        w = get(e, 0) + v
+        if w:
+            target[e] = w
+        else:
+            del target[e]
+        e = k + hi
+        w = get(e, 0) - v
+        if w:
+            target[e] = w
+        else:
+            del target[e]
+    if not target:
+        del acc[key]
+
+
+def _cross(state: dict, letter: int, append: bool, op: str, tail: bytes = b"", shift: tuple = (0, 0)) -> dict:
     """The state map times x_letter (append) or x_letter times it, for a
-    letter that must cross the opposite word.
+    letter that must cross the opposite word.  Appended, the letter may be
+    followed by the odd word `tail` times a^i b^j, with (i, j) = `shift`,
+    which join every term of the result without a crossing.
 
     The budget is checked after each state, whose terms number at most one
     more than the letters crossed."""
     unit = bytes((letter,))
+    shifted = any(shift)
     out: dict = {}
     for (even, odd, cent, ab), qd in state.items():
         total, drops = _crossing(letter, odd if append else even, append)
+        if shifted:
+            ab = (ab[0] + shift[0], ab[1] + shift[1])
         if append:
-            _add_into(out, (even + unit, odd, cent, ab), qd, total, 1)
+            _add_into(out, (even + unit, odd + tail, cent, ab), qd, total, 1)
         else:
             _add_into(out, (even, unit + odd, cent, ab), qd, total, 1)
         for word, index, lo, hi in drops:
             bumped = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
-            key = (even, word, bumped, ab) if append else (word, odd, bumped, ab)
-            _add_into(out, key, qd, lo, 1)
-            _add_into(out, key, qd, hi, -1)
+            key = (even, word + tail, bumped, ab) if append else (word, odd, bumped, ab)
+            _add_drop(out, key, qd, lo, hi)
         _check_term_budget(op, len(out))
     return out
 
@@ -414,7 +449,8 @@ def _scalar_state(coeff: LaurentPoly) -> dict:
 
 def _scaled(state: dict, scalar: dict) -> dict:
     """The state map times the state map of a scalar, whose every key has
-    empty words and no central part."""
+    empty words and no central part; the budget is checked, as a product,
+    after each entry of the scalar."""
     out: dict = {}
     for (_, _, _, ab2), qd2 in scalar.items():
         shifted = any(ab2)
@@ -422,6 +458,7 @@ def _scaled(state: dict, scalar: dict) -> dict:
             key = (even, odd, cent, tuple(map(add, ab, ab2)) if shifted else ab)
             for k, v in qd2.items():
                 _add_into(out, key, qd, k, v)
+        _check_term_budget("multiply", len(out))
     return out
 
 
@@ -468,7 +505,15 @@ def _longest(state: dict) -> int:
 def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     """Bilinear extension of concatenate-then-reduce: the even word of each
     right-hand monomial is folded into the state map of `lhs`, and its odd
-    word is appended.  Monomials sharing an even word share the fold."""
+    word is appended.  Monomials sharing an even word share the fold.
+
+    A group that is one monomial with coefficient a^i b^j and no central
+    part is entered without a second pass: as the first group, the last
+    letter of its even word crosses straight into the product, and as the
+    last group with an empty even word, the product takes the q-dicts of
+    `lhs` under the new keys.  No later group writes to those, so the
+    product holds q-dicts of `lhs` only when the last group crosses no
+    letter, and `_add_into` still changes only dicts it made."""
     if not lhs.state or not rhs.state:
         return zero()
     _check_word_cap("multiply", _longest(lhs.state) + _longest(rhs.state))
@@ -481,7 +526,28 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     for (even, odd, central, ab2), qd2 in rhs.state.items():
         groups.setdefault(even, []).append((odd, central, ab2, qd2))
     out: dict = {}
-    for even_word, monos in groups.items():
+    last = len(groups) - 1
+    for g, (even_word, monos) in enumerate(groups.items()):
+        odd_word, central, ab2, qd2 = monos[0]
+        plain = len(monos) == 1 and qd2 == _ONE_Q and central == ZERO_CENTRAL
+        if plain and even_word and not out:
+            # the crossing checks the budget after each state, with the
+            # sizes a fold into a map of its own would reach
+            state = _fold(lhs.state, even_word[:-1], True, "multiply")
+            out = _cross(state, even_word[-1], True, "multiply", odd_word, ab2)
+            continue
+        if plain and not even_word and g == last:
+            shifted = any(ab2)
+            for (even, odd, cent, ab), qd in lhs.state.items():
+                if shifted:
+                    ab = (ab[0] + ab2[0], ab[1] + ab2[1])
+                key = (even, odd + odd_word, cent, ab)
+                if key in out:
+                    _add_into(out, key, qd, 0, 1)
+                else:
+                    out[key] = qd
+            _check_term_budget("multiply", len(out))
+            continue
         product = _fold(lhs.state, even_word, True, "multiply")
         for odd_word, central, ab2, qd2 in monos:
             # a/b sums once per distinct vector: most vectors recur
@@ -674,33 +740,39 @@ _ORACLE_PAIRING = {("x", "x"): 2, ("x", "y"): -2, ("y", "x"): -2, ("y", "y"): 2}
 _ORACLE_LAMBDA = {("x", "x"): 0, ("x", "y"): 3, ("y", "x"): 1, ("y", "y"): 2}
 
 
-def _oracle_apply_letter(state: dict, token, one_minus: dict) -> dict:
-    """One token acting on the oracle module; `one_minus` maps e to 1 - q^e."""
-    out: dict = {}
+class _QFactors(dict):
+    """q^k under the key k and q^k (1 - q^e) under the key (k, e), each
+    built on first use; one map per oracle call."""
 
-    def put(key, value):
-        s = out.get(key, DEFAULT_RING.zero()) + value
-        if s:
-            out[key] = s
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            k, e = key
+            value = DEFAULT_RING.qpow(k) * (DEFAULT_RING.one() - DEFAULT_RING.qpow(e))
         else:
-            out.pop(key, None)
+            value = DEFAULT_RING.qpow(key)
+        self[key] = value
+        return value
 
+
+def _oracle_apply_letter(state: dict, token, factors: _QFactors) -> dict:
+    """One token acting on the oracle module."""
+    out: dict = {}
     for (u, v, lam), c in state.items():
         if isinstance(token, tuple):  # ("c", index, exponent)
             _, idx, exp = token
             new_lam = list(lam)
             new_lam[idx] += exp
-            put((u, v, tuple(new_lam)), c)
+            put(out, (u, v, tuple(new_lam)), c)
             continue
         if token == 0:
-            put(("x" + u, v, lam), c)
+            put(out, ("x" + u, v, lam), c)
         elif token == 2:
-            put(("y" + u, v, lam), c)
+            put(out, ("y" + u, v, lam), c)
         else:
             letter = "x" if token == 1 else "y"
             # main term: prepend to the second factor, q-power from the pairing
             exp_total = sum(_ORACLE_PAIRING[(ch, letter)] for ch in u)
-            put((u, letter + v, lam), c * DEFAULT_RING.qpow(exp_total))
+            put(out, (u, letter + v, lam), c * factors[exp_total])
             # correction terms: delete one letter of the first factor
             prefix = 0
             for i, ch in enumerate(u):
@@ -708,8 +780,7 @@ def _oracle_apply_letter(state: dict, token, one_minus: dict) -> dict:
                 lam_idx = _ORACLE_LAMBDA[(ch, letter)]
                 new_lam = list(lam)
                 new_lam[lam_idx] += 1
-                factor = DEFAULT_RING.qpow(prefix) * one_minus[e]
-                put((u[:i] + u[i + 1 :], v, tuple(new_lam)), c * factor)
+                put(out, (u[:i] + u[i + 1 :], v, tuple(new_lam)), c * factors[prefix, e])
                 prefix += e
     return out
 
@@ -722,10 +793,10 @@ def module_action_oracle(tokens: Sequence) -> dict:
     the rightmost token acts first.
     """
     _check_word_cap("module_action_oracle", sum(1 for t in tokens if not isinstance(t, tuple)))
-    one_minus = {e: DEFAULT_RING.one() - DEFAULT_RING.qpow(e) for e in (2, -2)}
+    factors = _QFactors()
     state = {("", "", ZERO_CENTRAL): DEFAULT_RING.one()}
     for token in reversed(list(tokens)):
-        state = _oracle_apply_letter(state, token, one_minus)
+        state = _oracle_apply_letter(state, token, factors)
         _check_term_budget("module_action_oracle", len(state))
     return state
 

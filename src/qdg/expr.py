@@ -348,9 +348,11 @@ def _refuse_oversized_power(e: BoxElem, n: int) -> None:
 
 
 def _accumulate(acc: dict, e: BoxElem, sign: int) -> None:
-    """acc += sign * e, on state maps."""
+    """acc += sign * e, on state maps; then the term budget is checked under
+    the name `sum`, as a `BoxElem` sum checks it."""
     for key, qd in e.state.items():
         bt._add_into(acc, key, qd, 0, sign)
+    bt._check_term_budget("sum", len(acc))
 
 
 # exponents of q and of (a, b) in each ring symbol

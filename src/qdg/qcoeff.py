@@ -15,6 +15,7 @@ pieces, each coefficient in the order `poly_text` prints it.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Union
 
 
@@ -198,10 +199,15 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a monomial factor: the exponent sums are distinct and no
+            # product vanishes, so nothing accumulates
+            ((ea, ca),) = a.items()
+            return LaurentPoly(self.ring, {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()})
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                put(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                put(out, tuple(map(add, ea, eb)), ca * cb)
         return LaurentPoly(self.ring, out)
 
     __rmul__ = __mul__

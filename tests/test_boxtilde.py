@@ -543,6 +543,96 @@ def test_operations_leave_their_inputs_unchanged(w1, c1, k1, w2, c2, k2, k3):
         assert e.state == before
 
 
+
+def _product_by_monomial_pairs(lhs, rhs):
+    """lhs * rhs as the sum, over pairs of monomials, of the normal form of
+    the concatenated words."""
+    out = bt.zero()
+    for (e1, o1, c1, ab1), qd1 in lhs.state.items():
+        for (e2, o2, c2, ab2), qd2 in rhs.state.items():
+            central = tuple(x + y for x, y in zip(c1, c2))
+            for k1, v1 in qd1.items():
+                for k2, v2 in qd2.items():
+                    coeff = R.monomial(v1 * v2, (k1 + k2, ab1[0] + ab2[0], ab1[1] + ab2[1]))
+                    out = out + reduce_word(tuple(e1 + o1 + e2 + o2), central, coeff)
+    return out
+
+
+def test_products_share_no_q_dict_that_a_later_operation_changes():
+    # right factors made of one-monomial groups with coefficient a^i b^j:
+    # the sign-split factors, sums of letters with the empty-even group
+    # first or last, and their products, which hold the left factor's
+    # q-dicts when the last group crosses no letter
+    a, b = R.gen("a"), R.gen("b")
+    lift_a = a * generator(0) + a ** -1 * generator(1)
+    lift_b = b * generator(2) + b ** -1 * generator(3)
+    rng = random.Random(31)
+    values = [bt.random_element(rng) for _ in range(4)]
+    values += [lift_a, lift_b, generator(1) + generator(0), generator(0) + generator(3) * b, generator(3)]
+    snapshots = [copy.deepcopy(e.state) for e in values]
+
+    def keep(e):
+        values.append(e)
+        snapshots.append(copy.deepcopy(e.state))
+        return e
+
+    factors = list(values)
+    for x in factors:
+        for y in factors:
+            p = keep(x * y)
+            assert p == _product_by_monomial_pairs(x, y)
+    # a product used again as a left factor, and in sums and products
+    lift = keep(lift_a * lift_b)
+    for y in factors:
+        p = keep(lift * y)
+        assert p == _product_by_monomial_pairs(lift, y)
+        keep(p * lift_a)
+        keep(p + lift)
+        keep(lift - p)
+        keep(y * p)
+        keep(p * Q)
+        keep(rho(p))
+    for e, before in zip(values, snapshots):
+        assert e.state == before
+
+
+def test_the_oracle_shares_no_code_with_the_kernel(monkeypatch):
+    expected = oracle_as_box(module_action_oracle([1, 0, 3, ("c", 2, -1), 2, 1, 0]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the kernel")
+
+    for name in ("_cross", "_fold", "_crossing", "_add_into", "_add_drop"):
+        monkeypatch.setattr(bt, name, refuse)
+    assert oracle_as_box(module_action_oracle([1, 0, 3, ("c", 2, -1), 2, 1, 0])) == expected
+    monkeypatch.undo()
+    assert expected == reduce_word((1, 0, 3, 2, 1, 0), (0, 0, -1, 0))
+
+
+def test_sums_and_scalar_products_check_the_term_budget():
+    saved = bt.LIMITS.term_budget
+    pair = generator(0) + generator(1)
+    scalar = BoxElem(R, {bt.IDENTITY_MONO: 1 + R.gen("a") + R.gen("b")})
+    try:
+        bt.LIMITS.term_budget = 2
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: sum reached 3 terms \(limit 2\)$"):
+            pair + generator(2)
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: sum reached 3 terms \(limit 2\)$"):
+            pair - central_gen(1)
+        # each entry of the scalar is a shifted copy of the other factor
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 4 terms \(limit 2\)$"):
+            pair * scalar
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 4 terms \(limit 2\)$"):
+            scalar * pair
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 3 terms \(limit 2\)$"):
+            scalar * 1
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 4 terms \(limit 2\)$"):
+            pair * (1 + R.gen("a"))
+        bt.LIMITS.term_budget = 6
+        assert pair * scalar == scalar * pair
+    finally:
+        bt.LIMITS.term_budget = saved
+
 @given(_WORDS, _CENTRALS, _COEFFICIENTS, _WORDS, _CENTRALS, _COEFFICIENTS)
 @settings(max_examples=60, deadline=None)
 def test_terms_round_trip_to_the_same_element(w1, c1, k1, w2, c2, k2):

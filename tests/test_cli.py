@@ -140,6 +140,21 @@ def test_term_budget_env(capsys, monkeypatch):
     assert code == 3
 
 
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0+x1+x2", "sum reached 3 terms (limit 2)"),
+        ("x0 - x1 - c0", "sum reached 3 terms (limit 2)"),
+        ("(1+a+b)^2", "sum reached 3 terms (limit 2)"),
+        ("(1+a)*(1+b)", "multiply reached 4 terms (limit 2)"),
+        ("(x0+x1)*(1+a)", "multiply reached 4 terms (limit 2)"),
+    ],
+)
+def test_nf_sums_and_scalar_products_count_against_the_term_budget(capsys, monkeypatch, text, message):
+    monkeypatch.setenv("QDG_TERM_BUDGET", "2")
+    assert run(capsys, ["nf", text]) == (3, "", "budget exceeded: term budget: %s\n" % message)
+
 def test_nf_qint_counts_against_the_term_budget(capsys, monkeypatch):
     # [n]_q has |n| terms, so the budget refuses a large n before it is built
     monkeypatch.setenv("QDG_TERM_BUDGET", "10")

@@ -261,6 +261,34 @@ def test_every_atom_after_every_other_factor_at_low_limits():
                     _check_product([first, atom])
 
 
+
+# `qdg nf` on products of sums at low term budgets, as recorded before
+# `multiply` entered one-monomial groups in one pass; in some the right
+# factor's group with an empty even word comes first, in others last
+_PINNED_PRODUCTS = [
+    "(x1+x0)*(x2+x1)", "(x0+x1)*(x1+x2)", "(x1+x0)*(x0+x3)", "(x0+x1)*(x3+x0)",
+    "(x1*x3+x0)*(x2+x1+x0)", "(x0+x1+x3)*(x1+x2*x0)", "(a*x0+x1)*(b*x2+b^-1*x3)",
+    "(x0*x1+x1)^2*(x0+x1)", "(x1+x0+x1*x3)*(x3+x0*x2)", "(x0*x3*x1+x2)*(x1+x2*x0)",
+    "(x1*x3*x1+x0*x2)*(x3*x1+x2*x0*x2)", "(x3*x1+x2)*(x1*x3*x1+x0*x0)",
+]
+_PINNED_REACHED = {
+    4: [5, 5, 5, 5, 6, 5, 5, 5, 6, 5, 5, 5],
+    9: [None, None, None, None, 10, 10, None, 13, 11, 10, 10, None],
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_PINNED_REACHED))
+def test_multi_group_budget_messages_are_pinned(budget):
+    with _limits((64, budget)):
+        for text, reached in zip(_PINNED_PRODUCTS, _PINNED_REACHED[budget]):
+            code, out, err = _nf(text)
+            if reached is None:
+                assert (code, err) == (0, ""), text
+                assert out == _nf_by_factors(text[1:-1].split(")*("))[1]
+            else:
+                message = "budget exceeded: term budget: multiply reached %d terms (limit %d)\n" % (reached, budget)
+                assert (code, out, err) == (3, "", message), text
+
 def test_product_edge_inputs():
     # the power is evaluated, and trips the cap, before the zero factor is applied
     assert _nf("0*x0^99999") == (3, "", "budget exceeded: reduction budget: multiply reached 128 letters (cap 64)\n")

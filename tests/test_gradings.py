@@ -80,6 +80,26 @@ def test_sharp_lift_ab_has_five_normal_terms():
     assert lift.terms[NormalMono((0, 2), (), ZERO_CENTRAL)] == A_SYM * B_SYM
 
 
+
+def test_sharp_lifts_fold_no_letter_into_a_map_of_its_own(monkeypatch):
+    # each factor a x0 + a^-1 x1 (or b x2 + b^-1 x3) is two one-monomial
+    # groups: the even letter crosses straight into the product, and the
+    # odd letter is entered without a fold
+    calls = []
+    fold = bt._fold
+
+    def recording(state, letters, append, op):
+        calls.append(letters)
+        return fold(state, letters, append, op)
+
+    monkeypatch.setattr(bt, "_fold", recording)
+    lift = sharp_lift("AB")
+    assert calls == [b""]
+    assert len(lift.terms) == 5
+    calls.clear()
+    sharp_lift("ABBAB")
+    assert calls and set(calls) == {b""}
+
 def test_phi_examples():
     assert phi_n("A") == A_SYM * generator(0)
     assert phi_n("AB") == plus_word("AB")

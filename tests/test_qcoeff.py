@@ -126,6 +126,39 @@ def test_qint_addition_identity(m, n):
     assert qint(m + n) == R.qpow(n) * qint(m) + R.qpow(-m) * qint(n)
 
 
+
+def _product_by_pairs(p1, p2):
+    """p1 * p2 as the sum over all pairs of terms."""
+    out = R.zero()
+    for e1, c1 in p1.terms.items():
+        for e2, c2 in p2.terms.items():
+            out = out + R.monomial(c1 * c2, tuple(x + y for x, y in zip(e1, e2)))
+    return out
+
+
+@given(
+    st.integers(-9, 9).filter(bool),
+    st.tuples(st.integers(-4, 4), st.integers(-2, 2), st.integers(-2, 2)),
+    polys(),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_monomial_factor_multiplies_as_the_general_product(c, exps, p):
+    m = R.monomial(c, exps)
+    expected = _product_by_pairs(m, p)
+    for product in (m * p, p * m):
+        assert product == expected
+        assert all(product.terms.values())
+
+
+def test_monomial_products_with_negative_and_cancelling_coefficients():
+    # coefficients that sum to zero, so the product vanishes at q = a = b = 1
+    zero_sum = 1 - R.qpow(2) + 2 * R.gen("a") - 2 * R.gen("b", -1)
+    for m in (-R.qpow(-3), R.monomial(-7, (1, -1, 2)), R.one(), R.monomial(5)):
+        for p in (zero_sum, -zero_sum, R.zero(), R.monomial(-1, (2, 0, 0)), m):
+            assert m * p == p * m == _product_by_pairs(m, p)
+    assert (-R.qpow(2)) * zero_sum == R.qpow(4) - R.qpow(2) - 2 * R.monomial(1, (2, 1, 0)) + 2 * R.monomial(1, (2, 0, -1))
+    assert not (R.monomial(-3, (1, 1, 1)) * R.zero())
+
 def test_no_zero_coefficients_stored():
     p = Q - Q
     assert not p.terms
