@@ -44,10 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, power, put, render_sum
+from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, power, render_sum
 
 EVEN_LETTERS = (0, 2)
 ODD_LETTERS = (1, 3)
@@ -667,35 +667,41 @@ def scale_auto(*alphas) -> Callable[[BoxElem], BoxElem]:
     """The substitution x_i -> alpha_i x_i, c_i -> alpha_i alpha_{i+1} c_i.
 
     Each alpha, an int, LaurentPoly or BoxElem, must be a unit monomial
-    +-q^k a^i b^j c^v; returns the induced algebra map.
+    +-q^k a^i b^j c^v; returns the induced algebra map.  The map raises
+    CentralOverflowError for a term whose image has a central exponent
+    outside the checked 64-bit range.
     """
     if len(alphas) != 4:
         raise ValueError("scale_auto expects four scaling factors")
     alphas = tuple(one() * a for a in alphas)
-    # each factor once as integer vectors; a term's factor is then a sum
     letters = [_monomial_parts(a) for a in alphas]
     if any(sign not in (1, -1) for sign, _, _ in letters):
         raise NotInvertibleError("not invertible")
     pairs = [_monomial_parts(alphas[i] * alphas[(i + 1) % 4]) for i in range(4)]
+    # A term's factor is the product of the four letter factors to the
+    # powers of its letter counts and of the four pair factors to the
+    # powers of its central exponents.  One column per exponent of the
+    # factor holds its entry in each of those eight.
+    factors = letters + pairs
+    odd_sign = tuple(int(s < 0) for s, _, _ in factors)
+    q_col, a_col, b_col = zip(*(x for _, x, _ in factors))
+    central_cols = tuple(zip(*(z for _, _, z in factors)))
+    scales_ab = any(a_col + b_col)
+    scales_central = any(map(any, central_cols))
 
     def apply(e: BoxElem) -> BoxElem:
         out: dict = {}
         for (even, odd, cent, ab), qd in e.state.items():
-            sign, exps, central = 1, (0, 0, 0), ZERO_CENTRAL
-            for l in even + odd:
-                s, x, z = letters[l]
-                sign *= s
-                exps = tuple(map(add, exps, x))
-                central = add_central(central, z)
-            for i, n in enumerate(cent):
-                if n:
-                    s, x, z = pairs[i]
-                    if n & 1:
-                        sign *= s
-                    exps = tuple(u + n * v for u, v in zip(exps, x))
-                    central = add_central(central, scale_central(z, n))
-            key = (even, odd, add_central(cent, central), tuple(map(add, ab, exps[1:])))
-            _add_into(out, key, qd, exps[0], sign)
+            n0 = even.count(0)
+            n1 = odd.count(1)
+            powers = (n0, n1, len(even) - n0, len(odd) - n1) + cent
+            sign = -1 if sum(map(mul, powers, odd_sign)) & 1 else 1
+            if scales_ab:
+                ab = (ab[0] + sum(map(mul, powers, a_col)), ab[1] + sum(map(mul, powers, b_col)))
+            if scales_central:
+                # the bound is checked on the result only
+                cent = add_central(cent, [sum(map(mul, powers, col)) for col in central_cols])
+            _add_into(out, (even, odd, cent, ab), qd, sum(map(mul, powers, q_col)), sign)
         return BoxElem._of(out)
 
     return apply
@@ -732,7 +738,11 @@ def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
 
 # ---------------------------------------------------------------------------
 # Independent oracle: the module action on (free algebra) x (free algebra)
-# x (Laurent polynomials in four symbols).
+# x (Laurent polynomials in four symbols).  It applies the rewrite one
+# letter at a time, with no closed form, and shares no code with the
+# kernel: its states (first word, second word, lambda) -> {q exponent: int}
+# live in its own maps, filled by its own accumulator `_oracle_add`, and
+# become LaurentPolys only in the map it returns.
 # ---------------------------------------------------------------------------
 
 # the same pairing/correction data in the two-letter alphabet of the oracle
@@ -740,65 +750,92 @@ _ORACLE_PAIRING = {("x", "x"): 2, ("x", "y"): -2, ("y", "x"): -2, ("y", "y"): 2}
 _ORACLE_LAMBDA = {("x", "x"): 0, ("x", "y"): 3, ("y", "x"): 1, ("y", "y"): 2}
 
 
-class _QFactors(dict):
-    """q^k under the key k and q^k (1 - q^e) under the key (k, e), each
-    built on first use; one map per oracle call."""
-
-    def __missing__(self, key):
-        if isinstance(key, tuple):
-            k, e = key
-            value = DEFAULT_RING.qpow(k) * (DEFAULT_RING.one() - DEFAULT_RING.qpow(e))
+def _oracle_add(acc: dict, key, qd: dict, lo: int, hi: Optional[int] = None) -> None:
+    """acc[key] += q^lo qd, or (q^lo - q^hi) qd when `hi` is given, on the
+    oracle's own q-dicts {q exponent: int}, dropping what cancels."""
+    target = acc.setdefault(key, {})
+    get = target.get
+    for k, v in qd.items():
+        k += lo
+        v += get(k, 0)
+        if v:
+            target[k] = v
         else:
-            value = DEFAULT_RING.qpow(key)
-        self[key] = value
-        return value
+            del target[k]
+    if hi is not None:
+        for k, v in qd.items():
+            k += hi
+            v = get(k, 0) - v
+            if v:
+                target[k] = v
+            else:
+                del target[k]
+    if not target:
+        del acc[key]
 
 
-def _oracle_apply_letter(state: dict, token, factors: _QFactors) -> dict:
-    """One token acting on the oracle module."""
-    out: dict = {}
-    for (u, v, lam), c in state.items():
-        if isinstance(token, tuple):  # ("c", index, exponent)
-            _, idx, exp = token
+def _oracle_apply_letter(state: dict, token) -> dict:
+    """One token acting on the oracle module, whose coefficients are
+    q-dicts: no a or b enters.  Each q-dict belongs to one state, and the
+    state before the token is dropped, so a key that only moves keeps its
+    q-dict."""
+    if isinstance(token, tuple):  # ("c", index, exponent)
+        _, idx, exp = token
+        out = {}
+        for (u, v, lam), qd in state.items():
             new_lam = list(lam)
             new_lam[idx] += exp
-            put(out, (u, v, tuple(new_lam)), c)
-            continue
-        if token == 0:
-            put(out, ("x" + u, v, lam), c)
-        elif token == 2:
-            put(out, ("y" + u, v, lam), c)
-        else:
-            letter = "x" if token == 1 else "y"
-            # main term: prepend to the second factor, q-power from the pairing
-            exp_total = sum(_ORACLE_PAIRING[(ch, letter)] for ch in u)
-            put(out, (u, letter + v, lam), c * factors[exp_total])
-            # correction terms: delete one letter of the first factor
-            prefix = 0
-            for i, ch in enumerate(u):
-                e = _ORACLE_PAIRING[(ch, letter)]
-                lam_idx = _ORACLE_LAMBDA[(ch, letter)]
-                new_lam = list(lam)
-                new_lam[lam_idx] += 1
-                put(out, (u[:i] + u[i + 1 :], v, tuple(new_lam)), c * factors[prefix, e])
-                prefix += e
+            out[u, v, tuple(new_lam)] = qd
+        return out
+    if token in (0, 2):
+        letter = "x" if token == 0 else "y"
+        return {(letter + u, v, lam): qd for (u, v, lam), qd in state.items()}
+    letter = "x" if token == 1 else "y"
+    out = {}
+    for (u, v, lam), qd in state.items():
+        # main term: prepend to the second factor, q-power from the pairing
+        exp_total = sum(_ORACLE_PAIRING[(ch, letter)] for ch in u)
+        _oracle_add(out, (u, letter + v, lam), qd, exp_total)
+        # correction terms: delete one letter of the first factor, with
+        # factor q^prefix (1 - q^e)
+        prefix = 0
+        for i, ch in enumerate(u):
+            e = _ORACLE_PAIRING[(ch, letter)]
+            lam_idx = _ORACLE_LAMBDA[(ch, letter)]
+            new_lam = list(lam)
+            new_lam[lam_idx] += 1
+            _oracle_add(out, (u[:i] + u[i + 1 :], v, tuple(new_lam)), qd, prefix, prefix + e)
+            prefix += e
     return out
+
+
+def _oracle_token(token):
+    """`token` if it is a letter 0..3 or ("c", i, e) with i in 0..3 and an
+    int e; ValueError otherwise."""
+    if isinstance(token, tuple) and len(token) == 3 and token[0] == "c":
+        _, index, exp = token
+        if isinstance(index, int) and index in (0, 1, 2, 3) and isinstance(exp, int):
+            return token
+    elif isinstance(token, int) and token in (0, 1, 2, 3):
+        return token
+    raise ValueError("not an oracle token: %r" % (token,))
 
 
 def module_action_oracle(tokens: Sequence) -> dict:
     """Image of 1 (x) 1 (x) 1 under the left action of the given product, as
     a map (word, word, lambda exponents) -> nonzero LaurentPoly.
 
-    Tokens are generator indices 0..3 or ("c", i, +-1).  Left action means
-    the rightmost token acts first.
+    Tokens are generator indices 0..3 or ("c", i, e) with i in 0..3 and an
+    int e; any other token raises ValueError.  Left action means the
+    rightmost token acts first.
     """
+    tokens = [_oracle_token(t) for t in tokens]
     _check_word_cap("module_action_oracle", sum(1 for t in tokens if not isinstance(t, tuple)))
-    factors = _QFactors()
-    state = {("", "", ZERO_CENTRAL): DEFAULT_RING.one()}
-    for token in reversed(list(tokens)):
-        state = _oracle_apply_letter(state, token, factors)
+    state = {("", "", ZERO_CENTRAL): {0: 1}}
+    for token in reversed(tokens):
+        state = _oracle_apply_letter(state, token)
         _check_term_budget("module_action_oracle", len(state))
-    return state
+    return {key: LaurentPoly(DEFAULT_RING, {(k, 0, 0): v for k, v in qd.items()}) for key, qd in state.items()}
 
 
 # ---------------------------------------------------------------------------

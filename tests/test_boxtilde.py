@@ -183,6 +183,103 @@ def test_scale_auto_maps_generators_as_documented():
         scale_auto(1, 1, Q + 1, 1)
 
 
+def _scale_per_letter(*alphas):
+    """`scale_auto` as it was when each letter's factor was added on its
+    own, every partial sum checked against the 64-bit central bound: the
+    reference for the per-term factor."""
+    alphas = tuple(bt.one() * a for a in alphas)
+    letters = [bt._monomial_parts(a) for a in alphas]
+    pairs = [bt._monomial_parts(alphas[i] * alphas[(i + 1) % 4]) for i in range(4)]
+
+    def apply(e):
+        out = {}
+        for (even, odd, cent, ab), qd in e.state.items():
+            sign, exps, central = 1, (0, 0, 0), ZERO_CENTRAL
+            for l in even + odd:
+                s, x, z = letters[l]
+                sign *= s
+                exps = tuple(u + v for u, v in zip(exps, x))
+                central = bt.add_central(central, z)
+            for i, n in enumerate(cent):
+                if n:
+                    s, x, z = pairs[i]
+                    if n & 1:
+                        sign *= s
+                    exps = tuple(u + n * v for u, v in zip(exps, x))
+                    central = bt.add_central(central, bt.scale_central(z, n))
+            key = (even, odd, bt.add_central(cent, central), tuple(u + v for u, v in zip(ab, exps[1:])))
+            bt._add_into(out, key, qd, exps[0], sign)
+        return BoxElem._of(out)
+
+    return apply
+
+
+_SCALINGS = (
+    # the forward, backward and mixed maps of engine.scale_inverse
+    (R.gen("a"), R.gen("b", -1) * Q ** 2, R.gen("q", -1), R.gen("a", -1) * R.gen("b")),
+    (R.gen("a", -1), R.gen("b") * Q ** -2, Q, R.gen("a") * R.gen("b", -1)),
+    (1, central_gen(0, -1), R.gen("b"), central_gen(2) * R.gen("a", -1)),
+    # signs
+    (-1, -R.gen("a"), 1, -Q),
+    (-R.gen("a"), -1, -R.gen("b", 2), -bt.one()),
+    # central units
+    (central_gen(0, 2) * -R.gen("a"), Q ** -1 * R.gen("b", 2), central_gen(3, -1), -1),
+    (central_gen(1), central_gen(1, -1) * central_gen(2, 3), -central_gen(3) * Q, central_gen(0, -2)),
+    (1, 1, 1, 1),
+)
+
+
+def test_scale_auto_matches_the_per_letter_factor():
+    rng = random.Random(31)
+    elements = [bt.random_element(rng, max_terms=4, max_word=6, central_range=3) for _ in range(30)]
+    elements += [elements[i] * elements[i + 1] for i in range(0, 20, 2)]
+    elements += [bt.zero(), bt.one(), central_gen(2, -5) * generator(3)]
+    for alphas in _SCALINGS:
+        g, reference = scale_auto(*alphas), _scale_per_letter(*alphas)
+        for e in elements:
+            image = g(e)
+            assert image == reference(e)
+            assert image.state == reference(e).state
+
+
+def test_scale_auto_central_overflow():
+    big = central_gen(0, 2 ** 62)
+    x0x0 = generator(0) * generator(0)
+    for g in (scale_auto(big, 1, 1, 1), _scale_per_letter(big, 1, 1, 1)):
+        # two letters of factor c0^(2^62) reach c0^(2^63)
+        with pytest.raises(bt.CentralOverflowError):
+            g(x0x0)
+        # the pair factor of c3 is c0^(2^62), and c0^(2^62) c3^2 maps to c0^(3 * 2^62)
+        with pytest.raises(bt.CentralOverflowError):
+            g(big * central_gen(3, 2))
+        assert g(generator(0)) == big * generator(0)
+    # and c0^(-2^63) is outside the range too
+    with pytest.raises(bt.CentralOverflowError):
+        scale_auto(central_gen(0, -(2 ** 62)), 1, 1, 1)(x0x0)
+
+
+def test_scale_auto_checks_the_central_bound_on_the_result_only():
+    """The per-letter factor also raised when a partial sum left the
+    64-bit range and later letters or the term's own central part brought
+    it back; the factor is now checked once, on the result."""
+    half = 2 ** 62
+    x0x0x1x1 = reduce_word((0, 0, 1, 1))
+    cases = (
+        # x0 x0 x1 x1: the even letters reach c0^(2^63), the odd ones cancel it
+        ((central_gen(0, half), central_gen(0, -half), 1, 1), x0x0x1x1, ZERO_CENTRAL),
+        # x0 x0 c0^-1: the letters reach c0^(2^63), the pair factor takes 2^62 off
+        ((central_gen(0, half), 1, 1, 1), reduce_word((0, 0), (-1, 0, 0, 0)), (half - 1, 0, 0, 0)),
+        # c0^(2^62) with pair factor c0^-2: the scaled pair factor is c0^(-2^63)
+        ((central_gen(0, -2), 1, 1, 1), central_gen(0, half), (-half, 0, 0, 0)),
+    )
+    for alphas, e, central in cases:
+        with pytest.raises(bt.CentralOverflowError):
+            _scale_per_letter(*alphas)(e)
+        image = scale_auto(*alphas)(e)
+        assert [cent for _, _, cent, _ in image.state] == [central]
+    assert scale_auto(*cases[0][0])(x0x0x1x1) == x0x0x1x1
+
+
 def test_specialize_central():
     e = reduce_word((1, 0))  # q^2 x0 x1 + (1 - q^2) c0
     folded = specialize_central(e, (1, 1, 1, 1))
@@ -607,6 +704,75 @@ def test_the_oracle_shares_no_code_with_the_kernel(monkeypatch):
     assert oracle_as_box(module_action_oracle([1, 0, 3, ("c", 2, -1), 2, 1, 0])) == expected
     monkeypatch.undo()
     assert expected == reduce_word((1, 0, 3, 2, 1, 0), (0, 0, -1, 0))
+
+
+def _global_names(code):
+    """The global names read by a code object and the code nested in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _global_names(const)
+    return names
+
+
+_ORACLE_CODE = ("module_action_oracle", "_oracle_token", "_oracle_apply_letter", "_oracle_add")
+
+
+def test_the_oracle_and_its_accumulator_read_only_their_own_module_names(monkeypatch):
+    # besides one another, the oracle's functions read only the budget
+    # checks, the coefficient type and their own tables
+    allowed = set(_ORACLE_CODE) | {
+        "_check_word_cap", "_check_term_budget", "LaurentPoly", "DEFAULT_RING",
+        "ZERO_CENTRAL", "_ORACLE_PAIRING", "_ORACLE_LAMBDA",
+    }
+    for name in _ORACLE_CODE:
+        module_names = {n for n in _global_names(getattr(bt, name).__code__) if hasattr(bt, n)}
+        assert module_names <= allowed, (name, module_names - allowed)
+
+    # and no kernel operation reads them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel called the oracle")
+
+    x = reduce_word((1, 0, 3, 2), (1, 0, 0, 0))
+    y = reduce_word((2, 1, 0), coeff=Q + 1)
+    g = scale_auto(-1, Q, R.gen("a"), central_gen(1))
+
+    def kernel_results():
+        return x * y, y * x, x + y, rho(x), g(y), reduce_word((3, 2, 1, 0), strategy="rightmost")
+
+    expected = kernel_results()
+    for name in _ORACLE_CODE:
+        monkeypatch.setattr(bt, name, refuse)
+    assert kernel_results() == expected
+
+
+def test_the_oracle_catches_a_flipped_pairing_sign(monkeypatch):
+    # the first words of engine.oracle_equivalence at the default seed
+    rng = random.Random(20260810 + 1)
+    words = [bt.random_word(rng, max_len=10) for _ in range(20)]
+    monkeypatch.setitem(bt._ORACLE_PAIRING, ("x", "x"), -2)
+    caught = 0
+    for w in words:
+        # the flipped pairing is read when x1 acts after x0, i.e. stands left of it
+        crosses = any(l == 1 and 0 in w[i + 1 :] for i, l in enumerate(w))
+        assert (oracle_as_box(module_action_oracle(w)) != reduce_word(w)) == crosses
+        caught += crosses
+    assert caught >= 10
+    monkeypatch.undo()
+    assert all(oracle_as_box(module_action_oracle(w)) == reduce_word(w) for w in words)
+
+
+def test_the_oracle_refuses_tokens_outside_its_alphabet():
+    refused = (
+        (4,), (7, 0), ("x",), (("c", 5, 1),),
+        (("c", 1, 1.0),), (("c", 1.0, 1),), ([1],), (("c", 0),), (2.0,),
+    )
+    for tokens in refused:
+        with pytest.raises(ValueError, match="not an oracle token"):
+            module_action_oracle(tokens)
+    with pytest.raises(ValueError):
+        reduce_word((4,))
+    assert module_action_oracle((("c", 3, 5), 2)) == {("y", "", (0, 0, 0, 5)): ONE}
 
 
 def test_sums_and_scalar_products_check_the_term_budget():
