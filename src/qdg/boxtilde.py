@@ -686,7 +686,6 @@ def scale_auto(*alphas) -> Callable[[BoxElem], BoxElem]:
     odd_sign = tuple(int(s < 0) for s, _, _ in factors)
     q_col, a_col, b_col = zip(*(x for _, x, _ in factors))
     central_cols = tuple(zip(*(z for _, _, z in factors)))
-    scales_ab = any(a_col + b_col)
     scales_central = any(map(any, central_cols))
 
     def apply(e: BoxElem) -> BoxElem:
@@ -696,8 +695,7 @@ def scale_auto(*alphas) -> Callable[[BoxElem], BoxElem]:
             n1 = odd.count(1)
             powers = (n0, n1, len(even) - n0, len(odd) - n1) + cent
             sign = -1 if sum(map(mul, powers, odd_sign)) & 1 else 1
-            if scales_ab:
-                ab = (ab[0] + sum(map(mul, powers, a_col)), ab[1] + sum(map(mul, powers, b_col)))
+            ab = (ab[0] + sum(map(mul, powers, a_col)), ab[1] + sum(map(mul, powers, b_col)))
             if scales_central:
                 # the bound is checked on the result only
                 cent = add_central(cent, [sum(map(mul, powers, col)) for col in central_cols])

@@ -199,11 +199,6 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        if len(a) == 1:
-            # a monomial factor: the exponent sums are distinct and no
-            # product vanishes, so nothing accumulates
-            ((ea, ca),) = a.items()
-            return LaurentPoly(self.ring, {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()})
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
