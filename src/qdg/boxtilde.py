@@ -272,7 +272,7 @@ def generator(i: int) -> BoxElem:
 def central_gen(i: int, power: int = 1) -> BoxElem:
     exps = [0, 0, 0, 0]
     exps[i % 4] = power
-    return _basis(b"", b"", tuple(exps))
+    return _basis(b"", b"", scale_central(tuple(exps), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +479,13 @@ def reduce_word(
     left with `strategy="leftmost"`, each even letter crossing the odd word
     built so far, or from the right with `"rightmost"`, each odd letter
     crossing the even word.  The two orders cross different words, so
-    comparing them checks one computation against another.  `central`
-    must be four int exponents (ValueError otherwise).
+    comparing them checks one computation against another.  The letters
+    must be ints in 0..3 and `central` four int exponents (ValueError
+    otherwise).
     """
-    word = tuple(int(l) for l in letters)
-    if any(l not in (0, 1, 2, 3) for l in word):
-        raise ValueError("generator letters must be in {0, 1, 2, 3}")
+    word = tuple(letters)
+    if not all(isinstance(l, int) and l in (0, 1, 2, 3) for l in word):
+        raise ValueError("generator letters must be ints in {0, 1, 2, 3}")
     _check_word_cap("reduce_word", len(word))
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError("unknown strategy %r" % strategy)
@@ -809,10 +810,13 @@ def _oracle_apply_letter(state: dict, token) -> dict:
 
 def _oracle_token(token):
     """`token` if it is a letter 0..3 or ("c", i, e) with i in 0..3 and an
-    int e; ValueError otherwise."""
+    int e; ValueError otherwise, and OverflowError for an e outside the
+    checked 64-bit range."""
     if isinstance(token, tuple) and len(token) == 3 and token[0] == "c":
         _, index, exp = token
         if isinstance(index, int) and index in (0, 1, 2, 3) and isinstance(exp, int):
+            if not -(2 ** 63) < exp < 2 ** 63:
+                raise OverflowError("central exponent outside the checked 64-bit range")
             return token
     elif isinstance(token, int) and token in (0, 1, 2, 3):
         return token

@@ -45,56 +45,56 @@ class ParseError(ValueError):
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Lit:
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Sym:
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Gen:
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class QIntNode:
     n: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Neg:
     arg: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Add:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Sub:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Mul:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass
+@dataclass(slots=True)
 class Pow:
     base: "Expr"
     exponent: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Mono:
     even: tuple
     odd: tuple
@@ -106,34 +106,33 @@ Expr = Union[Lit, Sym, Gen, QIntNode, Neg, Add, Sub, Mul, Pow, Mono]
 
 # -- tokenizer ---------------------------------------------------------------
 
+# an integer, a name, an operator (the one unnamed group) or, last, any
+# other visible character; ASCII only, so INT is the digits 0-9 and only
+# ASCII whitespace separates tokens
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()\[\]|.]))"
+    r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|([-+*^()\[\]|.])|(?P<bad>\S)", re.ASCII
 )
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """(kind, text, offset) of each token, in one scan, and a last
+    ("end", "", len(text)).  The kind of an operator is the operator."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ParseError("unexpected character %r" % text[bad], bad)
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int"), m.start("int")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        value = m[0]
+        kind = m.lastgroup or value
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % value, m.start())
+        tokens.append((kind, value, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-_GENERATORS = {"x0", "x1", "x2", "x3", "c0", "c1", "c2", "c3"}
+_NAMES = dict.fromkeys(RING.symbols, Sym) | dict.fromkeys(
+    ("x0", "x1", "x2", "x3", "c0", "c1", "c2", "c3"), Gen
+)
+_WORD_LETTERS = {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
+_CENTRAL_LETTERS = {"c0": 0, "c1": 1, "c2": 2, "c3": 3}
 
 
 def _int_literal(text: str, pos: int) -> int:
@@ -150,158 +149,144 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over the token list, read at index `i`."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.i]
+    def expect(self, kind: str) -> None:
+        token = self.tokens[self.i]
+        if token[0] != kind:
+            raise ParseError("expected %r" % kind, token[2])
         self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError("expected %r" % op, pos)
-        self.advance()
 
     def parse(self) -> Expr:
         node = self.expr()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError("trailing input %r" % value, pos)
         return node
 
     def expr(self) -> Expr:
-        kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value == "-":
-            self.advance()
-            negate = True
-        node: Expr = self.term()
-        if negate:
-            node = Neg(node)
+        tokens = self.tokens
+        if tokens[self.i][0] == "-":
+            self.i += 1
+            node: Expr = Neg(self.term())
+        else:
+            node = self.term()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
+            kind = tokens[self.i][0]
+            if kind == "+":
+                self.i += 1
+                node = Add(node, self.term())
+            elif kind == "-":
+                self.i += 1
+                node = Sub(node, self.term())
             else:
                 return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                node = Mul(node, self.factor())
-            else:
-                return node
+        while self.tokens[self.i][0] == "*":
+            self.i += 1
+            node = Mul(node, self.factor())
+        return node
 
     def signed_int(self) -> int:
         sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.tokens[self.i][0] == "-":
+            self.i += 1
             sign = -1
-            kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.i]
         if kind != "int":
             raise ParseError("expected an integer", pos)
-        self.advance()
+        self.i += 1
         return sign * _int_literal(value, pos)
 
     def factor(self) -> Expr:
         node = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
+        if self.tokens[self.i][0] == "^":
+            self.i += 1
             node = Pow(node, self.signed_int())
         return node
 
     def atom(self) -> Expr:
-        kind, value, pos = self.advance()
+        kind, value, pos = self.tokens[self.i]
+        self.i += 1
+        if kind == "name":
+            node = _NAMES.get(value)
+            if node is not None:
+                return node(value)
+            if value == "qint":
+                self.expect("(")
+                n = self.signed_int()
+                self.expect(")")
+                return QIntNode(n)
+            raise ParseError("unknown name %r" % value, pos)
         if kind == "int":
             return Lit(_int_literal(value, pos))
-        if kind == "name":
-            if value == "qint":
-                self.expect_op("(")
-                n = self.signed_int()
-                self.expect_op(")")
-                return QIntNode(n)
-            if value in RING.symbols:
-                return Sym(value)
-            if value in _GENERATORS:
-                return Gen(value)
-            raise ParseError("unknown name %r" % value, pos)
-        if kind == "op" and value == "(":
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, pos)
             self.depth += 1
             node = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             self.depth -= 1
             return node
-        if kind == "op" and value == "[":
+        if kind == "[":
             return self.monomial()
         raise ParseError("unexpected token %r" % (value or "end of input"), pos)
 
     def monomial(self) -> Mono:
         even = self.word_slot((0, 2))
-        self.expect_op("|")
+        self.expect("|")
         odd = self.word_slot((1, 3))
-        self.expect_op("|")
+        self.expect("|")
         central = self.central_slot()
-        self.expect_op("]")
+        self.expect("]")
         return Mono(even, odd, central)
 
     def word_slot(self, allowed: tuple) -> tuple:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        tokens = self.tokens
+        if tokens[self.i][0] == "-":
+            self.i += 1
             return ()
         letters = []
         while True:
-            kind, value, pos = self.advance()
-            if kind != "name" or value not in _GENERATORS or value[0] != "x":
+            _, value, pos = tokens[self.i]
+            self.i += 1
+            i = _WORD_LETTERS.get(value)
+            if i is None:
                 raise ParseError("expected a word letter", pos)
-            i = int(value[1])
             if i not in allowed:
                 raise ParseError("letter %r is in the wrong slot" % value, pos)
             letters.append(i)
-            kind, value, _ = self.peek()
-            if kind == "op" and value == ".":
-                self.advance()
-                continue
-            return tuple(letters)
+            if tokens[self.i][0] != ".":
+                return tuple(letters)
+            self.i += 1
 
     def central_slot(self) -> tuple:
-        kind, value, pos = self.peek()
+        tokens = self.tokens
         exps = [0, 0, 0, 0]
-        if kind == "op" and value == "-":
-            self.advance()
+        if tokens[self.i][0] == "-":
+            self.i += 1
             return tuple(exps)
         while True:
-            kind, value, pos = self.advance()
-            if kind != "name" or value not in _GENERATORS or value[0] != "c":
+            _, value, pos = tokens[self.i]
+            self.i += 1
+            i = _CENTRAL_LETTERS.get(value)
+            if i is None:
                 raise ParseError("expected a central generator", pos)
-            i = int(value[1])
             power = 1
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
+            if tokens[self.i][0] == "^":
+                self.i += 1
                 power = self.signed_int()
             exps[i] += power
-            kind, value, _ = self.peek()
-            if kind == "op" and value == ".":
-                self.advance()
-                continue
-            return tuple(exps)
+            if tokens[self.i][0] != ".":
+                return tuple(exps)
+            self.i += 1
 
 
 def parse(text: str, mode: str = "box") -> Expr:

@@ -529,11 +529,25 @@ def test_central_overflow_is_checked():
     big = central_gen(0, 2 ** 62)
     with pytest.raises(OverflowError):
         big * big
+    # the bound holds where a central exponent enters, as in reduce_word
+    for power in (2 ** 63, -(2 ** 63), 2 ** 70):
+        with pytest.raises(bt.CentralOverflowError):
+            central_gen(0, power)
+        with pytest.raises(bt.CentralOverflowError):
+            reduce_word((), (power, 0, 0, 0))
+        with pytest.raises(OverflowError):
+            module_action_oracle([("c", 0, power)])
+    edge = 2 ** 63 - 1
+    assert central_gen(3, -edge) == reduce_word((), (0, 0, 0, -edge))
+    assert oracle_as_box(module_action_oracle([("c", 3, -edge)])) == central_gen(3, -edge)
 
 
 def test_invalid_letters_rejected():
-    with pytest.raises(ValueError):
-        reduce_word((4,))
+    # a letter is an int in 0..3: a float or a digit string is not read as one
+    for letters in ((4,), (1.7, 2), (1, "2"), (2.0,), (-1,)):
+        with pytest.raises(ValueError, match="must be ints"):
+            reduce_word(letters)
+    assert reduce_word([0, 1]) == reduce_word(b"\x00\x01") == generator(0) * generator(1)
 
 
 def test_only_normal_monomials_are_accepted():

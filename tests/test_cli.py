@@ -107,6 +107,15 @@ def test_nf_integer_literal_too_long(capsys):
         assert err.count("\n") == 1 and "5000 digits" in err
 
 
+def test_nf_reads_only_ascii_digits_and_ascii_whitespace(capsys):
+    # an Arabic-Indic and a fullwidth 3 are no INT, a no-break space
+    # separates no tokens
+    for text, offset in (("\u0663*x0", 0), ("\uff13*x0", 0), ("x0 +\xa0x1", 4)):
+        expected = "parse error: unexpected character %r (at offset %d)\n" % (text[offset], offset)
+        assert run(capsys, ["nf", text]) == (2, "", expected)
+    assert run(capsys, ["nf", " 3 *\tx0\n"]) == (0, "3 * [x0 | - | -]\n", "")
+
+
 def test_nf_deep_input_is_refused_or_evaluated_without_recursing(capsys):
     code, out, err = run(capsys, ["nf", "(" * 300 + "x0" + ")" * 300])
     assert code == 2
