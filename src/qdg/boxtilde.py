@@ -828,8 +828,9 @@ def module_action_oracle(tokens: Sequence) -> dict:
     a map (word, word, lambda exponents) -> nonzero LaurentPoly.
 
     Tokens are generator indices 0..3 or ("c", i, e) with i in 0..3 and an
-    int e; any other token raises ValueError.  Left action means the
-    rightmost token acts first.
+    int e; any other token raises ValueError, and an e outside the checked
+    64-bit range OverflowError.  Left action means the rightmost token
+    acts first.
     """
     tokens = [_oracle_token(t) for t in tokens]
     _check_word_cap("module_action_oracle", sum(1 for t in tokens if not isinstance(t, tuple)))

@@ -1,6 +1,7 @@
 """Surface syntax for algebra expressions.
 
-Grammar (whitespace insignificant, juxtaposition is never multiplication):
+Grammar (ASCII whitespace insignificant, juxtaposition is never
+multiplication, INT is ASCII decimal digits):
 
     expr    := ['-'] term (('+' | '-') term)*
     term    := factor ('*' factor)*
@@ -107,8 +108,8 @@ Expr = Union[Lit, Sym, Gen, QIntNode, Neg, Add, Sub, Mul, Pow, Mono]
 # -- tokenizer ---------------------------------------------------------------
 
 # an integer, a name, an operator (the one unnamed group) or, last, any
-# other visible character; ASCII only, so INT is the digits 0-9 and only
-# ASCII whitespace separates tokens
+# other character that is not whitespace; ASCII only, so INT is the digits
+# 0-9 and only ASCII whitespace separates tokens
 _TOKEN_RE = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|([-+*^()\[\]|.])|(?P<bad>\S)", re.ASCII
 )
@@ -128,11 +129,10 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
-_NAMES = dict.fromkeys(RING.symbols, Sym) | dict.fromkeys(
-    ("x0", "x1", "x2", "x3", "c0", "c1", "c2", "c3"), Gen
-)
 _WORD_LETTERS = {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
 _CENTRAL_LETTERS = {"c0": 0, "c1": 1, "c2": 2, "c3": 3}
+# the node class of each name an atom may be, `qint` aside
+_NAMES = dict.fromkeys(RING.symbols, Sym) | dict.fromkeys([*_WORD_LETTERS, *_CENTRAL_LETTERS], Gen)
 
 
 def _int_literal(text: str, pos: int) -> int:
