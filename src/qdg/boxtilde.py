@@ -47,7 +47,9 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .qcoeff import DEFAULT_RING, LaurentPoly, LaurentRing, NotInvertibleError, power, render_sum
+from .qcoeff import (
+    DEFAULT_RING, CoefficientTooLargeError, LaurentPoly, LaurentRing, NotInvertibleError, power, render_sum
+)
 
 EVEN_LETTERS = (0, 2)
 ODD_LETTERS = (1, 3)
@@ -231,6 +233,8 @@ class BoxElem:
         +-q^k a^i b^j c^v with empty words, and raises NotInvertibleError
         for anything else."""
         if n >= 0:
+            _refuse_oversized_power(self.state, n)
+            _check_power_word_cap(self.state, n)
             return power(self, n, one())
         v, exps, cent = _monomial_parts(self)
         if v not in (1, -1):
@@ -247,6 +251,59 @@ class BoxElem:
 
     def __repr__(self) -> str:
         return "<BoxElem %s>" % self
+
+
+# a power of a one-term element whose coefficient would have more bits
+# than this is refused before it is built, since past it the build itself
+# is the cost: 3^(2^20), about 1.7 million bits, takes 0.14 s on one core
+# under CPython 3.11, and the cost grows faster than the bit count.  The
+# bound is 73 times the bits of the interpreter's default print limit, so
+# a value short of it may still cancel before it is printed
+_POWER_BIT_BOUND = 1 << 20
+
+
+def _refuse_oversized_power(state: dict, n: int) -> None:
+    """Raises CoefficientTooLargeError when the n-th power of a one-term
+    element is sure to carry a coefficient past `_POWER_BIT_BOUND` bits,
+    before it is built.
+
+    The term of the power with the longest word has coefficient c^n, and
+    |c|^n >= 2^(n (b - 1)) for a b-bit c, a number of at least n (b - 1) + 1
+    bits.
+    """
+    if len(state) != 1:
+        return
+    (qd,) = state.values()
+    if len(qd) != 1:
+        return
+    (c,) = qd.values()
+    bits = n * (abs(c).bit_length() - 1)
+    if bits >= _POWER_BIT_BOUND:
+        raise CoefficientTooLargeError(
+            "a power with a coefficient of at least %d bits is past the bound of %d bits"
+            % (bits + 1, _POWER_BIT_BOUND)
+        )
+
+
+def _check_power_word_cap(state: dict, n: int) -> None:
+    """Raises the ReductionBudgetError of the first `multiply` in
+    `power(e, n, one())` past the word cap, from word lengths alone.
+
+    The associated graded algebra, a twisted tensor product of two free
+    algebras, is a domain, so the longest word of a nonzero product is the
+    sum of its factors' longest words, and every product of the power has
+    a length known in advance."""
+    if not state:
+        return
+    result, base = 0, _longest(state)
+    while n:
+        if n & 1:
+            result += base
+            _check_word_cap("multiply", result)
+        n >>= 1
+        if n:
+            base *= 2
+            _check_word_cap("multiply", base)
 
 
 def _basis(even: bytes, odd: bytes, central: tuple) -> BoxElem:
@@ -503,21 +560,61 @@ def _longest(state: dict) -> int:
     return max(len(even) + len(odd) for even, odd, _, _ in state)
 
 
+def _times_monomial(state: dict, even: bytes, odd: bytes, central: tuple, ab: tuple, k: int = 0, c: int = 1) -> dict:
+    """The state map times c q^k a^i b^j (even | odd | central), with
+    (i, j) = ab and c a nonzero int, as a new map: the letters of `even`
+    fold in, the last one with `odd` and the a/b shift joined, and what is
+    left goes in one pass over the entries, which shares each q-dict when
+    c q^k = 1 and checks the term budget after it."""
+    same = k == 0 and c == 1
+    if even:
+        state = _cross(_fold(state, even[:-1], True, "multiply"), even[-1], True, "multiply", odd, ab)
+        if same and central == ZERO_CENTRAL:
+            return state
+        odd, ab = b"", (0, 0)
+    shift_central = central != ZERO_CENTRAL
+    shift_ab = any(ab)
+    out: dict = {}
+    for (e, o, cent, ab1), qd in state.items():
+        if shift_central:
+            cent = add_central(cent, central)
+        if shift_ab:
+            ab1 = (ab1[0] + ab[0], ab1[1] + ab[1])
+        out[e, o + odd, cent, ab1] = qd if same else {x + k: v * c for x, v in qd.items()}
+    _check_term_budget("multiply", len(out))
+    return out
+
+
+def _times_atom(state: dict, atom: tuple) -> dict:
+    """`multiply` of the state map by the one-term element of `atom`, the
+    arguments (even, odd, central, a/b exponents, q exponent, integer) of
+    `_times_monomial`, without building either element."""
+    even, odd, central, ab, k, c = atom
+    if not state or not c:
+        return {}
+    _check_word_cap("multiply", _longest(state) + len(even) + len(odd))
+    return _times_monomial(state, even, odd, central, ab, k, c)
+
+
 def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     """Bilinear extension of concatenate-then-reduce: the even word of each
     right-hand monomial is folded into the state map of `lhs`, and its odd
     word is appended.  Monomials sharing an even word share the fold.
 
-    A group that is one monomial with coefficient a^i b^j and no central
-    part is entered without a second pass: as the first group, the last
-    letter of its even word crosses straight into the product, and as the
-    last group with an empty even word, the product takes the q-dicts of
-    `lhs` under the new keys.  No later group writes to those, so the
-    product holds q-dicts of `lhs` only when the last group crosses no
-    letter, and `_add_into` still changes only dicts it made."""
+    A right factor of one term goes to `_times_monomial`, and so does a
+    first group that is one monomial with coefficient a^i b^j and no
+    central part.  As the last group with an empty even word, such a
+    monomial takes the q-dicts of `lhs` under the new keys.  No later
+    group writes to those, so `_add_into` still changes only dicts it
+    made."""
     if not lhs.state or not rhs.state:
         return zero()
     _check_word_cap("multiply", _longest(lhs.state) + _longest(rhs.state))
+    if len(rhs.state) == 1:
+        (((even, odd, central, ab), qd),) = rhs.state.items()
+        if len(qd) == 1:
+            ((k, c),) = qd.items()
+            return BoxElem._of(_times_monomial(lhs.state, even, odd, central, ab, k, c))
     # a scalar factor only scales the coefficients of the other
     if _is_scalar(rhs.state):
         return BoxElem._of(_scaled(lhs.state, rhs.state))
@@ -532,10 +629,7 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
         odd_word, central, ab2, qd2 = monos[0]
         plain = len(monos) == 1 and qd2 == _ONE_Q and central == ZERO_CENTRAL
         if plain and even_word and not out:
-            # the crossing checks the budget after each state, with the
-            # sizes a fold into a map of its own would reach
-            state = _fold(lhs.state, even_word[:-1], True, "multiply")
-            out = _cross(state, even_word[-1], True, "multiply", odd_word, ab2)
+            out = _times_monomial(lhs.state, even_word, odd_word, central, ab2)
             continue
         if plain and not even_word and g == last:
             shifted = any(ab2)
@@ -566,51 +660,6 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
                     _add_into(out, key, qd, k, v)
             _check_term_budget("multiply", len(out))
     return BoxElem._of(out)
-
-
-# `multiply` with a one-atom right factor, on state maps: the same checks
-# in the same order, under the same name, and the same state map in the
-# same order, without building the right factor
-
-
-def _times_letter(state: dict, letter: int) -> dict:
-    """The state map times x_letter."""
-    if not state:
-        return {}
-    _check_word_cap("multiply", _longest(state) + 1)
-    unit = bytes((letter,))
-    if _is_scalar(state):
-        # a scalar left factor only scales the letter, unchecked
-        words = (unit, b"") if letter & 1 == 0 else (b"", unit)
-        return {words + key[2:]: qd for key, qd in state.items()}
-    state = _fold(state, unit, True, "multiply")
-    _check_term_budget("multiply", len(state))
-    return state
-
-
-def _times_unit(state: dict, coeff: int, k: int, ab: tuple, central: tuple) -> dict:
-    """The state map times coeff q^k a^i b^j c^central, with (i, j) = ab:
-    the q exponents shift, the a/b and central exponents add, and the
-    integers multiply, in one pass."""
-    if not state or not coeff:
-        return {}
-    _check_word_cap("multiply", _longest(state))
-    shift_ab = any(ab)
-    shift_central = central != ZERO_CENTRAL
-    # a central factor is added in per entry and then budget-checked, unless
-    # the left factor is a scalar, which scales it instead
-    checked = shift_central and not _is_scalar(state)
-    same = k == 0 and coeff == 1
-    out: dict = {}
-    for (even, odd, cent, ab1), qd in state.items():
-        if shift_central:
-            cent = add_central(cent, central)
-        if shift_ab:
-            ab1 = (ab1[0] + ab[0], ab1[1] + ab[1])
-        out[even, odd, cent, ab1] = qd if same else {e + k: v * coeff for e, v in qd.items()}
-    if checked:
-        _check_term_budget("multiply", len(out))
-    return out
 
 
 def s_element(i: int) -> BoxElem:

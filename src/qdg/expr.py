@@ -17,11 +17,13 @@ empty slot) so that printed output parses back.  Negative powers are
 allowed only on invertible atoms (q, a, b, the c_i and their monomials).
 
 A product is evaluated left to right into one running state map.  An
-atom (a letter x_i, an int, or a power of q, a, b or c_i) is applied to
-it in one pass, by `boxtilde._times_letter` or `boxtilde._times_unit`,
-with the checks, errors and results of `multiply`; any other factor (a
-parenthesised sum, a bracket monomial, `qint`, a power of a non-unit) is
-evaluated and multiplied in by `multiply`.
+atom (a letter x_i, an int, or a power of q, a, b or c_i) is one term
+c q^k a^i b^j (even | odd | central), and `boxtilde._times_atom` applies
+it with `multiply`'s word-cap check and `multiply`'s routine for a
+one-term right factor, `boxtilde._times_monomial`, without building the
+factor; any other factor (a parenthesised sum, a bracket monomial,
+`qint`, a power of a non-unit) is evaluated and multiplied in by
+`multiply`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from . import boxtilde as bt
-from .boxtilde import BoxElem
-from .qcoeff import DEFAULT_RING as RING, CoefficientTooLargeError
+from .boxtilde import ZERO_CENTRAL, BoxElem
+from .qcoeff import DEFAULT_RING as RING
 
 
 class ParseError(ValueError):
@@ -300,38 +302,6 @@ def parse(text: str, mode: str = "box") -> Expr:
 # -- evaluation ---------------------------------------------------------------
 
 
-# a power of a one-term element whose coefficient would have more bits
-# than this is refused before it is built, since past it the build itself
-# is the cost: 3^(2^20), about 1.7 million bits, takes 0.14 s on one core
-# under CPython 3.11, and the cost grows faster than the bit count.  The
-# bound is 73 times the bits of the interpreter's default print limit, so
-# a value short of it may still cancel before it is printed
-_POWER_BIT_BOUND = 1 << 20
-
-
-def _refuse_oversized_power(e: BoxElem, n: int) -> None:
-    """Raises CoefficientTooLargeError when the n-th power of a one-term
-    element is sure to carry a coefficient past `_POWER_BIT_BOUND` bits,
-    before it is built.
-
-    The term of the power with the longest word has coefficient c^n, and
-    |c|^n >= 2^(n (b - 1)) for a b-bit c, a number of at least n (b - 1) + 1
-    bits.
-    """
-    if len(e.state) != 1:
-        return
-    (qd,) = e.state.values()
-    if len(qd) != 1:
-        return
-    (c,) = qd.values()
-    bits = n * (abs(c).bit_length() - 1)
-    if bits >= _POWER_BIT_BOUND:
-        raise CoefficientTooLargeError(
-            "a power with a coefficient of at least %d bits is past the bound of %d bits"
-            % (bits + 1, _POWER_BIT_BOUND)
-        )
-
-
 def _accumulate(acc: dict, e: BoxElem, sign: int) -> None:
     """acc += sign * e, on state maps; then the term budget is checked under
     the name `sum`, as a `BoxElem` sum checks it."""
@@ -340,29 +310,30 @@ def _accumulate(acc: dict, e: BoxElem, sign: int) -> None:
     bt._check_term_budget("sum", len(acc))
 
 
-# exponents of q and of (a, b) in each ring symbol
-_SYMBOL_EXPS = {"q": (1, 0, 0), "a": (0, 1, 0), "b": (0, 0, 1)}
-_CENTRAL_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+# each name an atom may be, as the arguments (even, odd, central, a/b
+# exponents, q exponent, integer) of `boxtilde._times_monomial`
+_NAME_ATOMS = {
+    "q": (b"", b"", ZERO_CENTRAL, (0, 0), 1, 1), "a": (b"", b"", ZERO_CENTRAL, (1, 0), 0, 1),
+    "b": (b"", b"", ZERO_CENTRAL, (0, 1), 0, 1),
+    "x0": (b"\x00", b"", ZERO_CENTRAL, (0, 0), 0, 1), "x1": (b"", b"\x01", ZERO_CENTRAL, (0, 0), 0, 1),
+    "x2": (b"\x02", b"", ZERO_CENTRAL, (0, 0), 0, 1), "x3": (b"", b"\x03", ZERO_CENTRAL, (0, 0), 0, 1),
+    "c0": (b"", b"", (1, 0, 0, 0), (0, 0), 0, 1), "c1": (b"", b"", (0, 1, 0, 0), (0, 0), 0, 1),
+    "c2": (b"", b"", (0, 0, 1, 0), (0, 0), 0, 1), "c3": (b"", b"", (0, 0, 0, 1), (0, 0), 0, 1),
+}
 
 
 def _atom(n: Expr):
-    """A factor that a product applies to its state map directly: a letter
-    x_i as its index i, and an int or a power of q, a, b or c_i as the
-    arguments (coefficient, q exponent, a/b exponents, central exponents)
-    of `boxtilde._times_unit`.  None for any other node.  A central power
-    past the checked 64-bit range raises CentralOverflowError here."""
-    power = 1
-    if isinstance(n, Pow) and isinstance(n.base, (Sym, Gen)) and n.base.name[0] != "x":
-        n, power = n.base, n.exponent
+    """A one-term factor (a letter x_i, an int, or a power of q, a, b or
+    c_i) in the shape of `_NAME_ATOMS`; None for any other node.  A central
+    power past the checked 64-bit range raises CentralOverflowError here."""
     if isinstance(n, Lit):
-        return (n.value, 0, (0, 0), bt.ZERO_CENTRAL)
-    if isinstance(n, Sym):
-        k, i, j = _SYMBOL_EXPS[n.name]
-        return (1, k * power, (i * power, j * power), bt.ZERO_CENTRAL)
-    if isinstance(n, Gen):
-        if n.name[0] == "x":
-            return int(n.name[1])
-        return (1, 0, (0, 0), bt.scale_central(_CENTRAL_UNITS[int(n.name[1])], power))
+        return (b"", b"", ZERO_CENTRAL, (0, 0), 0, n.value)
+    if isinstance(n, (Sym, Gen)):
+        return _NAME_ATOMS[n.name]
+    if isinstance(n, Pow) and isinstance(n.base, (Sym, Gen)) and n.base.name[0] != "x":
+        even, odd, central, (i, j), k, c = _NAME_ATOMS[n.base.name]
+        p = n.exponent
+        return (even, odd, bt.scale_central(central, p), (i * p, j * p), k * p, c)
     return None
 
 
@@ -372,10 +343,8 @@ def evaluate(node: Expr) -> BoxElem:
     def walk(n):
         atom = _atom(n)
         if atom is not None:
-            if isinstance(atom, int):
-                return bt.generator(atom)
-            coeff, k, ab, central = atom
-            return BoxElem._of({(b"", b"", central, ab): {k: coeff}} if coeff else {})
+            even, odd, central, ab, k, c = atom
+            return BoxElem._of({(even, odd, central, ab): {k: c}} if c else {})
         if isinstance(n, QIntNode):
             # [n]_q has |n| terms, so a huge n is refused before it is built
             bt._check_term_budget("qint", abs(n.n))
@@ -383,6 +352,7 @@ def evaluate(node: Expr) -> BoxElem:
         if isinstance(n, Mono):
             # the bound a central power is checked against, c0^n alike
             central = bt.scale_central(tuple(n.central), 1)
+            bt._check_word_cap("monomial", len(n.even) + len(n.odd))
             return bt._basis(bytes(n.even), bytes(n.odd), central)
         if isinstance(n, Neg):
             return -walk(n.arg)
@@ -401,7 +371,7 @@ def evaluate(node: Expr) -> BoxElem:
         if isinstance(n, Mul):
             # a chain a * b * c nests to the left as well; multiply it out
             # in the same order, into one running state map: an atom is
-            # applied to it in one pass, any other factor by `multiply`
+            # applied to it by `_times_atom`, any other factor by `multiply`
             rights = []
             while isinstance(n, Mul):
                 rights.append(n.right)
@@ -411,15 +381,11 @@ def evaluate(node: Expr) -> BoxElem:
                 atom = _atom(right)
                 if atom is None:
                     state = bt.multiply(BoxElem._of(state), walk(right)).state
-                elif isinstance(atom, int):
-                    state = bt._times_letter(state, atom)
                 else:
-                    state = bt._times_unit(state, *atom)
+                    state = bt._times_atom(state, atom)
             return BoxElem._of(state)
         if isinstance(n, Pow):
-            base = walk(n.base)
-            _refuse_oversized_power(base, n.exponent)
-            return base ** n.exponent
+            return walk(n.base) ** n.exponent
         raise TypeError("unknown AST node %r" % (n,))
 
     return walk(node)

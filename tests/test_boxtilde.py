@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import random
 
@@ -24,7 +25,7 @@ from qdg.boxtilde import (
     specialize_central,
 )
 from qdg.gradings import pi, zdegrees
-from qdg.qcoeff import DEFAULT_RING, LaurentPoly, NotInvertibleError
+from qdg.qcoeff import DEFAULT_RING, LaurentPoly, NotInvertibleError, power
 
 R = DEFAULT_RING
 Q = R.gen("q")
@@ -641,6 +642,11 @@ def test_operations_leave_their_inputs_unchanged(w1, c1, k1, w2, c2, k2, k3):
         keep(h(x))
         for n in zdegrees(x):
             keep(pi(n, x))
+        # one-term right factors; the second shares the q-dicts of x
+        keep(BoxElem._of(bt._times_monomial(x.state, b"\x00\x02", b"\x01", (0, 1, 0, 0), (1, -1), 2, -3)))
+        keep(BoxElem._of(bt._times_monomial(x.state, b"", b"\x03", ZERO_CENTRAL, (0, 1))))
+        keep(BoxElem._of(bt._times_atom(x.state, (b"\x02", b"", ZERO_CENTRAL, (0, 0), 0, 1))))
+        keep(BoxElem._of(bt._times_atom(x.state, (b"", b"", (1, 0, 0, 0), (0, 0), -1, 2))))
     # a second round on the results, which may share q-dicts with the inputs
     for x in values[3:]:
         x + e1
@@ -650,6 +656,8 @@ def test_operations_leave_their_inputs_unchanged(w1, c1, k1, w2, c2, k2, k3):
         rho(x)
         g(x)
         h(x)
+        bt._times_monomial(x.state, b"\x02", b"\x03", ZERO_CENTRAL, (0, 0), 1, 1)
+        bt._times_atom(x.state, (b"", b"\x01", (0, 0, 2, 0), (1, 0), 0, -1))
     for e, before in zip(values, snapshots):
         assert e.state == before
 
@@ -705,6 +713,94 @@ def test_products_share_no_q_dict_that_a_later_operation_changes():
         keep(rho(p))
     for e, before in zip(values, snapshots):
         assert e.state == before
+
+
+@contextlib.contextmanager
+def _limits(word_cap, term_budget):
+    saved = (bt.LIMITS.word_cap, bt.LIMITS.term_budget)
+    bt.LIMITS.word_cap, bt.LIMITS.term_budget = word_cap, term_budget
+    try:
+        yield
+    finally:
+        bt.LIMITS.word_cap, bt.LIMITS.term_budget = saved
+
+
+def _outcome(compute):
+    """What `compute()` returns, or the type and text of the budget error
+    it raises."""
+    try:
+        return compute()
+    except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
+        return type(exc), str(exc)
+
+
+# random elements, with scalars and zero among them
+_ELEMENTS = st.one_of(
+    st.integers(0, 2 ** 32).map(lambda seed: bt.random_element(random.Random(seed), max_terms=4, max_word=5)),
+    _COEFFICIENTS.map(lambda coeff: BoxElem(R, {bt.IDENTITY_MONO: coeff})),
+    st.just(bt.zero()),
+)
+# one-term factors c q^k a^i b^j (even | odd | central), as the arguments
+# (even, odd, central, a/b exponents, k, c) of `_times_atom`
+_ONE_TERM_ATOMS = st.tuples(
+    st.lists(st.sampled_from((0, 2)), max_size=3).map(bytes),
+    st.lists(st.sampled_from((1, 3)), max_size=3).map(bytes),
+    st.one_of(st.just(ZERO_CENTRAL), _CENTRALS),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.integers(-3, 3),
+    st.sampled_from((1, -1, 2, -2, 3)),
+)
+
+
+def _one_term(atom):
+    even, odd, central, ab, k, c = atom
+    return BoxElem._of({(even, odd, central, ab): {k: c}})
+
+
+@given(_ELEMENTS, _ONE_TERM_ATOMS)
+@settings(max_examples=150, deadline=None)
+def test_products_by_one_term_factors_match_the_monomial_pairs(e, atom):
+    product = multiply(e, _one_term(atom))
+    assert product == _product_by_monomial_pairs(e, _one_term(atom))
+    assert bt._times_atom(e.state, atom) == product.state
+
+
+@given(_ELEMENTS, _ONE_TERM_ATOMS, st.integers(3, 6), st.integers(2, 8))
+@settings(max_examples=300, deadline=None)
+def test_times_atom_is_multiply_at_low_limits(e, atom, word_cap, term_budget):
+    with _limits(word_cap, term_budget):
+        expected = _outcome(lambda: multiply(e, _one_term(atom)).state)
+        assert _outcome(lambda: bt._times_atom(e.state, atom)) == expected
+
+
+@given(
+    st.integers(0, 2 ** 32).map(lambda seed: bt.random_element(random.Random(seed), max_terms=3, max_word=3)),
+    st.integers(0, 40),
+    st.integers(3, 8),
+)
+@settings(max_examples=150, deadline=None)
+def test_the_power_word_cap_gate_matches_the_power_loop(e, n, word_cap):
+    with _limits(word_cap, 1_000_000):
+        assert _outcome(lambda: e ** n) == _outcome(lambda: power(e, n, bt.one()))
+
+
+def test_powers_past_the_word_cap_are_refused_before_the_work(monkeypatch):
+    def refuse(base, n, one):
+        raise AssertionError("the power was built")
+
+    monkeypatch.setattr(bt, "power", refuse)
+    pair = generator(0) + generator(1)
+    with pytest.raises(bt.ReductionBudgetError, match=r"^reduction budget: multiply reached 65 letters \(cap 64\)$"):
+        pair ** 65
+    with pytest.raises(bt.ReductionBudgetError, match=r"^reduction budget: multiply reached 127 letters \(cap 64\)$"):
+        pair ** 99999999999999999999
+    with pytest.raises(bt.ReductionBudgetError, match=r"^reduction budget: multiply reached 128 letters \(cap 64\)$"):
+        generator(0) ** 99999
+    # zero and scalars have no word to grow
+    with pytest.raises(AssertionError, match="the power was built"):
+        bt.zero() ** 99999
+    with pytest.raises(AssertionError, match="the power was built"):
+        (bt.one() * Q) ** 99999
 
 
 def _global_names(code):
@@ -790,6 +886,11 @@ def test_sums_and_scalar_products_check_the_term_budget():
             scalar * 1
         with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 4 terms \(limit 2\)$"):
             pair * (1 + R.gen("a"))
+        # a one-term factor keeps the other's size, which is still checked
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 3 terms \(limit 2\)$"):
+            scalar * (bt.one() * Q)
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 3 terms \(limit 2\)$"):
+            bt._times_atom(scalar.state, (b"", b"\x01", ZERO_CENTRAL, (0, 0), 0, 1))
         bt.LIMITS.term_budget = 6
         assert pair * scalar == scalar * pair
     finally:

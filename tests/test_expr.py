@@ -300,6 +300,15 @@ def test_product_edge_inputs():
     assert _nf("q^99999999999999") == (0, "q^99999999999999 * [- | - | -]\n", "")
 
 
+def test_bracket_monomials_check_the_word_cap():
+    refused = (3, "", "budget exceeded: reduction budget: monomial reached 4 letters (cap 3)\n")
+    with _limits((3, 1_000_000)):
+        assert _nf("[x0.x0.x0.x0 | - | -]") == refused
+        assert _nf("[x0.x0.x0.x0 | - | -]*1") == refused
+        assert _nf("[x0.x2 | x1 | -]") == (0, "[x0.x2 | x1 | -]\n", "")
+        assert _nf("x0*x0*x0*x0") == (3, "", "budget exceeded: reduction budget: multiply reached 4 letters (cap 3)\n")
+
+
 def test_products_of_atoms_make_no_multiply(monkeypatch):
     calls = []
     multiply = bt.multiply
