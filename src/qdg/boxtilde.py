@@ -218,7 +218,7 @@ class BoxElem:
 
     def __mul__(self, other) -> "BoxElem":
         if isinstance(other, (int, LaurentPoly)):
-            return BoxElem._of(_scaled(self.state, _scalar_state(DEFAULT_RING.coerce(other))))
+            other = BoxElem._of(_scalar_state(DEFAULT_RING.coerce(other)))
         if isinstance(other, BoxElem):
             return multiply(self, other)
         return NotImplemented
@@ -287,7 +287,8 @@ def _refuse_oversized_power(state: dict, n: int) -> None:
 
 def _check_power_word_cap(state: dict, n: int) -> None:
     """Raises the ReductionBudgetError of the first `multiply` in
-    `power(e, n, one())` past the word cap, from word lengths alone.
+    `power(e, n, one())` past the word cap, from word lengths alone; as
+    in the power loop, the first set bit takes its factor with no product.
 
     The associated graded algebra, a twisted tensor product of two free
     algebras, is a domain, so the longest word of a nonzero product is the
@@ -295,11 +296,14 @@ def _check_power_word_cap(state: dict, n: int) -> None:
     a length known in advance."""
     if not state:
         return
-    result, base = 0, _longest(state)
+    result, base = None, _longest(state)
     while n:
         if n & 1:
-            result += base
-            _check_word_cap("multiply", result)
+            if result is None:
+                result = base
+            else:
+                result += base
+                _check_word_cap("multiply", result)
         n >>= 1
         if n:
             base *= 2
@@ -504,25 +508,6 @@ def _scalar_state(coeff: LaurentPoly) -> dict:
     return state
 
 
-def _scaled(state: dict, scalar: dict) -> dict:
-    """The state map times the state map of a scalar, whose every key has
-    empty words and no central part; the budget is checked, as a product,
-    after each entry of the scalar."""
-    out: dict = {}
-    for (_, _, _, ab2), qd2 in scalar.items():
-        shifted = any(ab2)
-        for (even, odd, cent, ab), qd in state.items():
-            key = (even, odd, cent, tuple(map(add, ab, ab2)) if shifted else ab)
-            for k, v in qd2.items():
-                _add_into(out, key, qd, k, v)
-        _check_term_budget("multiply", len(out))
-    return out
-
-
-def _is_scalar(state: dict) -> bool:
-    return all(not even and not odd and cent == ZERO_CENTRAL for even, odd, cent, _ in state)
-
-
 def reduce_word(
     letters: Iterable[int],
     central: tuple = ZERO_CENTRAL,
@@ -601,9 +586,11 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     right-hand monomial is folded into the state map of `lhs`, and its odd
     word is appended.  Monomials sharing an even word share the fold.
 
-    A right factor of one term goes to `_times_monomial`, and so does a
+    A right factor of one term goes to `_times_monomial`.  Every other
+    factor is grouped, a scalar on either side included (on the right it
+    is one group with an empty even word, which folds nothing), and a
     first group that is one monomial with coefficient a^i b^j and no
-    central part.  As the last group with an empty even word, such a
+    central part goes to `_times_monomial` too.  As the last group with an empty even word, such a
     monomial takes the q-dicts of `lhs` under the new keys.  No later
     group writes to those, so `_add_into` still changes only dicts it
     made."""
@@ -615,11 +602,6 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
         if len(qd) == 1:
             ((k, c),) = qd.items()
             return BoxElem._of(_times_monomial(lhs.state, even, odd, central, ab, k, c))
-    # a scalar factor only scales the coefficients of the other
-    if _is_scalar(rhs.state):
-        return BoxElem._of(_scaled(lhs.state, rhs.state))
-    if _is_scalar(lhs.state):
-        return BoxElem._of(_scaled(rhs.state, lhs.state))
     groups: dict = {}
     for (even, odd, central, ab2), qd2 in rhs.state.items():
         groups.setdefault(even, []).append((odd, central, ab2, qd2))
@@ -645,14 +627,10 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
             continue
         product = _fold(lhs.state, even_word, True, "multiply")
         for odd_word, central, ab2, qd2 in monos:
-            # a/b sums once per distinct vector: most vectors recur
-            sums = {} if any(ab2) else None
+            shifted = any(ab2)
             for (even, odd, cent, ab), qd in product.items():
-                if sums is not None:
-                    ab_sum = sums.get(ab)
-                    if ab_sum is None:
-                        ab_sum = sums[ab] = tuple(map(add, ab, ab2))
-                    ab = ab_sum
+                if shifted:
+                    ab = (ab[0] + ab2[0], ab[1] + ab2[1])
                 if central != ZERO_CENTRAL:
                     cent = add_central(cent, central)
                 key = (even, odd + odd_word, cent, ab)

@@ -179,11 +179,14 @@ def cmd_dims(args) -> int:
 
 
 def _apply_env_limits() -> Optional[str]:
-    """Applies QDG_TERM_BUDGET and QDG_WORD_CAP to the engine limits; returns
-    a message for a value that is not a positive integer."""
+    """Applies QDG_TERM_BUDGET and QDG_WORD_CAP to the engine limits, and the
+    `EngineLimits` default for a variable that is unset or empty, so no
+    limit outlives the call that set it; returns a message for a value
+    that is not a positive integer."""
     for var, field in (("QDG_TERM_BUDGET", "term_budget"), ("QDG_WORD_CAP", "word_cap")):
         text = os.environ.get(var)
         if not text:
+            setattr(bt.LIMITS, field, getattr(bt.EngineLimits, field))
             continue
         try:
             value = int(text)

@@ -17,13 +17,13 @@ empty slot) so that printed output parses back.  Negative powers are
 allowed only on invertible atoms (q, a, b, the c_i and their monomials).
 
 A product is evaluated left to right into one running state map.  An
-atom (a letter x_i, an int, or a power of q, a, b or c_i) is one term
-c q^k a^i b^j (even | odd | central), and `boxtilde._times_atom` applies
-it with `multiply`'s word-cap check and `multiply`'s routine for a
-one-term right factor, `boxtilde._times_monomial`, without building the
-factor; any other factor (a parenthesised sum, a bracket monomial,
-`qint`, a power of a non-unit) is evaluated and multiplied in by
-`multiply`.
+atom (a letter x_i, an int, a bracket monomial, or a power of q, a, b or
+c_i) is one term c q^k a^i b^j (even | odd | central), and
+`boxtilde._times_atom` applies it with `multiply`'s word-cap check and
+`multiply`'s routine for a one-term right factor,
+`boxtilde._times_monomial`, without building the factor; any other
+factor (a parenthesised sum, `qint`, a power of a non-unit) is evaluated
+and multiplied in by `multiply`.
 """
 
 from __future__ import annotations
@@ -323,13 +323,20 @@ _NAME_ATOMS = {
 
 
 def _atom(n: Expr):
-    """A one-term factor (a letter x_i, an int, or a power of q, a, b or
-    c_i) in the shape of `_NAME_ATOMS`; None for any other node.  A central
-    power past the checked 64-bit range raises CentralOverflowError here."""
+    """A one-term factor (a letter x_i, an int, a bracket monomial, or a
+    power of q, a, b or c_i) in the shape of `_NAME_ATOMS`; None for any
+    other node.  A central power past the checked 64-bit range raises
+    CentralOverflowError here, and a bracket monomial then checks the word
+    cap, under the name `monomial`."""
     if isinstance(n, Lit):
         return (b"", b"", ZERO_CENTRAL, (0, 0), 0, n.value)
     if isinstance(n, (Sym, Gen)):
         return _NAME_ATOMS[n.name]
+    if isinstance(n, Mono):
+        # the bound a central power is checked against, c0^n alike
+        central = bt.scale_central(tuple(n.central), 1)
+        bt._check_word_cap("monomial", len(n.even) + len(n.odd))
+        return (bytes(n.even), bytes(n.odd), central, (0, 0), 0, 1)
     if isinstance(n, Pow) and isinstance(n.base, (Sym, Gen)) and n.base.name[0] != "x":
         even, odd, central, (i, j), k, c = _NAME_ATOMS[n.base.name]
         p = n.exponent
@@ -349,11 +356,6 @@ def evaluate(node: Expr) -> BoxElem:
             # [n]_q has |n| terms, so a huge n is refused before it is built
             bt._check_term_budget("qint", abs(n.n))
             return BoxElem._of(bt._scalar_state(RING.qint(n.n)))
-        if isinstance(n, Mono):
-            # the bound a central power is checked against, c0^n alike
-            central = bt.scale_central(tuple(n.central), 1)
-            bt._check_word_cap("monomial", len(n.even) + len(n.odd))
-            return bt._basis(bytes(n.even), bytes(n.odd), central)
         if isinstance(n, Neg):
             return -walk(n.arg)
         if isinstance(n, (Add, Sub)):

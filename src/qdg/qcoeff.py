@@ -44,16 +44,19 @@ def put(acc: dict, key, value) -> None:
 
 
 def power(base, n: int, one):
-    """base ** n for n >= 0 by repeated squaring, with `one` the unit;
-    powers of one element commute, so the factor order does not matter."""
-    result = one
+    """base ** n for n >= 0 by repeated squaring, in popcount(n) +
+    bitlength(n) - 2 products for n >= 1: the first set bit takes its
+    factor as it is (`base ** 1` is `base`), so nothing is multiplied by
+    `one`, the unit, which is returned only for n = 0.  Powers of one
+    element commute, so the factor order does not matter."""
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 _SYMBOLS = ("q", "a", "b")

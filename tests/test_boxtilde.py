@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -880,7 +881,9 @@ def test_sums_and_scalar_products_check_the_term_budget():
         # each entry of the scalar is a shifted copy of the other factor
         with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 4 terms \(limit 2\)$"):
             pair * scalar
-        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 4 terms \(limit 2\)$"):
+        # a scalar on the left is grouped like any left factor: x0 crosses
+        # its entries one at a time, and the third passes the budget
+        with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 3 terms \(limit 2\)$"):
             scalar * pair
         with pytest.raises(bt.TermBudgetError, match=r"^term budget: multiply reached 3 terms \(limit 2\)$"):
             scalar * 1
@@ -895,6 +898,87 @@ def test_sums_and_scalar_products_check_the_term_budget():
         assert pair * scalar == scalar * pair
     finally:
         bt.LIMITS.term_budget = saved
+
+
+def _scaled(state, scalar):
+    """The kernel's former scalar path, kept as the reference for products
+    with a scalar: the state map times the state map of a scalar, whose
+    every key has empty words and no central part; the budget is checked,
+    as a product, after each entry of the scalar."""
+    out = {}
+    for (_, _, _, ab2), qd2 in scalar.items():
+        shifted = any(ab2)
+        for (even, odd, cent, ab), qd in state.items():
+            key = (even, odd, cent, tuple(map(add, ab, ab2)) if shifted else ab)
+            for k, v in qd2.items():
+                bt._add_into(out, key, qd, k, v)
+        bt._check_term_budget("multiply", len(out))
+    return out
+
+
+# scalars of one to three entries, with a/b shifts, in the three forms a
+# product takes them in: an int, a LaurentPoly or a BoxElem
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-1, 1), st.integers(-1, 1)),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=6,
+    )
+    .map(lambda terms: LaurentPoly(R, terms))
+    .filter(lambda c: 1 <= len(bt._scalar_state(c)) <= 3)
+    .flatmap(lambda c: st.sampled_from((c, BoxElem(R, {bt.IDENTITY_MONO: c})))),
+)
+
+
+def _scalar_of(s):
+    return s.state if isinstance(s, BoxElem) else bt._scalar_state(R.coerce(s))
+
+
+@given(_ELEMENTS, _SCALARS)
+@settings(max_examples=200, deadline=None)
+def test_scalar_products_match_the_former_scalar_path(e, s):
+    expected = _scaled(e.state, _scalar_of(s))
+    assert (e * s).state == expected
+    assert (s * e).state == expected
+    assert multiply(BoxElem._of(_scalar_of(s)), e).state == expected
+
+
+@given(_ELEMENTS, _SCALARS, st.integers(2, 8))
+@settings(max_examples=200, deadline=None)
+def test_scalars_on_the_right_check_the_budget_as_the_former_scalar_path(e, s, term_budget):
+    with _limits(64, term_budget):
+        expected = _outcome(lambda: _scaled(e.state, _scalar_of(s)))
+        assert _outcome(lambda: (e * s).state) == expected
+
+
+def test_the_kernel_has_no_scalar_path():
+    assert not hasattr(bt, "_scaled") and not hasattr(bt, "_is_scalar")
+
+
+def test_power_makes_popcount_plus_bitlength_minus_two_products(monkeypatch):
+    products = []
+    counted = bt.multiply
+
+    def recording(lhs, rhs):
+        products.append((lhs, rhs))
+        return counted(lhs, rhs)
+
+    monkeypatch.setattr(bt, "multiply", recording)
+    base = central_gen(1) * generator(1)
+    for n in range(1, 40):
+        products.clear()
+        result = base ** n
+        assert len(products) == bin(n).count("1") + n.bit_length() - 2, n
+        assert all(bt.one() not in pair for pair in products), n
+        assert result.state == {(b"", b"\x01" * n, (0, n, 0, 0), (0, 0)): {0: 1}}
+    assert base ** 1 is base
+    products.clear()
+    assert base ** 0 == bt.one() and products == []
+    # the coefficient ring's powers run the same loop
+    assert power(Q, 5, ONE) == Q * Q * Q * Q * Q and power(Q, 0, ONE) == ONE
+
 
 @given(_WORDS, _CENTRALS, _COEFFICIENTS, _WORDS, _CENTRALS, _COEFFICIENTS)
 @settings(max_examples=60, deadline=None)

@@ -190,10 +190,8 @@ _NF_TOKENS = (
 @given(st.lists(st.sampled_from(_NF_TOKENS), max_size=20).map(" ".join))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_nf_exits_0_2_or_3_on_any_token_string(capsys, monkeypatch, text):
-    monkeypatch.delenv("QDG_TERM_BUDGET", raising=False)
-    monkeypatch.delenv("QDG_WORD_CAP", raising=False)
-    monkeypatch.setattr(bt.LIMITS, "word_cap", 4)
-    monkeypatch.setattr(bt.LIMITS, "term_budget", 12)
+    monkeypatch.setenv("QDG_WORD_CAP", "4")
+    monkeypatch.setenv("QDG_TERM_BUDGET", "12")
     code, out, err = run(capsys, ["nf", "--", text])
     assert code in (0, 2, 3), text
     assert (out != "") == (code == 0) and (err != "") == (code != 0), text
@@ -235,6 +233,21 @@ def test_verify_json_deterministic_apart_from_timing(capsys):
         return json.dumps(report, sort_keys=True)
 
     assert normalized() == normalized()
+
+
+def test_engine_limits_do_not_outlive_the_call_that_set_them(capsys, monkeypatch):
+    monkeypatch.setenv("QDG_WORD_CAP", "3")
+    monkeypatch.setenv("QDG_TERM_BUDGET", "5")
+    code, _, err = run(capsys, ["nf", "x0*x0*x0*x0"])
+    assert code == 3 and "(cap 3)" in err
+    # an unset and an empty variable both restore the default
+    monkeypatch.delenv("QDG_WORD_CAP")
+    monkeypatch.setenv("QDG_TERM_BUDGET", "")
+    assert run(capsys, ["nf", "x0*x0*x0*x0"]) == (0, "[x0.x0.x0.x0 | - | -]\n", "")
+    code, out, _ = run(capsys, ["verify", "--check", "tables.*", "--json"])
+    assert code == 0
+    assert json.loads(out)["config"]["word_cap"] == bt.EngineLimits.word_cap == 64
+    assert json.loads(out)["config"]["term_budget"] == bt.EngineLimits.term_budget == 1_000_000
 
 
 def test_verify_reports_budget_errors(capsys, monkeypatch):

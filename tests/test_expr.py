@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -180,9 +182,12 @@ def test_box_render_parses_back(terms):
 
 
 def _nf(text: str) -> tuple:
-    """Exit code, standard output and standard error of `qdg nf -- text`."""
+    """Exit code, standard output and standard error of `qdg nf -- text`,
+    run with the engine limits in force passed through the environment,
+    which is where the command reads them."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    limits = {"QDG_WORD_CAP": str(bt.LIMITS.word_cap), "QDG_TERM_BUDGET": str(bt.LIMITS.term_budget)}
+    with mock.patch.dict(os.environ, limits), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["nf", "--", text])
     return code, out.getvalue(), err.getvalue()
 
@@ -317,10 +322,10 @@ def test_products_of_atoms_make_no_multiply(monkeypatch):
         calls.append(1)
         return multiply(lhs, rhs)
 
+    # the reference multiplies by scalars, so it is built first
+    expected = 3 * Q ** -1 * R.gen("a", 2) * reduce_word((0, 1, 2), (0, 0, 0, -1))
     monkeypatch.setattr(bt, "multiply", counting)
-    assert eval_text("3*q^-1*a^2*x0*x1*x2*c3^-1") == (
-        3 * Q ** -1 * R.gen("a", 2) * reduce_word((0, 1, 2), (0, 0, 0, -1))
-    )
+    assert eval_text("3*q^-1*a^2*x0*x1*x2*c3^-1") == expected
     assert calls == []
     eval_text("(x0+x1)*(x2+x3)")
     assert calls == [1]

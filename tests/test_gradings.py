@@ -94,7 +94,7 @@ def test_sharp_lifts_fold_no_letter_into_a_map_of_its_own(monkeypatch):
 
     monkeypatch.setattr(bt, "_fold", recording)
     lift = sharp_lift("AB")
-    assert calls == [b""]
+    assert set(calls) == {b""}
     assert len(lift.terms) == 5
     calls.clear()
     sharp_lift("ABBAB")
