@@ -42,7 +42,6 @@ factors as ints, LaurentPolys or BoxElems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -77,10 +76,15 @@ class CentralOverflowError(OverflowError):
     """A central exponent left the checked 64-bit range."""
 
 
-@dataclass
 class EngineLimits:
-    word_cap: int = 64
-    term_budget: int = 1_000_000
+    """The engine's budgets; the class attributes are the defaults."""
+
+    word_cap = 64
+    term_budget = 1_000_000
+
+    def __init__(self, word_cap: int = word_cap, term_budget: int = term_budget):
+        self.word_cap = word_cap
+        self.term_budget = term_budget
 
 
 LIMITS = EngineLimits()
@@ -279,9 +283,13 @@ def _refuse_oversized_power(state: dict, n: int) -> None:
     (c,) = qd.values()
     bits = n * (abs(c).bit_length() - 1)
     if bits >= _POWER_BIT_BOUND:
+        try:
+            size = "%d" % (bits + 1)
+        except ValueError:
+            # the interpreter's limit on int-to-str conversion
+            size = "2^%d" % ((bits + 1).bit_length() - 1)
         raise CoefficientTooLargeError(
-            "a power with a coefficient of at least %d bits is past the bound of %d bits"
-            % (bits + 1, _POWER_BIT_BOUND)
+            "a power with a coefficient of at least %s bits is past the bound of %d bits" % (size, _POWER_BIT_BOUND)
         )
 
 

@@ -2,9 +2,10 @@
 forms, and emit graded-dimension tables.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error,
-3 resource budget exceeded, central-exponent overflow, or a coefficient
-too large to print.  QDG_TERM_BUDGET and QDG_WORD_CAP override the engine
-limits.
+3 resource budget exceeded, central-exponent overflow, a power refused
+for the size of its coefficient, or a coefficient or an exponent of q, a
+or b too large to print.  QDG_TERM_BUDGET and QDG_WORD_CAP override the
+engine limits.
 """
 
 from __future__ import annotations

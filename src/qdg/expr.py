@@ -16,6 +16,13 @@ canonical normal-form rendering (`x0.x2 | x1 | c0^2`, with '-' for an
 empty slot) so that printed output parses back.  Negative powers are
 allowed only on invertible atoms (q, a, b, the c_i and their monomials).
 
+`parse` returns a tree of syntax nodes: `Lit`, `Sym`, `Gen`, `QIntNode`,
+`Neg`, `Add`, `Sub`, `Mul`, `Pow` and `Mono`.  Each is a slotted class
+built from its fields in order, equal only to a node of its own class
+with equal fields, unhashable, and printed as `Class(field=value, ...)`.
+They are written out, not generated by `dataclasses`, whose import alone
+was a quarter of the start-up of every `qdg` command.
+
 A product is evaluated left to right into one running state map.  An
 atom (a letter x_i, an int, a bracket monomial, or a power of q, a, b or
 c_i) is one term c q^k a^i b^j (even | odd | central), and
@@ -29,7 +36,6 @@ and multiplied in by `multiply`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from . import boxtilde as bt
@@ -48,60 +54,98 @@ class ParseError(ValueError):
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Lit:
-    value: int
+class _Node:
+    """A syntax node: equal to a node of the same class with equal fields,
+    unhashable, and printed as `Class(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self.__slots__] == [getattr(other, f) for f in other.__slots__]
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
 
 
-@dataclass(slots=True)
-class Sym:
-    name: str
+class Lit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(slots=True)
-class Gen:
-    name: str
+class Sym(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(slots=True)
-class QIntNode:
-    n: int
+class Gen(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(slots=True)
-class Neg:
-    arg: "Expr"
+class QIntNode(_Node):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
 
 
-@dataclass(slots=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
 
 
-@dataclass(slots=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Mul(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True)
-class Mono:
-    even: tuple
-    odd: tuple
-    central: tuple
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        self.base = base
+        self.exponent = exponent
+
+
+class Mono(_Node):
+    __slots__ = ("even", "odd", "central")
+
+    def __init__(self, even: tuple, odd: tuple, central: tuple):
+        self.even = even
+        self.odd = odd
+        self.central = central
 
 
 Expr = Union[Lit, Sym, Gen, QIntNode, Neg, Add, Sub, Mul, Pow, Mono]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -39,13 +38,23 @@ def _qp(k: int) -> LaurentPoly:
     return RING.qpow(k)
 
 
-@dataclass
 class CheckResult:
     """Outcome of one check, named by its registry key; witness is the
     nonzero difference (or a short description) when the check fails."""
 
-    status: str
-    witness: object = None
+    def __init__(self, status: str, witness: object = None):
+        self.status = status
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.status, self.witness) == (other.status, other.witness)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "CheckResult(status=%r, witness=%r)" % (self.status, self.witness)
 
     @property
     def ok(self) -> bool:
@@ -85,20 +94,18 @@ def _control(name: str, diff: Callable[..., object], *args) -> Check:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CoeffTable:
     """Expansions of the products named by `columns`: each grid row is a
     basis monomial and its coefficient in every column, 0 where absent."""
 
-    name: str
-    source: str
-    columns: Tuple[str, ...]
-    grid: List[Tuple[NormalMono, list]]
-
-    def __post_init__(self):
-        for _, entries in self.grid:
-            if len(entries) != len(self.columns):
-                raise ValueError("row width mismatch in table %s" % self.name)
+    def __init__(self, name: str, source: str, columns: Tuple[str, ...], grid: List[Tuple[NormalMono, list]]):
+        for _, entries in grid:
+            if len(entries) != len(columns):
+                raise ValueError("row width mismatch in table %s" % name)
+        self.name = name
+        self.source = source
+        self.columns = columns
+        self.grid = grid
 
 
 def M(even: str = "", odd: str = "", c: str = "") -> NormalMono:

@@ -24,8 +24,9 @@ class NotInvertibleError(ArithmeticError):
 
 
 class CoefficientTooLargeError(OverflowError):
-    """A coefficient has too many decimal digits to be printed, or a power
-    would build one with too many bits."""
+    """A coefficient or an exponent of q, a or b has too many decimal digits
+    to be printed, or a power would build a coefficient with too many
+    bits."""
 
 
 Exponents = tuple
@@ -235,21 +236,21 @@ def _monomial_text(coeff_abs: int, exps: Exponents) -> str:
     symbol."""
     k, i, j = exps
     factors = []
-    if coeff_abs != 1 or not (k or i or j):
-        try:
+    try:
+        if coeff_abs != 1 or not (k or i or j):
             factors.append(str(coeff_abs))
-        except ValueError:
-            # the interpreter's limit on int-to-str conversion
-            raise CoefficientTooLargeError(
-                "a coefficient of %d bits is too large to print in decimal"
-                % coeff_abs.bit_length()
-            ) from None
-    if k:
-        factors.append("q" if k == 1 else "q^%d" % k)
-    if i:
-        factors.append("a" if i == 1 else "a^%d" % i)
-    if j:
-        factors.append("b" if j == 1 else "b^%d" % j)
+        if k:
+            factors.append("q" if k == 1 else "q^%d" % k)
+        if i:
+            factors.append("a" if i == 1 else "a^%d" % i)
+        if j:
+            factors.append("b" if j == 1 else "b^%d" % j)
+    except ValueError:
+        # the interpreter's limit on int-to-str conversion; the widest
+        # number is past it
+        numbers = ((coeff_abs, "a coefficient"), (k, "an exponent of q"), (i, "an exponent of a"), (j, "an exponent of b"))
+        bits, what = max((abs(v).bit_length(), what) for v, what in numbers)
+        raise CoefficientTooLargeError("%s of %d bits is too large to print in decimal" % (what, bits)) from None
     return "*".join(factors)
 
 

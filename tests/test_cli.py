@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qdg
 from qdg import boxtilde as bt
 from qdg import freealg
 from qdg.cli import build_checks, main
@@ -75,6 +79,20 @@ def test_nf_coefficient_too_large_to_print(capsys):
     assert err.count("\n") == 1 and "overflow" in err and "20001 bits" in err
 
 
+def test_nf_exponent_too_large_to_print(capsys):
+    # eleven 4299-digit exponents sum to one of 4300 digits, past the
+    # interpreter's default limit on int-to-str conversion
+    n = "9" * 4299
+    for text, symbol in (("*".join(["q^" + n] * 11), "q"), ("(a^%s)^11" % n, "a"), ("(x0*b^%s)^11" % n, "b")):
+        code, out, err = run(capsys, ["nf", text])
+        expected = "overflow: an exponent of %s of 14285 bits is too large to print in decimal\n" % symbol
+        assert (code, out, err) == (3, "", expected)
+    # exponents within the limit print
+    assert run(capsys, ["nf", "q^99999999999999999999*x0"]) == (0, "q^99999999999999999999 * [x0 | - | -]\n", "")
+    code, out, _ = run(capsys, ["nf", "q^%s*q^%s" % (n, n)])
+    assert (code, out) == (0, "q^%d * [- | - | -]\n" % (2 * int(n)))
+
+
 def test_nf_oversized_power_is_refused_before_it_is_built(capsys, monkeypatch):
     def no_power(base, n, one):
         raise AssertionError("the power was built")
@@ -86,6 +104,10 @@ def test_nf_oversized_power_is_refused_before_it_is_built(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "overflow" in err and "200000001 bits" in err
+    # a bit count past the interpreter's print limit is named as a power of 2
+    code, out, err = run(capsys, ["nf", "(1048576*x0)^" + "9" * 4299])
+    assert (code, out) == (3, "")
+    assert err == "overflow: a power with a coefficient of at least 2^14285 bits is past the bound of 1048576 bits\n"
     # a unit coefficient never grows, and a central power has coefficient 1
     for text, printed in (
         ("1^1000000000", "[- | - | -]\n"),
@@ -410,3 +432,18 @@ def test_verify_report_matches_the_golden_registry(capsys):
     for entry in report["checks"]:
         del entry["ms"]
     assert report == golden
+
+
+def test_import_loads_every_module_and_no_dataclasses():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, a
+    # quarter of the start-up of every command; every `qdg` module is still
+    # loaded by the import, so none of that work moves into a command
+    probe = (
+        "import sys, qdg.cli; "
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect') or m.startswith('qdg.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qdg.__file__).parents[1]))
+    argv = [sys.executable, "-W", "error", "-c", probe]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    modules = ["qdg.boxtilde", "qdg.cli", "qdg.expr", "qdg.freealg", "qdg.gradings", "qdg.identities", "qdg.qcoeff"]
+    assert out.stdout == repr(modules) + "\n"

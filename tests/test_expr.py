@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qdg import boxtilde as bt
 from qdg import cli
 from qdg.boxtilde import BoxElem, NormalMono, central_gen, generator, reduce_word, s_element
-from qdg.expr import ParseError, eval_text, evaluate, parse, render
+from qdg.expr import Gen, Lit, Mono, ParseError, QIntNode, Sym, eval_text, evaluate, parse, render
 from qdg.qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentPoly, NotInvertibleError
 
 from corpus import CORPUS
@@ -39,6 +39,15 @@ def test_zero_and_unary_minus():
 
 def test_whitespace_is_insignificant():
     assert eval_text(" x1 * x0 ") == eval_text("x1*x0")
+
+
+def test_syntax_nodes_equal_only_nodes_of_their_class():
+    assert parse("1") == Lit(1) and parse("qint(1)") == QIntNode(1)
+    assert Lit(1) != QIntNode(1) and Lit(1) != 1
+    assert parse("q") == Sym("q") and parse("x0") == Gen("x0") and Sym("q") != Gen("q")
+    for node in (Lit(1), Sym("q"), parse("x0 + 1"), Mono((), (), (0, 0, 0, 0))):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(node)
 
 
 def test_juxtaposition_is_not_multiplication():
@@ -93,6 +102,10 @@ def test_negative_powers():
 
 
 def test_bracket_monomials():
+    node = parse("[x0.x2 | x1 | c0^2]")
+    assert node == Mono((0, 2), (1,), (2, 0, 0, 0))
+    for other in (Mono((0,), (1,), (2, 0, 0, 0)), Mono((0, 2), (), (2, 0, 0, 0)), Mono((0, 2), (1,), (1, 0, 0, 0))):
+        assert node != other
     e = eval_text("[x0.x2 | x1 | c0^2]")
     ((mono, coeff),) = e.terms.items()
     assert mono.even == (0, 2) and mono.odd == (1,) and mono.central == (2, 0, 0, 0)
