@@ -283,11 +283,9 @@ def _refuse_oversized_power(state: dict, n: int) -> None:
     (c,) = qd.values()
     bits = n * (abs(c).bit_length() - 1)
     if bits >= _POWER_BIT_BOUND:
-        try:
-            size = "%d" % (bits + 1)
-        except ValueError:
-            # the interpreter's limit on int-to-str conversion
-            size = "2^%d" % ((bits + 1).bit_length() - 1)
+        # a count of 2^64 or more is named by its size, which also keeps it
+        # below the interpreter's limit on int-to-str conversion
+        size = "%d" % (bits + 1) if bits + 1 < 1 << 64 else "2^%d" % ((bits + 1).bit_length() - 1)
         raise CoefficientTooLargeError(
             "a power with a coefficient of at least %s bits is past the bound of %d bits" % (size, _POWER_BIT_BOUND)
         )

@@ -3,29 +3,30 @@
 Provides the degree-4 q-Serre combinations, the spanning sets of the
 relation ideal in each degree, a rewriting system for that ideal built one
 degree at a time, an exact rank over Q(q) for rows with coefficients in q
-alone, and a rank at random points mod a prime.  A q-Serre combination and
-a row of a span are plain dicts word -> `LaurentPoly` over the package's
-one ring Z[q^+-1, a^+-1, b^+-1], and a zero coefficient counts as an
-absent word.  The rules and the exact rank hold the coefficients as
-Laurent entries over Z[q], and the mod-p rank reads the `LaurentPoly`s,
-a and b included.  The graded dimensions of the quotient by the q-Serre
-ideal are the numbers of words that no rule rewrites; the lead words of
-the span at a random point mod p cross-check them and share no code with
-the rules.
+alone, a rank at random points mod a prime, and the lead words of the
+ideal at one such point, grown one degree at a time.  A q-Serre
+combination and a row of a span are plain dicts word -> `LaurentPoly`
+over the package's one ring Z[q^+-1, a^+-1, b^+-1], and a zero
+coefficient counts as an absent word.  The rules and the exact rank hold
+the coefficients as Laurent entries over Z[q], and the mod-p routes read
+the `LaurentPoly`s, a and b included.  The graded dimensions of the
+quotient by the q-Serre ideal are the numbers of words that no rule
+rewrites; the lead words of the ideal at a random point mod p, from
+`span_leads_mod_p`, cross-check them and share no code with the rules.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from itertools import product
+from itertools import count, product
 from math import gcd
 from typing import Optional, Sequence
 
 from .boxtilde import _check_term_budget, _check_word_cap
 from .qcoeff import DEFAULT_RING
 
-DEGREE_CAP = 13  # `dims --max 13` takes a few seconds
+DEGREE_CAP = 13  # `dims --max 13` takes about 2 s, the rules most of it
 
 Word = str  # a word over the alphabet "xy"; "" is the identity
 
@@ -43,6 +44,15 @@ def serre_elements() -> tuple:
     return s_x, s_y
 
 
+def check_span_budgets(n: int) -> None:
+    """The budgets of the degree-n span, under the name `relation_span`:
+    the word cap on n and the term budget on a q-Serre combination.  None
+    apply below degree 4, where the span is empty."""
+    if n > 3:
+        _check_word_cap("relation_span", n)
+        _check_term_budget("relation_span", max(map(len, serre_elements())))
+
+
 def relation_span(n: int) -> list:
     """Spanning set of the ideal's degree-n slice: w1 * S_g * w2, |w1|+|w2| = n-4.
 
@@ -52,9 +62,8 @@ def relation_span(n: int) -> list:
     """
     if n <= 3:
         return []
+    check_span_budgets(n)
     gens = serre_elements()
-    _check_word_cap("relation_span", n)
-    _check_term_budget("relation_span", max(map(len, gens)))
     out = []
     for r in range(n - 3):
         for w1 in words_of_length(r):
@@ -412,8 +421,10 @@ def irreducible_words(rules: list, n: int) -> list:
 #
 # Each of q, a and b is sent to a random nonzero residue mod _PRIME (with
 # q^2 != 1), each entry is evaluated there, and the rows are eliminated over
-# F_p with every pivot scaled to a leading 1.  This route shares no code with
-# `_rewrite`, the reduction step of both the rules and the exact rank.
+# F_p with every pivot scaled to a leading 1, by one step, `_echelon_add`.
+# It serves the rank of arbitrary rows and the degree-by-degree walk that
+# `dims` takes, and shares no code with `_rewrite`, the reduction step of
+# both the rules and the exact rank.
 # ---------------------------------------------------------------------------
 
 _PRIME = (1 << 61) - 1
@@ -460,26 +471,57 @@ def _residue_rows(rows: Sequence[dict], n: int, point: tuple) -> list:
     return out
 
 
+def _echelon_add(pivots: dict, row: dict) -> None:
+    """Reduces the residue row, which it takes over, by the pivots (lead
+    word -> row with a leading 1) until its lead has no pivot, and makes
+    the rest, if nonzero, the pivot at that lead."""
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            inv = pow(row[lead], -1, _PRIME)
+            pivots[lead] = {w: v * inv % _PRIME for w, v in row.items()}
+            return
+        c = row[lead]
+        for w, v in pivot.items():
+            acc = (row.get(w, 0) - c * v) % _PRIME
+            if acc:
+                row[w] = acc
+            else:
+                del row[w]
+
+
 def _pivot_leads_mod_p(rows: list) -> set:
     """The lead words of an echelon form of the residue rows: the smallest
     word of each pivot, which are the leading words of the rows' span."""
     pivots: dict = {}
     for row in rows:
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], -1, _PRIME)
-                pivots[lead] = {w: v * inv % _PRIME for w, v in row.items()}
-                break
-            c = row[lead]
-            for w, v in pivot.items():
-                acc = (row.get(w, 0) - c * v) % _PRIME
-                if acc:
-                    row[w] = acc
-                else:
-                    del row[w]
+        _echelon_add(pivots, row)
     return set(pivots)
+
+
+def span_leads_mod_p(point: tuple):
+    """Yields, for n = 0, 1, 2, ..., the leading words of the degree-n
+    slice of the q-Serre ideal at the point.
+
+    That slice is the degree-(n-1) slice times x, plus the same slice times
+    y, plus w * S_g for the words w of length n - 4.  Appending a letter
+    keeps the order of words of one length, so the degree-(n-1) pivots,
+    each copied with x and with y appended, are an echelon form with
+    distinct leads, and only the rows w * S_g are reduced into it.
+    """
+    gens = _residue_rows(serre_elements(), 4, point)
+    pivots: dict = {}
+    for n in count():
+        if n:
+            pivots = {
+                lead + ch: {w + ch: v for w, v in pivot.items()} for lead, pivot in pivots.items() for ch in "xy"
+            }
+        if n >= 4:
+            for w in words_of_length(n - 4):
+                for g in gens:
+                    _echelon_add(pivots, {w + x: v for x, v in g.items()})
+        yield set(pivots)
 
 
 def _leads_at_points(rows: Sequence[dict], n: int, rng: Optional[random.Random] = None):

@@ -122,6 +122,14 @@ def test_nf_oversized_power_is_refused_before_it_is_built(capsys, monkeypatch):
         assert (code, out) == (0, printed)
 
 
+def test_nf_oversized_power_names_a_long_bit_count_by_its_size(capsys):
+    # a bit count of 2^64 or more is given as a power of 2, not in decimal
+    code, out, err = run(capsys, ["nf", "2^" + "9" * 4299])
+    assert (code, out) == (3, "")
+    assert len(err.encode()) < 200 and "overflow" in err and "at least 2^" in err
+    assert err.count("\n") == 1
+
+
 def test_nf_integer_literal_too_long(capsys):
     for text in ("7" * 5000, "x0^" + "7" * 5000, "3*qint(-%s)" % ("9" * 5000)):
         code, out, err = run(capsys, ["nf", text])
@@ -361,16 +369,30 @@ def test_dims_term_budget_messages_are_pinned(capsys, monkeypatch, budget, reach
 def test_dims_mismatch_fails(capsys, monkeypatch):
     # negative control: a cross-check against a lead set one word off the
     # rewriting system's (one word too many, "x" * n, which no rule rewrites)
-    agrees = freealg.specialization_agrees
-    monkeypatch.setattr(
-        freealg,
-        "specialization_agrees",
-        lambda rows, n, reducible, rng=None: agrees(rows, n, reducible | {"x" * n}, rng=rng),
-    )
+    walk = freealg.span_leads_mod_p
+    points = []
+    draw = freealg.random_residue_point
+
+    def spy(rng):
+        points.append(draw(rng))
+        return points[-1]
+
+    def one_word_off(point):
+        for n, leads in enumerate(walk(point)):
+            yield leads | {"x" * n}
+
+    monkeypatch.setattr(freealg, "random_residue_point", spy)
+    # agreeing degrees walk one point, advanced once a degree
+    assert run(capsys, ["dims", "--max", "11"])[0] == 0
+    assert len(points) == 1
+    del points[:]
+    monkeypatch.setattr(freealg, "span_leads_mod_p", one_word_off)
     code, out, _ = run(capsys, ["dims", "--max", "5"])
     assert code == 1
     rows = out.splitlines()[1:]
     assert len(rows) == 6 and all(line.endswith("MISMATCH") for line in rows)
+    # the retries are bounded over the whole command, not per degree
+    assert 1 < len(points) <= freealg._POINTS
 
 
 def _pbw_series(n_max):

@@ -524,6 +524,46 @@ def test_specialization_stops_at_the_first_agreeing_point(monkeypatch):
     assert specialization_agrees([], 3, set())
 
 
+def _walk(point, n_max):
+    """The leads of span_leads_mod_p at the point, degrees 0 to n_max."""
+    walk = freealg.span_leads_mod_p(point)
+    return [next(walk) for _ in range(n_max + 1)]
+
+
+def test_the_walk_has_the_leads_of_the_whole_span():
+    # the degree-(n-1) pivots with a letter appended, plus the rows w * S_g,
+    # have the leads of an echelon form of all of relation_span(n)
+    for seed in (1, 2):
+        point = freealg.random_residue_point(random.Random(seed))
+        for n, leads in enumerate(_walk(point, 10)):
+            rows = freealg._residue_rows(relation_span(n), n, point)
+            assert leads == freealg._pivot_leads_mod_p(rows), (seed, n)
+            assert len(leads) == 2 ** n - dim_uplus(n)
+
+
+def test_the_walk_shares_no_code_with_the_rules(monkeypatch):
+    rules = serre_rules(10)
+
+    def refuse(*args):
+        raise AssertionError("the walk called the rules")
+
+    monkeypatch.setattr(freealg, "_rewrite", refuse)
+    monkeypatch.setattr(freealg, "add_serre_rules", refuse)
+    point = freealg.random_residue_point(random.Random(7))
+    assert _walk(point, 10) == [_reducible(rules, n) for n in range(11)]
+
+
+def test_the_walk_without_s_y_misses_leads_at_every_degree(monkeypatch):
+    # negative control: the ideal of S_x alone lacks the words with a
+    # factor xyyy, which the rules rewrite from degree 4 on
+    rules = serre_rules(10)
+    s_x, _ = serre_elements()
+    monkeypatch.setattr(freealg, "serre_elements", lambda: (s_x,))
+    point = freealg.random_residue_point(random.Random(7))
+    for n, leads in enumerate(_walk(point, 10)):
+        assert (leads == _reducible(rules, n)) == (n < 4), n
+
+
 def test_a_zero_coefficient_counts_as_an_absent_word():
     # a row is a plain dict, so nothing drops a zero coefficient on the way
     # in; every rank function reads one as a word the row does not have
