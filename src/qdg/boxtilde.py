@@ -46,6 +46,11 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+# the budgets and their errors are also read as attributes of the kernel
+# (`bt.LIMITS`, `boxtilde.TermBudgetError`), so all four are bound here
+from .limits import (  # noqa: F401
+    LIMITS, EngineLimits, ReductionBudgetError, TermBudgetError, _check_term_budget, _check_word_cap
+)
 from .qcoeff import (
     DEFAULT_RING, CoefficientTooLargeError, LaurentPoly, LaurentRing, NotInvertibleError, power, render_sum
 )
@@ -64,30 +69,8 @@ _ONE_Q = {0: 1}
 _CENTRAL_BOUND = 2 ** 63
 
 
-class ReductionBudgetError(RuntimeError):
-    """Word length exceeded the configured cap."""
-
-
-class TermBudgetError(RuntimeError):
-    """An intermediate element exceeded the configured term budget."""
-
-
 class CentralOverflowError(OverflowError):
     """A central exponent left the checked 64-bit range."""
-
-
-class EngineLimits:
-    """The engine's budgets; the class attributes are the defaults."""
-
-    word_cap = 64
-    term_budget = 1_000_000
-
-    def __init__(self, word_cap: int = word_cap, term_budget: int = term_budget):
-        self.word_cap = word_cap
-        self.term_budget = term_budget
-
-
-LIMITS = EngineLimits()
 
 
 def add_central(c1: tuple, c2: tuple) -> tuple:
@@ -345,20 +328,6 @@ def central_gen(i: int, power: int = 1) -> BoxElem:
 # ---------------------------------------------------------------------------
 # Reduction
 # ---------------------------------------------------------------------------
-
-
-def _check_word_cap(op: str, length: int) -> None:
-    if length > LIMITS.word_cap:
-        raise ReductionBudgetError(
-            "reduction budget: %s reached %d letters (cap %d)" % (op, length, LIMITS.word_cap)
-        )
-
-
-def _check_term_budget(op: str, size: int) -> None:
-    if size > LIMITS.term_budget:
-        raise TermBudgetError(
-            "term budget: %s reached %d terms (limit %d)" % (op, size, LIMITS.term_budget)
-        )
 
 
 # The kernel works on state maps (even word, odd word, central, a/b

@@ -2,48 +2,54 @@
 forms, and emit graded-dimension tables.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error,
-3 resource budget exceeded, central-exponent overflow, a power refused
-for the size of its coefficient, or a coefficient or an exponent of q, a
-or b too large to print.  QDG_TERM_BUDGET and QDG_WORD_CAP override the
-engine limits.
+or standard output that cannot be written, 3 resource budget exceeded,
+central-exponent overflow, a power refused for the size of its
+coefficient, or a coefficient or an exponent of q, a or b too large to
+print.  QDG_TERM_BUDGET and QDG_WORD_CAP override the engine limits.
+
+Each command imports the modules it runs when it starts, so a process
+compiles only those: `dims` loads `freealg`, `nf` loads `expr` and
+`boxtilde`, and `verify` loads `identities` and `gradings` with those
+two.  At module level only `limits` and `qcoeff` are imported.
 """
 
 from __future__ import annotations
 
 import argparse
-import fnmatch
-import json
 import os
 import sys
-import time
-from itertools import islice
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from . import __version__
-from . import boxtilde as bt
-from . import freealg, gradings, identities
-from .expr import ParseError, eval_text, render
+from .limits import LIMITS, EngineLimits, ReductionBudgetError, TermBudgetError
 from .qcoeff import DEFAULT_RING, CoefficientTooLargeError, NotInvertibleError
 
 DEFAULT_SEED = 20260810
 
 
-def build_checks(seed: int = DEFAULT_SEED) -> Dict[str, Callable[[], identities.CheckResult]]:
-    """The full named check registry."""
+def build_checks(seed: int = DEFAULT_SEED) -> dict:
+    """The full named check registry, name -> thunk returning a CheckResult."""
+    from . import gradings, identities
+
     return dict(identities.checks(seed) + gradings.gradings_checks(seed))
 
 
-def run_checks(names: List[str], registry) -> List[Tuple[str, identities.CheckResult, float]]:
+def run_checks(names: List[str], registry) -> list:
     """Runs the named checks one at a time, in sorted order, and times each
-    alone.  A check that exceeds an engine budget is reported with status
-    `error` and the budget message as its witness."""
+    alone; returns (name, CheckResult, ms) rows.  A check that exceeds an
+    engine budget is reported with status `error` and the budget message
+    as its witness."""
+    import time
+
+    from .identities import CheckResult
+
     rows = []
     for name in sorted(names):
         start = time.perf_counter()
         try:
             result = registry[name]()
-        except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
-            result = identities.CheckResult("error", exc)
+        except (ReductionBudgetError, TermBudgetError) as exc:
+            result = CheckResult("error", exc)
         rows.append((name, result, (time.perf_counter() - start) * 1000.0))
     return rows
 
@@ -64,8 +70,8 @@ def _report(rows, seed: int) -> dict:
         "version": __version__,
         "config": {
             "ring": list(DEFAULT_RING.symbols),
-            "term_budget": bt.LIMITS.term_budget,
-            "word_cap": bt.LIMITS.word_cap,
+            "term_budget": LIMITS.term_budget,
+            "word_cap": LIMITS.word_cap,
             "seed": seed,
         },
         "checks": checks,
@@ -74,6 +80,8 @@ def _report(rows, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
+    import fnmatch
+
     registry = build_checks(args.seed)
     names = list(registry)
     if args.check is not None:
@@ -84,6 +92,8 @@ def cmd_verify(args) -> int:
     rows = run_checks(names, registry)
     report = _report(rows, args.seed)
     if args.json:
+        import json
+
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         width = max(len(n) for n in names)
@@ -102,6 +112,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nf(args) -> int:
+    from .boxtilde import CentralOverflowError
+    from .expr import ParseError, eval_text, render
+
     try:
         text = render(eval_text(args.expr))
     except ParseError as exc:
@@ -110,10 +123,10 @@ def cmd_nf(args) -> int:
     except NotInvertibleError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
+    except (ReductionBudgetError, TermBudgetError) as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except (bt.CentralOverflowError, CoefficientTooLargeError) as exc:
+    except (CentralOverflowError, CoefficientTooLargeError) as exc:
         print("overflow: %s" % exc, file=sys.stderr)
         return 3
     print(text)
@@ -121,6 +134,8 @@ def cmd_nf(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from . import freealg
+
     if not 0 <= args.max <= freealg.DEGREE_CAP:
         print(
             "max degree %d is outside 0..%d (the cap)" % (args.max, freealg.DEGREE_CAP),
@@ -128,6 +143,7 @@ def cmd_dims(args) -> int:
         )
         return 2
     import random
+    from itertools import islice
 
     rng = random.Random(args.seed)
     rules: list = []
@@ -137,7 +153,7 @@ def cmd_dims(args) -> int:
         try:
             freealg.check_span_budgets(n)
             freealg.add_serre_rules(rules, n)
-        except (bt.ReductionBudgetError, bt.TermBudgetError) as exc:
+        except (ReductionBudgetError, TermBudgetError) as exc:
             print("budget exceeded: %s" % exc, file=sys.stderr)
             return 3
         # the rank is the number of words a rule rewrites
@@ -158,6 +174,8 @@ def cmd_dims(args) -> int:
             }
         )
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -195,7 +213,7 @@ def _apply_env_limits() -> Optional[str]:
     for var, field in (("QDG_TERM_BUDGET", "term_budget"), ("QDG_WORD_CAP", "word_cap")):
         text = os.environ.get(var)
         if not text:
-            setattr(bt.LIMITS, field, getattr(bt.EngineLimits, field))
+            setattr(LIMITS, field, getattr(EngineLimits, field))
             continue
         try:
             value = int(text)
@@ -203,7 +221,7 @@ def _apply_env_limits() -> Optional[str]:
             value = 0
         if value <= 0:
             return "%s must be a positive integer, not %r" % (var, text)
-        setattr(bt.LIMITS, field, value)
+        setattr(LIMITS, field, value)
     return None
 
 
@@ -237,7 +255,17 @@ def main(argv=None) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full device: stdout is pointed at devnull, so
+        # the interpreter's flush at exit writes what is left without a
+        # second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: %s" % exc, file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ from typing import List, Tuple, Union
 
 from . import boxtilde as bt
 from .boxtilde import ZERO_CENTRAL, BoxElem
+from .limits import _check_term_budget, _check_word_cap
 from .qcoeff import DEFAULT_RING as RING
 
 
@@ -351,7 +352,7 @@ def _accumulate(acc: dict, e: BoxElem, sign: int) -> None:
     the name `sum`, as a `BoxElem` sum checks it."""
     for key, qd in e.state.items():
         bt._add_into(acc, key, qd, 0, sign)
-    bt._check_term_budget("sum", len(acc))
+    _check_term_budget("sum", len(acc))
 
 
 # each name an atom may be, as the arguments (even, odd, central, a/b
@@ -379,7 +380,7 @@ def _atom(n: Expr):
     if isinstance(n, Mono):
         # the bound a central power is checked against, c0^n alike
         central = bt.scale_central(tuple(n.central), 1)
-        bt._check_word_cap("monomial", len(n.even) + len(n.odd))
+        _check_word_cap("monomial", len(n.even) + len(n.odd))
         return (bytes(n.even), bytes(n.odd), central, (0, 0), 0, 1)
     if isinstance(n, Pow) and isinstance(n.base, (Sym, Gen)) and n.base.name[0] != "x":
         even, odd, central, (i, j), k, c = _NAME_ATOMS[n.base.name]
@@ -398,7 +399,7 @@ def evaluate(node: Expr) -> BoxElem:
             return BoxElem._of({(even, odd, central, ab): {k: c}} if c else {})
         if isinstance(n, QIntNode):
             # [n]_q has |n| terms, so a huge n is refused before it is built
-            bt._check_term_budget("qint", abs(n.n))
+            _check_term_budget("qint", abs(n.n))
             return BoxElem._of(bt._scalar_state(RING.qint(n.n)))
         if isinstance(n, Neg):
             return -walk(n.arg)

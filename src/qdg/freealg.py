@@ -23,7 +23,7 @@ from itertools import count, product
 from math import gcd
 from typing import Optional, Sequence
 
-from .boxtilde import _check_term_budget, _check_word_cap
+from .limits import _check_term_budget, _check_word_cap
 from .qcoeff import DEFAULT_RING
 
 DEGREE_CAP = 13  # `dims --max 13` takes about 2 s, the rules most of it

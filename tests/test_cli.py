@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -456,16 +458,115 @@ def test_verify_report_matches_the_golden_registry(capsys):
     assert report == golden
 
 
-def test_import_loads_every_module_and_no_dataclasses():
-    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, a
-    # quarter of the start-up of every command; every `qdg` module is still
-    # loaded by the import, so none of that work moves into a command
-    probe = (
-        "import sys, qdg.cli; "
-        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect') or m.startswith('qdg.')))"
+def _fresh_modules(code):
+    """The `qdg` modules, and `dataclasses` and `inspect` if loaded, after
+    `code` runs in a fresh `python -W error` interpreter; the last line of
+    its standard output, after what a command printed."""
+    probe = code + (
+        "\nimport sys\n"
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect') or m.split('.')[0] == 'qdg'))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(qdg.__file__).parents[1]))
     argv = [sys.executable, "-W", "error", "-c", probe]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
-    modules = ["qdg.boxtilde", "qdg.cli", "qdg.expr", "qdg.freealg", "qdg.gradings", "qdg.identities", "qdg.qcoeff"]
-    assert out.stdout == repr(modules) + "\n"
+    return out.stdout.splitlines()[-1]
+
+
+def test_import_loads_every_module_and_no_dataclasses():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, a
+    # quarter of the start-up of every command; no `qdg` module imports it
+    names = sorted("qdg." + m.name for m in pkgutil.iter_modules(qdg.__path__))
+    assert "qdg.limits" in names and len(names) == 8
+    assert _fresh_modules("import " + ", ".join(names)) == repr(["qdg"] + names)
+
+
+@pytest.mark.parametrize(
+    "code, modules",
+    [
+        ("import qdg", []),
+        ("import qdg.cli", ["cli", "limits", "qcoeff"]),
+        ("from qdg.cli import main; main(['dims', '--max', '5'])", ["cli", "freealg", "limits", "qcoeff"]),
+        ("from qdg.cli import main; main(['nf', 'x1*x0'])", ["boxtilde", "cli", "expr", "limits", "qcoeff"]),
+        (
+            "from qdg.cli import main; main(['verify', '--check', 'tables.*'])",
+            ["boxtilde", "cli", "expr", "gradings", "identities", "limits", "qcoeff"],
+        ),
+    ],
+)
+def test_each_command_loads_only_its_modules(code, modules):
+    # a command compiles the modules it runs, in a fresh process with no
+    # bytecode cache the larger part of its start-up: `dims` never loads
+    # the kernel or the checks, `nf` never the free algebra or the checks
+    assert _fresh_modules(code) == repr(["qdg"] + ["qdg." + m for m in modules])
+
+
+# the names `qdg` re-exports, by defining module
+EXPORTS = {
+    "qcoeff": ["DEFAULT_RING", "LaurentPoly", "LaurentRing", "NotInvertibleError", "qint"],
+    "boxtilde": [
+        "BoxElem", "NormalMono", "central_gen", "generator", "module_action_oracle", "multiply",
+        "oracle_as_box", "reduce_word", "rho", "s_element", "scale_auto", "specialize_central",
+    ],
+    "freealg": ["dim_uplus", "rank_over_fraction_field", "relation_span", "serre_elements"],
+    "gradings": ["bidegree_components", "phi_n", "pi", "sharp_lift"],
+    "identities": ["CheckResult"],
+    "expr": ["ParseError", "eval_text", "evaluate", "parse", "render"],
+}
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    from qdg import limits
+
+    for module, names in EXPORTS.items():
+        defining = importlib.import_module("qdg." + module)
+        for name in names:
+            assert getattr(qdg, name) is getattr(defining, name), name
+            assert name in dir(qdg)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qdg.no_such_name
+    # a submodule is still imported by `from qdg import ...`, and `boxtilde`
+    # binds the budgets of `limits` under their old names
+    assert _fresh_modules("from qdg import freealg") == repr(["qdg", "qdg.freealg", "qdg.limits", "qdg.qcoeff"])
+    for name in ("LIMITS", "EngineLimits", "ReductionBudgetError", "TermBudgetError"):
+        assert getattr(bt, name) is getattr(limits, name)
+
+
+def _cli_to(stdout, argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(qdg.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-W", "error", "-m", "qdg.cli"] + argv
+    return subprocess.run(command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+UNWRITABLE_RUNS = [
+    ["nf", "x1*x0"],
+    ["nf", "(x0+x1)^12"],
+    ["verify", "--check", "tables.*", "--json"],
+    ["dims", "--max", "5"],
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", UNWRITABLE_RUNS)
+def test_a_closed_pipe_is_an_output_error(argv, unbuffered):
+    # the reader is gone before anything is written; the command says so in
+    # one line and exits 2, not 1 (a failed check) with a traceback, and the
+    # interpreter adds no second error as it flushes at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli_to(write_end, argv, unbuffered)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "output error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", UNWRITABLE_RUNS)
+def test_a_full_device_is_an_output_error(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        done = _cli_to(full, argv, unbuffered)
+    assert (done.returncode, done.stderr) == (2, "output error: [Errno 28] No space left on device\n")
