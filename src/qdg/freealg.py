@@ -7,12 +7,13 @@ alone, a rank at random points mod a prime, and the lead words of the
 ideal at one such point, grown one degree at a time.  A q-Serre
 combination and a row of a span are plain dicts word -> `LaurentPoly`
 over the package's one ring Z[q^+-1, a^+-1, b^+-1], and a zero
-coefficient counts as an absent word.  The rules and the exact rank hold
-the coefficients as Laurent entries over Z[q], and the mod-p routes read
-the `LaurentPoly`s, a and b included.  The graded dimensions of the
-quotient by the q-Serre ideal are the numbers of words that no rule
-rewrites; the lead words of the ideal at a random point mod p, from
-`span_leads_mod_p`, cross-check them and share no code with the rules.
+coefficient counts as an absent word.  The exact rank holds the
+coefficients as Laurent entries in q, the rules as Laurent entries in
+t = q^2, and the mod-p routes read the `LaurentPoly`s, a and b included.
+The graded dimensions of the quotient by the q-Serre ideal are the
+numbers of words that no rule rewrites; the lead words of the ideal at a
+random point mod p, from `span_leads_mod_p`, cross-check them and share
+no code with the rules.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 from .limits import _check_term_budget, _check_word_cap
 from .qcoeff import DEFAULT_RING
 
-DEGREE_CAP = 13  # `dims --max 13` takes about 2 s, the rules most of it
+DEGREE_CAP = 13  # `dims --max 13`: about 1.4 s CPU, 0.6 s the walk, 0.4 s the rules
 
 Word = str  # a word over the alphabet "xy"; "" is the identity
 
@@ -74,25 +75,31 @@ def relation_span(n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free reduction over Z[q]: one step, `_rewrite`, serves the rules
-# and the exact rank.
+# Fraction-free reduction over Z[x], x = q or x = t = q^2: one step,
+# `_rewrite`, serves the rules (in t) and the exact rank (in q).
 #
-# A row maps words of one length to coefficients in Z[q^+-1], and its lead is
+# A row maps words of one length to coefficients in Z[x^+-1], and its lead is
 # its lexicographically smallest word.  Rows, rules and pivots hold one form:
-# each coefficient is a Laurent entry (k, list) for q^k * sum list[i] q^i,
+# each coefficient is a Laurent entry (k, list) for x^k * sum list[i] x^i,
 # with both ends of the list nonzero.  `_dense_rows` builds span rows in that
-# form with no Laurent arithmetic; a row whose entries carry more than one
-# a/b exponent vector is rejected, since it is no unit multiple of a row over
-# Z[q].  Every pivot (a rule, or a pivot of the exact rank) is stripped by
-# `_strip_row_dense`, so a lead entry that is a unit of Z[q^+-1] is (k, [1]).
+# form, in q, with no Laurent arithmetic; a row whose entries carry more than
+# one a/b exponent vector is rejected, since it is no unit multiple of a row
+# over Z[q].  The only coefficient of the q-Serre combinations is
+# [3] = q^2 + 1 + q^-2, so the rules start from their two rows in t through
+# `_in_q_squared`, which refuses an odd power of q rather than drop it, and
+# stay in Z[t^+-1]: ring operations, exact division, primitive gcds and the
+# shift to lowest power 0 keep it closed.  That halves every list the rules
+# touch.  Every pivot (a rule, or a pivot of the exact rank) is stripped by
+# `_strip_row_dense`, so a lead entry that is a unit of Z[x^+-1] is (k, [1]).
 #
 # A step rewrites the word w = u * lead * v of a row f by a pivot.  For a
-# lead entry q^k it is f - q^-k * f[w] * u * pivot * v: it touches only the
+# lead entry x^k it is f - x^-k * f[w] * u * pivot * v: it touches only the
 # entries the pivot brings in, never all of f, and leaves f unscaled, so it
-# adds no content and needs no strip.  Any other lead entry p is
+# adds no content and needs no strip; `_sub_product` subtracts each product
+# f[w] * entry straight into a copy of f's entry.  Any other lead entry p is
 # cross-multiplied (Bareiss-style), p * f - f[w] * u * pivot * v up to a
-# power of q, which stays over Z[q] but multiplies f by a non-unit; so f is
-# then stripped of its full content: common q-power, integer gcd, and the
+# power of x, which stays over Z[x] but multiplies f by a non-unit; so f is
+# then stripped of its full content: common x-power, integer gcd, and the
 # common polynomial factor of its entries, found by a primitive remainder
 # sequence.  Without that strip the entries pile up cyclotomic factors and
 # elimination past degree 9 is infeasible.  All divisions are exact.  At
@@ -196,7 +203,7 @@ def _dgcd(f: list, g: list) -> list:
 
 
 def _strip_row_dense(row: dict) -> dict:
-    """A nonzero row divided by its full content, with lowest q-power 0 and
+    """A nonzero row divided by its full content, with lowest power 0 and
     signed so that the top coefficient of its lead entry is positive."""
     low = min(k for k, _ in row.values())
     g_int = 0
@@ -274,24 +281,41 @@ def rank_over_fraction_field(rows: Sequence[dict], n: int) -> int:
     return _rank_dense(_dense_rows(rows, n))
 
 
-def _laurent_sub(f: Optional[tuple], g: tuple) -> Optional[tuple]:
-    """f - g on Laurent entries; None stands for 0."""
+def _in_q_squared(row: dict) -> dict:
+    """A row of Laurent entries in q as entries in t = q^2; raises
+    ValueError on an entry with an odd power of q."""
+    out = {}
+    for w, (k, e) in row.items():
+        if k % 2 or any(e[1::2]):
+            raise ValueError("entry of %s has an odd power of q" % w)
+        out[w] = (k // 2, e[::2])
+    return out
+
+
+def _sub_product(f: Optional[tuple], k: int, a: list, e: list) -> Optional[tuple]:
+    """f - x^k * a * e on Laurent entries in one variable x (t = q^2 in the
+    rules, q in the exact rank), written into a padded copy of f's list;
+    a and e have nonzero ends, and None stands for 0."""
     if f is None:
-        return g[0], [-c for c in g[1]]
-    (kf, ef), (kg, eg) = f, g
-    low = min(kf, kg)
-    out = [0] * (kf - low) + ef
-    off = kg - low
-    if len(out) < off + len(eg):
-        out += [0] * (off + len(eg) - len(out))
-    for i, c in enumerate(eg):
-        out[off + i] -= c
+        out = [0] * (len(a) + len(e) - 1)
+        low = k
+    else:
+        kf, ef = f
+        low = min(kf, k)
+        out = [0] * (max(kf + len(ef), k + len(a) + len(e) - 1) - low)
+        out[kf - low:kf - low + len(ef)] = ef
+    # e, the pivot's entry, is mostly the shorter list (one to three long
+    # in the rules), so it is the outer loop
+    for j, c in enumerate(e, k - low):
+        if c:
+            for i, b in enumerate(a, j):
+                out[i] -= b * c
     if not _dtrim(out):
         return None
-    k = 0
-    while out[k] == 0:
-        k += 1
-    return low + k, out[k:]
+    i = 0
+    while out[i] == 0:
+        i += 1
+    return low + i, out[i:]
 
 
 def _rewrite(f: dict, w: Word, i: int, lead: Word, rule: dict, op: str) -> dict:
@@ -306,7 +330,7 @@ def _rewrite(f: dict, w: Word, i: int, lead: Word, rule: dict, op: str) -> dict:
     for x, (k, e) in rule.items():
         if x != lead:
             x = u + x + v
-            acc = _laurent_sub(f.get(x), (ka - kc + k, _dmul(a, e)))
+            acc = _sub_product(f.get(x), ka - kc + k, a, e)
             if acc is None:
                 del f[x]
             else:
@@ -319,7 +343,7 @@ def _rewrite(f: dict, w: Word, i: int, lead: Word, rule: dict, op: str) -> dict:
 
 def _reduce(f: dict, rules: list) -> dict:
     """The row f with every word that has a lead as a factor rewritten, up
-    to a nonzero factor in Z[q]; f itself is left as it is."""
+    to a nonzero factor in Z[t]; f itself is left as it is."""
     f = dict(f)
     heap = sorted(f)  # words only grow, so each is settled once popped
     last = None
@@ -341,7 +365,7 @@ def _reduce(f: dict, rules: list) -> dict:
 def add_serre_rules(rules: list, d: int) -> list:
     """Appends to `rules`, which holds the rules of degrees below d, those
     of degree d, and returns the new ones; a rule is (lead, row of Laurent
-    entries).
+    entries in t = q^2).
 
     This is Bergman's diamond lemma truncated by degree.  On words of one
     length the lead order is compatible with concatenation, so rewriting
@@ -354,11 +378,12 @@ def add_serre_rules(rules: list, d: int) -> list:
     rules of degree d are then reduced by each other, so they are the
     reduced basis of the ideal through d, unique up to the normalisation of
     `_strip_row_dense`, and the length-d words with no lead as a factor are
-    a basis of the quotient's degree-d slice.  Lead entries other than q^k
-    occur only while a degree is built (first at xxyxyxyyxy, 1 + q^2 + q^4
-    up to a power of q); through degree 13 every finished rule has a lead
-    entry q^k.  Through degree 11 this takes about 0.1 s and through degree
-    13 about 0.9 s (CPU, Python 3.11, 2-CPU machine).
+    a basis of the quotient's degree-d slice.  Lead entries other than t^k
+    occur only while a degree is built (first at xxyxyxyyxy, 1 + t + t^2
+    up to a power of t); through degree 13 every finished rule has a lead
+    entry t^k.  Through degree 11 this takes about 0.04 s and through
+    degree 13 about 0.3 to 0.4 s, against 0.06 and 0.5 s in q with a
+    product list per entry (CPU, Python 3.11, 2-CPU machine).
 
     The word cap applies to d and the term budget to each remainder, under
     the name `serre_rules`."""
@@ -369,7 +394,7 @@ def add_serre_rules(rules: list, d: int) -> list:
     if d == 4:
         for row in _dense_rows(serre_elements(), 4):
             _check_term_budget("serre_rules", len(row))
-            row = _strip_row_dense(row)
+            row = _strip_row_dense(_in_q_squared(row))
             new.append((min(row), row))
     # each overlap word l1 * c = a * l2 of length d: rule1 * c with that
     # word rewritten by rule2

@@ -5,6 +5,8 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdg import freealg
 from qdg.freealg import (
@@ -229,6 +231,71 @@ def test_dense_gcd_and_division():
         _dquo_exact([1, 1, 1], [1, 1])
 
 
+def _laurent_sub(f, g):
+    """The reference for `_sub_product`: f - g on Laurent entries, the step
+    that `_rewrite` took with g = (k, _dmul(a, e)) before the product was
+    fused into the subtraction; None stands for 0."""
+    if f is None:
+        return g[0], [-c for c in g[1]]
+    (kf, ef), (kg, eg) = f, g
+    low = min(kf, kg)
+    out = [0] * (kf - low) + ef
+    off = kg - low
+    if len(out) < off + len(eg):
+        out += [0] * (off + len(eg) - len(out))
+    for i, c in enumerate(eg):
+        out[off + i] -= c
+    if not freealg._dtrim(out):
+        return None
+    k = 0
+    while out[k] == 0:
+        k += 1
+    return low + k, out[k:]
+
+
+_nonzero = st.integers(-4, 4).filter(bool)
+# lists with nonzero ends, one to six long
+_lists = st.one_of(
+    st.builds(lambda c: [c], _nonzero),
+    st.builds(lambda lo, mid, hi: [lo, *mid, hi], _nonzero, st.lists(st.integers(-4, 4), max_size=4), _nonzero),
+)
+
+
+@st.composite
+def _sub_cases(draw):
+    """(f, k, a, e): f is None, any entry, or x^k * a * e with up to two
+    coefficients changed, so that it cancels in whole or at either end."""
+    k, a, e = draw(st.integers(-6, 6)), draw(_lists), draw(_lists)
+    kind = draw(st.sampled_from(("none", "any", "near")))
+    if kind == "none":
+        return None, k, a, e
+    if kind == "any":
+        return (draw(st.integers(-6, 6)), draw(_lists)), k, a, e
+    near = _dmul(a, e)
+    for i, c in draw(st.dictionaries(st.integers(0, len(near) - 1), st.integers(-2, 2), max_size=2)).items():
+        near[i] += c
+    if not freealg._dtrim(near):
+        return None, k, a, e
+    low = next(i for i, c in enumerate(near) if c)
+    return (k + low, near[low:]), k, a, e
+
+
+@given(_sub_cases())
+@settings(max_examples=300, deadline=None)
+@example((None, -3, [2], [1, 0, -1]))  # f absent
+@example(((2, [1, 3, 2]), 2, [1, 1], [1, 2]))  # total cancellation
+@example(((-1, [5, 3, 2]), -1, [1, 1], [1, 2]))  # cancellation at the high end
+@example(((0, [1, 3, 7]), 0, [1, 1], [1, 2]))  # cancellation at the low end
+@example(((1, [1, 0, 1]), -4, [3], [2, 0, 1]))  # product below f
+@example(((-2, [4]), 3, [1, -1], [1, 0, 0, 1]))  # product above f, a gap between
+def test_the_fused_step_equals_the_two_step_form(case):
+    f, k, a, e = case
+    snapshot = copy.deepcopy(case)
+    assert freealg._sub_product(f, k, a, e) == _laurent_sub(f, (k, _dmul(a, e)))
+    # f, a and e are left as they were
+    assert case == snapshot
+
+
 def test_dense_rank_agrees_with_specialization():
     # random q-only rows: the exact elimination against the rank mod p
     rng = random.Random(31)
@@ -363,9 +430,25 @@ def _reducible(rules, n):
     return set(words_of_length(n)).difference(irreducible_words(rules, n))
 
 
+def _q_list(entry):
+    """A rule entry (k, list), for t^k * sum list[i] t^i with t = q^2, as
+    the dense list of its coefficients in q: [0] * 2k, then the list with a
+    zero between its entries."""
+    k, e = entry
+    out = [0] * (2 * k)
+    for c in e:
+        out += [c, 0]
+    return out[:-1]
+
+
+def _rule_in_q(row):
+    """A rule row as word -> dense q-list."""
+    return {w: _q_list(entry) for w, entry in row.items()}
+
+
 def _rule_elem(row):
-    """A rule row as a span row, entry (k, list) standing for q^k * list."""
-    return {w: LaurentPoly(R, {(k + i, 0, 0): c for i, c in enumerate(e)}) for w, (k, e) in row.items()}
+    """A rule row as a span row."""
+    return {w: LaurentPoly(R, {(i, 0, 0): c for i, c in enumerate(e) if c}) for w, e in _rule_in_q(row).items()}
 
 
 GOLDEN_LEADS = [
@@ -375,16 +458,48 @@ GOLDEN_LEADS = [
 
 
 def test_rules_through_degree_10_match_the_golden_file():
-    # recorded from serre_rules(10): each rule's lead and dense q-lists, the
-    # entry (k, list) written as [0] * k + list
+    # recorded from serre_rules(10), when the rules were held in q: each
+    # rule's lead and dense q-lists, the q-entry (k, list) written as
+    # [0] * k + list
     golden = json.loads((Path(__file__).parent / "golden_rules.json").read_text())
     rules = serre_rules(10)
     assert [lead for lead, _ in rules] == GOLDEN_LEADS
-    dense = lambda row: {w: [0] * k + e for w, (k, e) in row.items()}
-    assert [{"lead": lead, "row": dense(row)} for lead, row in rules] == golden
+    assert [{"lead": lead, "row": _rule_in_q(row)} for lead, row in rules] == golden
     # the degree-4 rules are S_x and -S_y, whose lead xyyy has entry -1
     s_x, s_y = serre_elements()
-    assert [row for _, row in rules[:2]] == freealg._dense_rows([s_x, {w: -c for w, c in s_y.items()}], 4)
+    dense = freealg._dense_rows([s_x, {w: -c for w, c in s_y.items()}], 4)
+    assert [_rule_in_q(row) for _, row in rules[:2]] == [{w: [0] * k + e for w, (k, e) in row.items()} for row in dense]
+
+
+# recorded from serre_rules(13) with the rules held in q
+LEADS_11_TO_13 = [
+    "xxyxyxxyxyy", "xxyxyxyxxyy", "xxyxyxxyxyxy", "xxyxyxyxyyxy", "xxyxyxyyxxyy",
+    "xyxyxyyxyxyy", "xxyxyxyxxyxyy", "xxyxyxyxyxxyy",
+]
+
+
+def test_rules_and_dims_past_the_golden_file():
+    assert [lead for lead, _ in serre_rules(13)] == GOLDEN_LEADS + LEADS_11_TO_13
+    assert (dim_uplus(12), dim_uplus(13)) == (504, 728)
+
+
+def test_rules_are_held_in_q_squared(monkeypatch):
+    # the row of S_x in t = q^2; `_dense_rows` gives its entries in q
+    s_x, s_y = serre_elements()
+    rows = freealg._dense_rows([s_x], 4)
+    assert freealg._in_q_squared(rows[0]) == {
+        "xxxy": (1, [1]), "xxyx": (0, [-1, -1, -1]), "xyxx": (0, [1, 1, 1]), "yxxx": (1, [-1])
+    }
+    # negative control: an odd power of q, as the shift or inside a list, is
+    # refused rather than dropped
+    for entry in ((1, [1]), (-1, [1, 0, 1]), (0, [1, 2, 1]), (2, [1, 0, 0, 3])):
+        with pytest.raises(ValueError, match="odd power of q"):
+            freealg._in_q_squared({**rows[0], "xyxx": entry})
+    # and so is a q-Serre combination with one, before any rule is built
+    odd_s_x = {**s_x, "xxyx": s_x["xxyx"] + R.gen("q")}
+    monkeypatch.setattr(freealg, "serre_elements", lambda: (odd_s_x, s_y))
+    with pytest.raises(ValueError, match="odd power of q"):
+        serre_rules(4)
 
 
 def test_rules_are_reduced_primitive_and_lie_in_the_ideal():
