@@ -145,6 +145,16 @@ def cmd_dims(args) -> int:
     import random
     from itertools import islice
 
+    def agree(leads, n, irreducible):
+        # as many leads as words a rule rewrites, all of length n over x
+        # and y, and none irreducible: so exactly the words a rule rewrites
+        return (
+            len(leads) == 2 ** n - len(irreducible)
+            and set(map(len, leads)) <= {n}
+            and not "".join(leads).encode().translate(None, b"xy")
+            and leads.isdisjoint(irreducible)
+        )
+
     rng = random.Random(args.seed)
     rules: list = []
     walks: list = []  # the span's leads at each point drawn, one degree a step
@@ -156,20 +166,20 @@ def cmd_dims(args) -> int:
         except (ReductionBudgetError, TermBudgetError) as exc:
             print("budget exceeded: %s" % exc, file=sys.stderr)
             return 3
-        # the rank is the number of words a rule rewrites
-        reducible = set(freealg.words_of_length(n)).difference(freealg.irreducible_words(rules, n))
+        irreducible = freealg.irreducible_words(rules, n)
+        rank = 2 ** n - len(irreducible)  # the words a rule rewrites
         # every walk takes its step; on a disagreement a new point is
         # walked from degree 0 to n, up to _POINTS points in all
-        agrees = reducible in [next(walk) for walk in walks]
+        agrees = any([agree(next(walk), n, irreducible) for walk in walks])
         while not agrees and len(walks) < freealg._POINTS:
             walks.append(freealg.span_leads_mod_p(freealg.random_residue_point(rng)))
-            agrees = next(islice(walks[-1], n, None)) == reducible
+            agrees = agree(next(islice(walks[-1], n, None)), n, irreducible)
         rows.append(
             {
                 "n": n,
                 "words": 2 ** n,
-                "rank": len(reducible),
-                "dim": 2 ** n - len(reducible),
+                "rank": rank,
+                "dim": 2 ** n - rank,
                 "specialization_agrees": agrees,
             }
         )

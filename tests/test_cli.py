@@ -397,6 +397,51 @@ def test_dims_mismatch_fails(capsys, monkeypatch):
     assert 1 < len(points) <= freealg._POINTS
 
 
+def _one_irreducible(leads, n):
+    return (leads - {min(leads)}) | {freealg.irreducible_words(freealg.serre_rules(n), n)[0]}
+
+
+@pytest.mark.parametrize(
+    "alter",
+    [
+        _one_irreducible,
+        lambda leads, n: (leads - {min(leads)}) | {min(leads) + "x"},
+        lambda leads, n: (leads - {min(leads)}) | {"z" + min(leads)[1:]},
+        lambda leads, n: leads - {min(leads)},
+    ],
+    ids=["one-irreducible", "one-too-long", "one-not-over-x-and-y", "one-missing"],
+)
+def test_dims_agrees_only_on_the_reducible_words(capsys, monkeypatch, alter):
+    # negative controls of the agreement rule: from degree 4 on, where there
+    # are leads to alter, each walk's leads are one word off those the rules
+    # rewrite; all but the last keep their number
+    walk = freealg.span_leads_mod_p
+
+    def altered(point):
+        for n, leads in enumerate(walk(point)):
+            yield alter(set(leads), n) if n >= 4 else leads
+
+    monkeypatch.setattr(freealg, "span_leads_mod_p", altered)
+    code, out, _ = run(capsys, ["dims", "--max", "5"])
+    assert code == 1
+    assert [line.split()[-1] for line in out.splitlines()[1:]] == ["ok"] * 4 + ["MISMATCH"] * 2
+
+
+def test_dims_builds_no_list_of_all_words(capsys, monkeypatch):
+    # rank and dim come from the irreducible words; only the walk lists the
+    # words w of each w * S_g
+    callers = []
+    words_of_length = freealg.words_of_length
+
+    def spy(n):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return words_of_length(n)
+
+    monkeypatch.setattr(freealg, "words_of_length", spy)
+    assert run(capsys, ["dims", "--max", "8"])[0] == 0
+    assert callers and set(callers) == {"span_leads_mod_p"}
+
+
 def _pbw_series(n_max):
     """Coefficients of prod_{d odd} (1 - t^d)^-2 prod_{d even} (1 - t^d)^-1
     up to t^n_max: two root vectors in each odd degree, one in each even."""

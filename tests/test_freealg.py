@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import json
 import random
 from functools import reduce
+from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
@@ -478,9 +480,82 @@ LEADS_11_TO_13 = [
 ]
 
 
+# sha256 of json.dumps(serre_rules(13), sort_keys=True), recorded when
+# every rewrite pushed its whole image onto the heap of `_reduce`
+RULES_13_SHA256 = "3190963f7d14d7cfce1dbfff67d303c53c3e9c9a8103d339f165d0ac98acfaa0"
+
+
 def test_rules_and_dims_past_the_golden_file():
-    assert [lead for lead, _ in serre_rules(13)] == GOLDEN_LEADS + LEADS_11_TO_13
+    rules = serre_rules(13)
+    assert [lead for lead, _ in rules] == GOLDEN_LEADS + LEADS_11_TO_13
+    assert hashlib.sha256(json.dumps(rules, sort_keys=True).encode()).hexdigest() == RULES_13_SHA256
     assert (dim_uplus(12), dim_uplus(13)) == (504, 728)
+
+
+def _reduce_reference(f, rules):
+    """`_reduce` pushing every word of a rewrite's image onto the heap, the
+    lead's (w itself) included, whether or not it is in the row already:
+    the reference for the rewrites and the remainder."""
+    f = dict(f)
+    heap = sorted(f)
+    last = None
+    while heap:
+        w = heappop(heap)
+        if w == last or w not in f:
+            continue
+        last = w
+        for lead, rule in rules:
+            i = w.find(lead)
+            if i >= 0:
+                f = freealg._rewrite(f, w, i, lead, rule, "serre_rules")
+                for x in rule:
+                    heappush(heap, w[:i] + x + w[i + len(lead):])
+                break
+    return f
+
+
+def test_reduction_pushes_only_new_words_and_rewrites_as_the_reference(monkeypatch):
+    # every reduction made while the rules through degree 11 are built: one
+    # per overlap, and one per rule as a degree's rules reduce each other
+    calls = []
+    real_reduce = freealg._reduce
+
+    def record(f, rules):
+        calls.append((copy.deepcopy(f), list(rules)))
+        return real_reduce(f, rules)
+
+    monkeypatch.setattr(freealg, "_reduce", record)
+    serre_rules(11)
+    monkeypatch.undo()
+    steps, pushes = [], []
+    real_rewrite = freealg._rewrite
+
+    def rewrite(f, w, i, lead, rule, op):
+        before = set(f)
+        f = real_rewrite(f, w, i, lead, rule, op)
+        steps.append((w, lead, set(f) - before))
+        return f
+
+    def push(heap, x):
+        pushes.append(x)
+        heappush(heap, x)
+
+    monkeypatch.setattr(freealg, "_rewrite", rewrite)
+    monkeypatch.setattr(freealg, "heappush", push)
+    assert len(calls) == 26
+    rewrites = 0
+    for f, rules in calls:
+        del steps[:]
+        expected = _reduce_reference(f, rules)
+        rewritten = [(w, lead) for w, lead, _ in steps]
+        del steps[:]
+        assert freealg._reduce(f, rules) == expected
+        assert [(w, lead) for w, lead, _ in steps] == rewritten
+        # each rewrite pushes exactly the words it brings into the row
+        assert sorted(pushes) == sorted(x for _, _, new in steps for x in new)
+        del pushes[:]
+        rewrites += len(rewritten)
+    assert rewrites == 1626
 
 
 def test_rules_are_held_in_q_squared(monkeypatch):
@@ -654,6 +729,19 @@ def test_the_walk_has_the_leads_of_the_whole_span():
             rows = freealg._residue_rows(relation_span(n), n, point)
             assert leads == freealg._pivot_leads_mod_p(rows), (seed, n)
             assert len(leads) == 2 ** n - dim_uplus(n)
+
+
+def test_the_walk_yields_words_of_length_n_over_x_and_y():
+    for seed in (1, 2):
+        walk = freealg.span_leads_mod_p(freealg.random_residue_point(random.Random(seed)))
+        views, copies = [], []
+        for n in range(12):
+            leads = next(walk)
+            assert all(len(w) == n and not w.strip("xy") for w in leads), (seed, n)
+            views.append(leads)
+            copies.append(set(leads))
+        # a yielded view keeps its degree's words as the walk moves on
+        assert views == copies
 
 
 def test_the_walk_shares_no_code_with_the_rules(monkeypatch):
