@@ -28,11 +28,12 @@ operation reads and returns state maps, and `render` prints straight from
 the state map.  `BoxElem.terms`, the map NormalMono -> LaurentPoly, is a
 view built anew on each access, for the API only.  State maps share their
 inner q-dicts, so no stored state map or inner dict is ever mutated: an
-operation fills only an outer map it created, and `_add_into` changes in
-place only the inner dicts it created itself.  A product map holds q-dicts
-of its left factor only under the keys of its last right-hand group, and
-only when that group has an empty even word, so it crosses no letter and
-no later group writes to them.
+operation fills only an outer map it created, and adds into an inner dict
+in place (in `_add_into`, in `_cross` and in `multiply`'s last-group
+merge) only when that dict was made in the same call; a new key gets a
+new dict.  A product map holds q-dicts of its left factor only under the
+keys of its last right-hand group, and only when that group has an empty
+even word, so it crosses no letter and no later group writes to them.
 
 A central unit is a one-term `BoxElem` with empty words and coefficient
 +-q^k a^i b^j (`central_gen(i, p)` times a unit scalar), and `e ** -n`
@@ -396,55 +397,73 @@ def _add_into(acc: dict, key, qd: dict, shift: int, factor: int) -> None:
         del acc[key]
 
 
-def _add_drop(acc: dict, key, qd: dict, lo: int, hi: int) -> None:
-    """acc[key] += (q^lo - q^hi) * qd, in one pass over qd, dropping
-    entries and keys that vanish; as in `_add_into`, a new key gets a new
-    dict."""
-    target = acc.get(key)
-    if target is None:
-        target = acc[key] = {}
-    get = target.get
-    for k, v in qd.items():
-        e = k + lo
-        w = get(e, 0) + v
-        if w:
-            target[e] = w
-        else:
-            del target[e]
-        e = k + hi
-        w = get(e, 0) - v
-        if w:
-            target[e] = w
-        else:
-            del target[e]
-    if not target:
-        del acc[key]
-
-
 def _cross(state: dict, letter: int, append: bool, op: str, tail: bytes = b"", shift: tuple = (0, 0)) -> dict:
     """The state map times x_letter (append) or x_letter times it, for a
     letter that must cross the opposite word.  Appended, the letter may be
     followed by the odd word `tail` times a^i b^j, with (i, j) = `shift`,
     which join every term of the result without a crossing.
 
-    The budget is checked after each state, whose terms number at most one
-    more than the letters crossed."""
+    Each term, the moved q^total qd and each drop (q^lo - q^hi) qd, is
+    added straight into the output map, dropping entries and keys that
+    vanish; as in `_add_into`, a new key gets a new dict, so only dicts
+    made here change in place.  The budget is checked after each state,
+    whose terms number at most one more than the letters crossed."""
     unit = bytes((letter,))
     shifted = any(shift)
+    budget = LIMITS.term_budget
     out: dict = {}
+    get = out.get
+    bumps: dict = {}  # (central, index) -> central with c_index raised by 1
     for (even, odd, cent, ab), qd in state.items():
         total, drops = _crossing(letter, odd if append else even, append)
         if shifted:
             ab = (ab[0] + shift[0], ab[1] + shift[1])
-        if append:
-            _add_into(out, (even + unit, odd + tail, cent, ab), qd, total, 1)
+        key = (even + unit, odd + tail, cent, ab) if append else (even, unit + odd, cent, ab)
+        target = get(key)
+        if target is None:
+            if total:
+                out[key] = target = {}
+                for k, v in qd.items():
+                    target[k + total] = v
+            else:
+                out[key] = qd.copy()
         else:
-            _add_into(out, (even, unit + odd, cent, ab), qd, total, 1)
+            at = target.get
+            for k, v in qd.items():
+                k += total
+                v += at(k, 0)
+                if v:
+                    target[k] = v
+                else:
+                    del target[k]
+            if not target:
+                del out[key]
         for word, index, lo, hi in drops:
-            bumped = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
+            bumped = bumps.get((cent, index))
+            if bumped is None:
+                bumped = bumps[cent, index] = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
             key = (even, word + tail, bumped, ab) if append else (word, odd, bumped, ab)
-            _add_drop(out, key, qd, lo, hi)
-        _check_term_budget(op, len(out))
+            target = get(key)
+            if target is None:
+                target = out[key] = {}
+            at = target.get
+            for k, v in qd.items():
+                e = k + lo
+                w = at(e, 0) + v
+                if w:
+                    target[e] = w
+                else:
+                    del target[e]
+                e = k + hi
+                w = at(e, 0) - v
+                if w:
+                    target[e] = w
+                else:
+                    del target[e]
+            if not target:
+                del out[key]
+        if len(out) > budget:
+            _check_term_budget(op, len(out))
     return out
 
 
@@ -566,9 +585,10 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     is one group with an empty even word, which folds nothing), and a
     first group that is one monomial with coefficient a^i b^j and no
     central part goes to `_times_monomial` too.  As the last group with an empty even word, such a
-    monomial takes the q-dicts of `lhs` under the new keys.  No later
-    group writes to those, so `_add_into` still changes only dicts it
-    made."""
+    monomial takes the q-dicts of `lhs` under the new keys, and a key an
+    earlier group made takes the q-dict of `lhs` added into it in place.
+    No later group writes to the q-dicts of `lhs`, so only dicts made in
+    this call change."""
     if not lhs.state or not rhs.state:
         return zero()
     _check_word_cap("multiply", _longest(lhs.state) + _longest(rhs.state))
@@ -590,14 +610,25 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
             continue
         if plain and not even_word and g == last:
             shifted = any(ab2)
+            get = out.get
             for (even, odd, cent, ab), qd in lhs.state.items():
                 if shifted:
                     ab = (ab[0] + ab2[0], ab[1] + ab2[1])
                 key = (even, odd + odd_word, cent, ab)
-                if key in out:
-                    _add_into(out, key, qd, 0, 1)
-                else:
+                target = get(key)
+                if target is None:
                     out[key] = qd
+                    continue
+                # an earlier group made `target`, so it may change in place
+                at = target.get
+                for k, v in qd.items():
+                    v += at(k, 0)
+                    if v:
+                        target[k] = v
+                    else:
+                        del target[k]
+                if not target:
+                    del out[key]
             _check_term_budget("multiply", len(out))
             continue
         product = _fold(lhs.state, even_word, True, "multiply")

@@ -830,9 +830,10 @@ def engine_checks(seed: int = 20260810, samples: int = 100, words: int = 1000) -
             if backward(forward(e)) != e:
                 return CheckResult("fail", backward(forward(e)) - e)
             e2 = bt.random_element(rng)
-            if forward(e * e2) != forward(e) * forward(e2):
+            product = e * e2
+            if forward(product) != forward(e) * forward(e2):
                 return CheckResult("fail", "not an algebra map")
-            if mixed(e * e2) != mixed(e) * mixed(e2):
+            if mixed(product) != mixed(e) * mixed(e2):
                 return CheckResult("fail", "not an algebra map")
         return CheckResult("pass")
 

@@ -4,7 +4,7 @@ import random
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdg import boxtilde as bt
@@ -804,6 +804,185 @@ def test_powers_past_the_word_cap_are_refused_before_the_work(monkeypatch):
         (bt.one() * Q) ** 99999
 
 
+def _reference_add_into(acc, key, qd, shift, factor):
+    """acc[key] += factor * q^shift * qd, one helper call per term, as the
+    crossing added its terms before it did so inline; a new key gets a new
+    dict."""
+    target = acc.get(key)
+    if target is None:
+        if shift or factor != 1:
+            acc[key] = {k + shift: v * factor for k, v in qd.items()}
+        else:
+            acc[key] = qd.copy()
+        return
+    for k, v in qd.items():
+        k += shift
+        v = target.get(k, 0) + v * factor
+        if v:
+            target[k] = v
+        else:
+            del target[k]
+    if not target:
+        del acc[key]
+
+
+def _reference_add_drop(acc, key, qd, lo, hi):
+    """acc[key] += (q^lo - q^hi) * qd, one helper call per drop."""
+    target = acc.get(key)
+    if target is None:
+        target = acc[key] = {}
+    get = target.get
+    for k, v in qd.items():
+        e = k + lo
+        w = get(e, 0) + v
+        if w:
+            target[e] = w
+        else:
+            del target[e]
+        e = k + hi
+        w = get(e, 0) - v
+        if w:
+            target[e] = w
+        else:
+            del target[e]
+    if not target:
+        del acc[key]
+
+
+def _reference_cross(state, letter, append, op, tail=b"", shift=(0, 0)):
+    """`bt._cross` with one helper call per term, the reference for the
+    crossing that adds each term inline."""
+    unit = bytes((letter,))
+    out = {}
+    for (even, odd, cent, ab), qd in state.items():
+        total, drops = bt._crossing(letter, odd if append else even, append)
+        ab = (ab[0] + shift[0], ab[1] + shift[1])
+        if append:
+            _reference_add_into(out, (even + unit, odd + tail, cent, ab), qd, total, 1)
+        else:
+            _reference_add_into(out, (even, unit + odd, cent, ab), qd, total, 1)
+        for word, index, lo, hi in drops:
+            bumped = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
+            key = (even, word + tail, bumped, ab) if append else (word, odd, bumped, ab)
+            _reference_add_drop(out, key, qd, lo, hi)
+        bt._check_term_budget(op, len(out))
+    return out
+
+
+# state maps over short words, few central parts and even q exponents, so
+# the terms of different states often land on one key and may cancel
+_STATES = st.dictionaries(
+    st.tuples(
+        st.lists(st.sampled_from((0, 2)), max_size=3).map(bytes),
+        st.lists(st.sampled_from((1, 3)), max_size=3).map(bytes),
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0), st.integers(0, 1)),
+        st.sampled_from(((0, 0), (1, 0))),
+    ),
+    st.dictionaries(st.sampled_from((-2, 0, 2, 4)), st.sampled_from((-1, 1, 2)), min_size=1, max_size=3),
+    min_size=1,
+    max_size=8,
+)
+# two states whose terms cancel under one key: x0 appended to
+# (x0 | x1 | -) drops (1 - q^2) (x0 | - | c0), and x1 prepended to it
+# drops (1 - q^2) (- | x1 | c0); the moved term of (- | - | c0), whose
+# q-dict is q^2 - 1, takes either back to zero
+_CANCELLING = {(b"\x00", b"\x01", ZERO_CENTRAL, (0, 0)): {0: 1}, (b"", b"", (1, 0, 0, 0), (0, 0)): {0: -1, 2: 1}}
+
+
+@given(
+    _STATES,
+    st.sampled_from((True, False)),
+    st.sampled_from((0, 1)),
+    st.lists(st.sampled_from((1, 3)), max_size=2).map(bytes),
+    st.sampled_from(((0, 0), (1, 0), (0, -1))),
+    st.integers(1, 12),
+)
+@example(_CANCELLING, True, 0, b"", (0, 0), 12)
+@example(dict(reversed(_CANCELLING.items())), True, 0, b"", (0, 0), 12)
+@example(_CANCELLING, False, 0, b"", (0, 0), 12)
+@example(dict(reversed(_CANCELLING.items())), False, 0, b"", (0, 0), 12)
+@settings(max_examples=300, deadline=None)
+def test_cross_adds_its_terms_as_the_helper_per_term_loop(state, append, parity, tail, shift, term_budget):
+    # an even letter is appended, with an odd tail, and an odd one prepended
+    letter = 2 * parity + (0 if append else 1)
+    if not append:
+        tail = b""
+    before = copy.deepcopy(state)
+    with _limits(64, term_budget):
+        expected = _outcome(lambda: _reference_cross(state, letter, append, "multiply", tail, shift))
+        got = _outcome(lambda: bt._cross(state, letter, append, "multiply", tail, shift))
+    assert got == expected
+    assert state == before
+    if isinstance(got, dict):
+        # every q-dict of the result is new
+        assert {id(qd) for qd in got.values()}.isdisjoint(map(id, state.values()))
+
+
+# right factors whose last group is one monomial with an empty even word
+# and coefficient a^i b^j, which `multiply` joins to the left factor's
+# q-dicts without copying them; the groups before it have even words
+_LAST_GROUP_FACTORS = st.tuples(
+    st.dictionaries(
+        st.tuples(
+            st.lists(st.sampled_from((0, 2)), min_size=1, max_size=2).map(bytes),
+            st.lists(st.sampled_from((1, 3)), max_size=1).map(bytes),
+            st.sampled_from((ZERO_CENTRAL, (1, 0, 0, 0))),
+            st.sampled_from(((0, 0), (0, 1))),
+        ),
+        st.dictionaries(st.sampled_from((0, 2)), st.sampled_from((-1, 1)), min_size=1, max_size=2),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.sampled_from((1, 3)), max_size=1).map(bytes),
+    st.sampled_from(((0, 0), (1, 0), (0, -1))),
+).map(lambda t: {**t[0], (b"", t[1], ZERO_CENTRAL, t[2]): {0: 1}})
+
+
+@given(_STATES, _LAST_GROUP_FACTORS)
+@example(
+    {(b"", b"\x01", ZERO_CENTRAL, (0, 0)): {0: 1}, (b"", b"", (1, 0, 0, 0), (0, 0)): {0: -1, 2: 1}},
+    {(b"\x00", b"", ZERO_CENTRAL, (0, 0)): {0: 1}, (b"", b"", ZERO_CENTRAL, (0, 0)): {0: 1}},
+)
+@settings(max_examples=200, deadline=None)
+def test_the_last_group_merge_changes_no_q_dict_of_its_factors(lhs_state, rhs_state):
+    # in the example, the drop (1 - q^2) (- | - | c0) of the first group
+    # cancels the left factor's own (- | - | c0) in the last group
+    lhs, rhs = BoxElem._of(lhs_state), BoxElem._of(rhs_state)
+    before = (copy.deepcopy(lhs_state), copy.deepcopy(rhs_state))
+    product = multiply(lhs, rhs)
+    assert (lhs_state, rhs_state) == before
+    assert product == _product_by_monomial_pairs(lhs, rhs)
+
+
+# (operation, term budget, terms reached): each budget error is raised by
+# `_cross` after the state that took the map past the budget, so these
+# counts are those of the helper-per-term crossing
+_LHS, _RHS = reduce_word((1, 1, 3)), reduce_word((0, 2, 0, 2))
+_ODD3 = (generator(1) + generator(3)) ** 3
+_SHIFTED = BoxElem(R, {mono((0, 2, 0, 2), (1, 3, 1)): ONE})
+_CROSSING_BUDGETS = [
+    ("multiply", lambda: multiply(_LHS, _RHS), ((3, 5), (4, 5), (5, 8), (7, 8))),
+    ("multiply", lambda: multiply(_ODD3, generator(0)), ((3, 5), (4, 5), (5, 7), (7, 10))),
+    (
+        "reduce_word",
+        lambda: reduce_word((1, 1, 3, 0, 2, 0, 2, 0), strategy="rightmost"),
+        ((3, 6), (4, 6), (5, 6), (7, 11)),
+    ),
+    ("reduce_word", lambda: reduce_word((1, 1, 3, 0, 2, 0, 2, 0)), ((3, 5), (4, 5), (5, 8), (7, 8))),
+    ("rho", lambda: rho(_SHIFTED), ((3, 5), (4, 5), (5, 9), (7, 9))),
+]
+
+
+@pytest.mark.parametrize("op, compute, counts", _CROSSING_BUDGETS)
+def test_budget_errors_inside_a_crossing_name_the_terms_reached(op, compute, counts):
+    for term_budget, reached in counts:
+        with _limits(64, term_budget):
+            with pytest.raises(bt.TermBudgetError) as info:
+                compute()
+        assert str(info.value) == "term budget: %s reached %d terms (limit %d)" % (op, reached, term_budget)
+        assert info.traceback[-2].name == "_cross"
+
+
 def _global_names(code):
     """The global names read by a code object and the code nested in it."""
     names = set(code.co_names)
@@ -832,7 +1011,7 @@ def test_the_oracle_shares_no_code_with_the_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the kernel")
 
-    for name in ("_cross", "_fold", "_crossing", "_add_into", "_add_drop"):
+    for name in ("_cross", "_fold", "_crossing", "_add_into"):
         monkeypatch.setattr(bt, name, refuse)
     assert oracle_as_box(module_action_oracle([1, 0, 3, ("c", 2, -1), 2, 1, 0])) == expected
     monkeypatch.undo()
