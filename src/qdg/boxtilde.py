@@ -441,6 +441,8 @@ def _cross(state: dict, letter: int, append: bool, op: str, tail: bytes = b"", s
         for word, index, lo, hi in drops:
             bumped = bumps.get((cent, index))
             if bumped is None:
+                if cent[index] + 1 >= _CENTRAL_BOUND:
+                    raise CentralOverflowError("central exponent outside the checked 64-bit range")
                 bumped = bumps[cent, index] = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
             key = (even, word + tail, bumped, ab) if append else (word, odd, bumped, ab)
             target = get(key)
@@ -525,12 +527,13 @@ def reduce_word(
     _check_word_cap("reduce_word", len(word))
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError("unknown strategy %r" % strategy)
-    if coeff is None:
-        coeff = DEFAULT_RING.one()
     if central is not ZERO_CENTRAL:  # the default is normal as it stands
         central = _checked_central(central)
-    start: dict = {}
-    _enter(start, b"", b"", central, coeff)
+    if coeff is None:
+        start = {(b"", b"", central, (0, 0)): {0: 1}}
+    else:
+        start = {}
+        _enter(start, b"", b"", central, coeff)
     append = strategy == "leftmost"
     return BoxElem._of(_fold(start, bytes(word), append, "reduce_word"))
 
@@ -774,7 +777,7 @@ def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
 # letter at a time, with no closed form, and shares no code with the
 # kernel: its states (first word, second word, lambda) -> {q exponent: int}
 # live in its own maps, filled by its own accumulator `_oracle_add`, and
-# become LaurentPolys only in the map it returns.
+# the map it returns is one of them.  No coefficient object is built.
 # ---------------------------------------------------------------------------
 
 # the same pairing/correction data in the two-letter alphabet of the oracle
@@ -813,31 +816,25 @@ def _oracle_apply_letter(state: dict, token) -> dict:
     q-dict."""
     if isinstance(token, tuple):  # ("c", index, exponent)
         _, idx, exp = token
-        out = {}
-        for (u, v, lam), qd in state.items():
-            new_lam = list(lam)
-            new_lam[idx] += exp
-            out[u, v, tuple(new_lam)] = qd
-        return out
+        return {(u, v, lam[:idx] + (lam[idx] + exp,) + lam[idx + 1 :]): qd for (u, v, lam), qd in state.items()}
     if token in (0, 2):
         letter = "x" if token == 0 else "y"
         return {(letter + u, v, lam): qd for (u, v, lam), qd in state.items()}
     letter = "x" if token == 1 else "y"
     out = {}
     for (u, v, lam), qd in state.items():
-        # main term: prepend to the second factor, q-power from the pairing
-        exp_total = sum(_ORACLE_PAIRING[(ch, letter)] for ch in u)
-        _oracle_add(out, (u, letter + v, lam), qd, exp_total)
         # correction terms: delete one letter of the first factor, with
         # factor q^prefix (1 - q^e)
         prefix = 0
         for i, ch in enumerate(u):
             e = _ORACLE_PAIRING[(ch, letter)]
-            lam_idx = _ORACLE_LAMBDA[(ch, letter)]
-            new_lam = list(lam)
-            new_lam[lam_idx] += 1
-            _oracle_add(out, (u[:i] + u[i + 1 :], v, tuple(new_lam)), qd, prefix, prefix + e)
+            idx = _ORACLE_LAMBDA[(ch, letter)]
+            bumped = lam[:idx] + (lam[idx] + 1,) + lam[idx + 1 :]
+            _oracle_add(out, (u[:i] + u[i + 1 :], v, bumped), qd, prefix, prefix + e)
             prefix += e
+        # main term: prepend to the second factor, with q to the sum of the
+        # pairings over the whole first factor
+        _oracle_add(out, (u, letter + v, lam), qd, prefix)
     return out
 
 
@@ -858,7 +855,8 @@ def _oracle_token(token):
 
 def module_action_oracle(tokens: Sequence) -> dict:
     """Image of 1 (x) 1 (x) 1 under the left action of the given product, as
-    a map (word, word, lambda exponents) -> nonzero LaurentPoly.
+    a map (word, word, lambda exponents) -> {q exponent: nonzero int}, with
+    words over "x" and "y": the oracle's coefficients are powers of q.
 
     Tokens are generator indices 0..3 or ("c", i, e) with i in 0..3 and an
     int e; any other token raises ValueError, and an e outside the checked
@@ -871,7 +869,7 @@ def module_action_oracle(tokens: Sequence) -> dict:
     for token in reversed(tokens):
         state = _oracle_apply_letter(state, token)
         _check_term_budget("module_action_oracle", len(state))
-    return {key: LaurentPoly(DEFAULT_RING, {(k, 0, 0): v for k, v in qd.items()}) for key, qd in state.items()}
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -885,31 +883,36 @@ def random_word(rng, max_len: int = 10, min_len: int = 0) -> tuple:
 
 
 def random_element(rng, max_terms: int = 3, max_word: int = 4, central_range: int = 2) -> BoxElem:
-    """A small random element in normal form, with occasional a/b factors."""
+    """A small random element in normal form, with occasional a/b factors.
+    Each term is +-q^k a^i b^j x_word c^central, or twice that, folded as
+    `reduce_word` folds it, with no coefficient object."""
     out = zero()
     for _ in range(rng.randint(1, max_terms)):
         word = random_word(rng, max_len=max_word)
         central = tuple(rng.randint(-central_range, central_range) for _ in range(4))
-        exps = [rng.randint(-3, 3), 0, 0]
+        ab = [0, 0]
+        k = rng.randint(-3, 3)
         if rng.random() < 0.3:
-            exps[rng.randint(1, 2)] = rng.choice((-1, 1))
-        coeff = DEFAULT_RING.monomial(rng.choice((1, -1, 2)), tuple(exps))
-        out = out + reduce_word(word, central, coeff)
+            ab[rng.randint(1, 2) - 1] = rng.choice((-1, 1))
+        c = rng.choice((1, -1, 2))
+        _check_word_cap("reduce_word", len(word))
+        start = {(b"", b"", _checked_central(central), tuple(ab)): {k: c}}
+        out = out + BoxElem._of(_fold(start, bytes(word), True, "reduce_word"))
     return out
 
 
-_LETTER_TO_EVEN = {"x": 0, "y": 2}
-_LETTER_TO_ODD = {"x": 1, "y": 3}
+_TO_EVEN = str.maketrans("xy", "\x00\x02")
+_TO_ODD = str.maketrans("xy", "\x01\x03")
 
 
 def oracle_as_box(t: dict) -> BoxElem:
     """Read an oracle value as a normal-form element through the basis
     bijection (first word, second word, lambda) -> (even, odd, central).
     The letter maps send x/y words to normal words, so no monomial is
-    validated."""
-    state: dict = {}
-    for (u, v, lam), c in t.items():
-        even = bytes(_LETTER_TO_EVEN[ch] for ch in u)
-        odd = bytes(_LETTER_TO_ODD[ch] for ch in v)
-        _enter(state, even, odd, lam, c)
-    return BoxElem._of(state)
+    validated; each q-dict is copied, so the element shares none with `t`."""
+    return BoxElem._of(
+        {
+            (u.translate(_TO_EVEN).encode(), v.translate(_TO_ODD).encode(), lam, (0, 0)): qd.copy()
+            for (u, v, lam), qd in t.items()
+        }
+    )

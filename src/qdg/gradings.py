@@ -46,7 +46,7 @@ def check_product_grading(odd_word: Sequence[int], even_word: Sequence[int]) -> 
     r, s = len(even_word), len(odd_word)
     product = reduce_word(odd_word + even_word)
     allowed = {(r - l, s - l) for l in range(min(r, s) + 1)}
-    bad = {bd for bd in bidegree_components(product) if bd not in allowed}
+    bad = {(len(even), len(odd)) for even, odd, _, _ in product.state} - allowed
     return verdict(not bad, "components outside the ladder: %s" % sorted(bad))
 
 

@@ -346,13 +346,52 @@ def test_central_values_may_be_ints_polys_or_box_elements():
 
 def test_oracle_single_letters():
     t = module_action_oracle((0,))
-    assert t == {("x", "", ZERO_CENTRAL): ONE}
+    assert t == {("x", "", ZERO_CENTRAL): {0: 1}}
     t = module_action_oracle((1,))
-    assert t == {("", "x", ZERO_CENTRAL): ONE}
+    assert t == {("", "x", ZERO_CENTRAL): {0: 1}}
     t = module_action_oracle((("c", 0, 1),))
-    assert t == {("", "", (1, 0, 0, 0)): ONE}
+    assert t == {("", "", (1, 0, 0, 0)): {0: 1}}
     t = module_action_oracle((("c", 2, -1),))
-    assert t == {("", "", (0, 0, -1, 0)): ONE}
+    assert t == {("", "", (0, 0, -1, 0)): {0: 1}}
+
+
+def test_reduce_word_without_a_coefficient_is_times_one():
+    rng = random.Random(29)
+    for _ in range(100):
+        w = bt.random_word(rng, max_len=8)
+        central = rng.choice((ZERO_CENTRAL, (1, 0, -2, 0)))
+        for strategy in ("leftmost", "rightmost"):
+            plain = reduce_word(w, central, strategy=strategy)
+            assert plain == reduce_word(w, central, coeff=R.one(), strategy=strategy)
+
+
+def _reference_random_element(rng, max_terms=3, max_word=4, central_range=2):
+    """The sampler as built on LaurentPoly coefficients and `reduce_word`,
+    kept as the reference for `random_element`'s draws."""
+    out = bt.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        word = bt.random_word(rng, max_len=max_word)
+        central = tuple(rng.randint(-central_range, central_range) for _ in range(4))
+        exps = [rng.randint(-3, 3), 0, 0]
+        if rng.random() < 0.3:
+            exps[rng.randint(1, 2)] = rng.choice((-1, 1))
+        coeff = R.monomial(rng.choice((1, -1, 2)), tuple(exps))
+        out = out + reduce_word(word, central, coeff)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"max_terms": 4, "max_word": 6, "central_range": 3}, {"max_terms": 1, "max_word": 0, "central_range": 0}],
+)
+def test_random_element_draws_as_the_reference_does(kwargs):
+    for seed in range(150):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            e = bt.random_element(rng, **kwargs)
+            assert e.state == _reference_random_element(ref, **kwargs).state
+        # the two draw the same numbers, so the streams stay in step
+        assert rng.random() == ref.random()
 
 
 def test_oracle_matches_engine_on_words():
@@ -542,6 +581,36 @@ def test_central_overflow_is_checked():
     edge = 2 ** 63 - 1
     assert central_gen(3, -edge) == reduce_word((), (0, 0, 0, -edge))
     assert oracle_as_box(module_action_oracle([("c", 3, -edge)])) == central_gen(3, -edge)
+
+
+_EDGE = 2 ** 63 - 1
+_AT_EDGE = (_EDGE, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        # appended: x0 crosses x1 and raises c0
+        lambda: reduce_word((1, 0), _AT_EDGE),
+        lambda: multiply(reduce_word((1,), _AT_EDGE), generator(0)),
+        # prepended: x1 crosses x0 and raises c0
+        lambda: reduce_word((1, 0), _AT_EDGE, strategy="rightmost"),
+        # rho sends c0 to c1 and x0 | x1 to x1 x2, whose crossing raises c1
+        lambda: rho(reduce_word((0, 1), _AT_EDGE)),
+    ],
+    ids=["append", "multiply", "prepend", "rho"],
+)
+def test_a_crossing_keeps_the_central_bound(compute):
+    with pytest.raises(bt.CentralOverflowError, match="^central exponent outside the checked 64-bit range$"):
+        compute()
+
+
+def test_a_crossing_just_inside_the_central_bound_is_exact():
+    below = (_EDGE - 1, 0, 0, 0)
+    expected = Q ** 2 * BoxElem(R, {mono((0,), (1,), below): ONE}) + BoxElem(R, {mono(central=_AT_EDGE): 1 - Q ** 2})
+    for strategy in ("leftmost", "rightmost"):
+        assert reduce_word((1, 0), below, strategy=strategy) == expected
+    assert multiply(reduce_word((1,), below), generator(0)) == expected
 
 
 def test_invalid_letters_rejected():
@@ -992,15 +1061,16 @@ def _global_names(code):
     return names
 
 
-_ORACLE_CODE = ("module_action_oracle", "_oracle_token", "_oracle_apply_letter", "_oracle_add")
+_ORACLE_CODE = ("module_action_oracle", "_oracle_token", "_oracle_apply_letter", "_oracle_add", "oracle_as_box")
 
 
 def test_the_oracle_shares_no_code_with_the_kernel(monkeypatch):
-    # besides one another, the oracle's functions and its accumulator read
-    # only the budget checks, the coefficient type and their own tables
+    # besides one another, the oracle's functions, its accumulator and its
+    # reading as an element read only the budget checks, the element type
+    # and their own tables: no coefficient type
     allowed = set(_ORACLE_CODE) | {
-        "_check_word_cap", "_check_term_budget", "LaurentPoly", "DEFAULT_RING",
-        "ZERO_CENTRAL", "_ORACLE_PAIRING", "_ORACLE_LAMBDA",
+        "_check_word_cap", "_check_term_budget", "BoxElem",
+        "ZERO_CENTRAL", "_ORACLE_PAIRING", "_ORACLE_LAMBDA", "_TO_EVEN", "_TO_ODD",
     }
     for name in _ORACLE_CODE:
         module_names = {n for n in _global_names(getattr(bt, name).__code__) if hasattr(bt, n)}
@@ -1011,7 +1081,7 @@ def test_the_oracle_shares_no_code_with_the_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the kernel")
 
-    for name in ("_cross", "_fold", "_crossing", "_add_into"):
+    for name in ("_cross", "_fold", "_crossing", "_add_into", "_enter", "_checked_central"):
         monkeypatch.setattr(bt, name, refuse)
     assert oracle_as_box(module_action_oracle([1, 0, 3, ("c", 2, -1), 2, 1, 0])) == expected
     monkeypatch.undo()
@@ -1044,7 +1114,7 @@ def test_the_oracle_refuses_tokens_outside_its_alphabet():
             module_action_oracle(tokens)
     with pytest.raises(ValueError):
         reduce_word((4,))
-    assert module_action_oracle((("c", 3, 5), 2)) == {("y", "", (0, 0, 0, 5)): ONE}
+    assert module_action_oracle((("c", 3, 5), 2)) == {("y", "", (0, 0, 0, 5)): {0: 1}}
 
 
 def test_sums_and_scalar_products_check_the_term_budget():

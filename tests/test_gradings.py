@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qdg import boxtilde as bt
+from qdg import gradings
 from qdg.boxtilde import NormalMono, ZERO_CENTRAL, generator, reduce_word
 from qdg.gradings import (
     ab_lifts,
@@ -62,6 +63,14 @@ def test_product_grading_examples():
     assert set(bidegree_components(product)) == {(1, 1), (0, 0)}
     with pytest.raises(ValueError):
         check_product_grading((0,), (1,))
+
+
+def test_product_grading_fails_off_the_ladder(monkeypatch):
+    # x1 x0 has components (1, 1) and (0, 0); an extra x0 sits at (1, 0)
+    monkeypatch.setattr(gradings, "reduce_word", lambda word: reduce_word(word) + generator(0))
+    result = check_product_grading((1,), (0,))
+    assert result.status == "fail"
+    assert result.witness == "components outside the ladder: [(1, 0)]"
 
 
 def test_sharp_lift_single_letters():
