@@ -24,16 +24,18 @@ of normal states, and each letter is handled in one pass.
 Coefficients lie in the package's one ring Z[q^+-1, a^+-1, b^+-1].  A
 `BoxElem` stores only its state map, (even word, odd word, central, a/b
 exponents) -> {q exponent: int}, with the words as bytes; every
-operation reads and returns state maps, and `render` prints straight from
-the state map.  `BoxElem.terms`, the map NormalMono -> LaurentPoly, is a
-view built anew on each access, for the API only.  State maps share their
-inner q-dicts, so no stored state map or inner dict is ever mutated: an
-operation fills only an outer map it created, and adds into an inner dict
-in place (in `_add_into`, in `_cross` and in `multiply`'s last-group
-merge) only when that dict was made in the same call; a new key gets a
-new dict.  A product map holds q-dicts of its left factor only under the
-keys of its last right-hand group, and only when that group has an empty
-even word, so it crosses no letter and no later group writes to them.
+operation reads and returns state maps.  `render` prints straight from the
+state map: it sorts the keys by monomial and hands each monomial's
+(a/b exponents, q-dict) pairs to `qcoeff.render_sum` as its coefficient.
+`BoxElem.terms`, the map NormalMono -> LaurentPoly, is a view built anew
+on each access, for the API only.  State maps share their inner q-dicts,
+so no stored state map or inner dict is ever mutated: an operation fills
+only an outer map it created, and adds into an inner dict in place (in
+`_add_into`, in `_cross` and in both of `multiply`'s loops) only when that
+dict was made in the same call; a new key gets a new dict.  A product map
+holds q-dicts of its left factor only under the keys of its last
+right-hand group, and only when that group has an empty even word, so it
+crosses no letter and no later group writes to them.
 
 A central unit is a one-term `BoxElem` with empty words and coefficient
 +-q^k a^i b^j (`central_gen(i, p)` times a unit scalar), and `e ** -n`
@@ -109,23 +111,30 @@ def _checked_central(central) -> tuple:
 
 
 def _mono_text(even: bytes, odd: bytes, central: tuple) -> str:
-    """The bracket text of the normal monomial (even | odd | central)."""
-    central_text = "-"
-    if any(central):
-        central_text = ".".join(
-            "c%d" % i if e == 1 else "c%d^%d" % (i, e) for i, e in enumerate(central) if e
-        )
+    """The bracket text of the normal monomial (even | odd | central).  A
+    letter 0..3 is one byte, whose hex digits are 0 and the letter."""
+    c0, c1, c2, c3 = central
+    powers = []
+    if c0:
+        powers.append("c0" if c0 == 1 else "c0^%d" % c0)
+    if c1:
+        powers.append("c1" if c1 == 1 else "c1^%d" % c1)
+    if c2:
+        powers.append("c2" if c2 == 1 else "c2^%d" % c2)
+    if c3:
+        powers.append("c3" if c3 == 1 else "c3^%d" % c3)
     return "[%s | %s | %s]" % (
-        "x" + ".x".join(map(str, even)) if even else "-",
-        "x" + ".x".join(map(str, odd)) if odd else "-",
-        central_text,
+        "x" + ".x".join(even.hex()[1::2]) if even else "-",
+        "x" + ".x".join(odd.hex()[1::2]) if odd else "-",
+        ".".join(powers) or "-",
     )
 
 
-# deterministic term order used by rendering: longer words first, then
-# even-heavy monomials; words as bytes sort as their letter tuples do
-def _mono_sort_key(mono: tuple):
-    even, odd, central = mono
+# deterministic term order used by rendering, of a state key: longer words
+# first, then even-heavy monomials; words as bytes sort as their letter
+# tuples do, and the keys of one monomial tie
+def _mono_sort_key(key: tuple):
+    even, odd, central, _ = key
     return (-(len(even) + len(odd)), -len(even), even, odd, central)
 
 
@@ -138,6 +147,24 @@ def _by_mono(state: dict) -> dict:
         for k, v in qd.items():
             coeff[(k,) + ab] = v
     return monos
+
+
+def _pieces(state: dict) -> list:
+    """The (coefficient, bracket text) pieces of `render_sum` for a state
+    map, one per normal monomial in render order; a coefficient is the list
+    of the monomial's (a/b exponents, q-dict) pairs.  The keys of one
+    monomial sort next to one another, so one pass gathers them."""
+    pieces = []
+    last = None
+    for key in sorted(state, key=_mono_sort_key):
+        even, odd, cent, ab = key
+        if last is not None and cent == last[2] and even == last[0] and odd == last[1]:
+            coeff.append((ab, state[key]))
+        else:
+            coeff = [(ab, state[key])]
+            pieces.append((coeff, _mono_text(even, odd, cent)))
+            last = key
+    return pieces
 
 
 class BoxElem:
@@ -231,8 +258,7 @@ class BoxElem:
         return BoxElem._of({key: {exps[0] * n: v if n & 1 else 1}})
 
     def render(self) -> str:
-        monos = _by_mono(self.state)
-        return render_sum(((monos[m], _mono_text(*m)) for m in sorted(monos, key=_mono_sort_key)), " * ")
+        return render_sum(_pieces(self.state), " * ")
 
     def __str__(self) -> str:
         return self.render()
@@ -567,14 +593,18 @@ def _times_monomial(state: dict, even: bytes, odd: bytes, central: tuple, ab: tu
     return out
 
 
-def _times_atom(state: dict, atom: tuple) -> dict:
+def _times_atom(state: dict, atom: tuple, longest: Optional[int] = None) -> dict:
     """`multiply` of the state map by the one-term element of `atom`, the
     arguments (even, odd, central, a/b exponents, q exponent, integer) of
-    `_times_monomial`, without building either element."""
+    `_times_monomial`, without building either element.  `longest`, when
+    given, is the length of the state's longest word, which is then not
+    read from the state."""
     even, odd, central, ab, k, c = atom
     if not state or not c:
         return {}
-    _check_word_cap("multiply", _longest(state) + len(even) + len(odd))
+    if longest is None:
+        longest = _longest(state)
+    _check_word_cap("multiply", longest + len(even) + len(odd))
     return _times_monomial(state, even, odd, central, ab, k, c)
 
 
@@ -635,6 +665,7 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
             _check_term_budget("multiply", len(out))
             continue
         product = _fold(lhs.state, even_word, True, "multiply")
+        get = out.get
         for odd_word, central, ab2, qd2 in monos:
             shifted = any(ab2)
             for (even, odd, cent, ab), qd in product.items():
@@ -643,8 +674,27 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
                 if central != ZERO_CENTRAL:
                     cent = add_central(cent, central)
                 key = (even, odd + odd_word, cent, ab)
-                for k, v in qd2.items():
-                    _add_into(out, key, qd, k, v)
+                # out[key] += v2 q^k2 qd for each entry k2: v2 of qd2, added
+                # in place as `_cross` adds: a new key gets a new dict, and
+                # a key that vanishes is dropped
+                target = get(key)
+                for k2, v2 in qd2.items():
+                    if target is None:
+                        out[key] = target = {}
+                        for k, v in qd.items():
+                            target[k + k2] = v * v2
+                        continue
+                    at = target.get
+                    for k, v in qd.items():
+                        k += k2
+                        v = at(k, 0) + v * v2
+                        if v:
+                            target[k] = v
+                        else:
+                            del target[k]
+                    if not target:
+                        del out[key]
+                        target = None
             _check_term_budget("multiply", len(out))
     return BoxElem._of(out)
 
@@ -813,10 +863,17 @@ def _oracle_apply_letter(state: dict, token) -> dict:
     """One token acting on the oracle module, whose coefficients are
     q-dicts: no a or b enters.  Each q-dict belongs to one state, and the
     state before the token is dropped, so a key that only moves keeps its
-    q-dict."""
+    q-dict.  A lambda exponent that leaves the checked 64-bit range, by a
+    central token or by a correction, raises OverflowError."""
     if isinstance(token, tuple):  # ("c", index, exponent)
         _, idx, exp = token
-        return {(u, v, lam[:idx] + (lam[idx] + exp,) + lam[idx + 1 :]): qd for (u, v, lam), qd in state.items()}
+        out = {}
+        for (u, v, lam), qd in state.items():
+            n = lam[idx] + exp
+            if not -(2 ** 63) < n < 2 ** 63:
+                raise OverflowError("central exponent outside the checked 64-bit range")
+            out[u, v, lam[:idx] + (n,) + lam[idx + 1 :]] = qd
+        return out
     if token in (0, 2):
         letter = "x" if token == 0 else "y"
         return {(letter + u, v, lam): qd for (u, v, lam), qd in state.items()}
@@ -829,6 +886,8 @@ def _oracle_apply_letter(state: dict, token) -> dict:
         for i, ch in enumerate(u):
             e = _ORACLE_PAIRING[(ch, letter)]
             idx = _ORACLE_LAMBDA[(ch, letter)]
+            if lam[idx] + 1 >= 2 ** 63:
+                raise OverflowError("central exponent outside the checked 64-bit range")
             bumped = lam[:idx] + (lam[idx] + 1,) + lam[idx + 1 :]
             _oracle_add(out, (u[:i] + u[i + 1 :], v, bumped), qd, prefix, prefix + e)
             prefix += e

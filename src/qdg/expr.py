@@ -30,7 +30,9 @@ c_i) is one term c q^k a^i b^j (even | odd | central), and
 `multiply`'s routine for a one-term right factor,
 `boxtilde._times_monomial`, without building the factor; any other
 factor (a parenthesised sum, `qint`, a power of a non-unit) is evaluated
-and multiplied in by `multiply`.
+and multiplied in by `multiply`.  The chain carries the length of its
+longest word for the word-cap check: only the first atom after the start
+or after a `multiply` reads it from the state map.
 """
 
 from __future__ import annotations
@@ -350,8 +352,22 @@ def parse(text: str, mode: str = "box") -> Expr:
 def _accumulate(acc: dict, e: BoxElem, sign: int) -> None:
     """acc += sign * e, on state maps; then the term budget is checked under
     the name `sum`, as a `BoxElem` sum checks it."""
+    get = acc.get
     for key, qd in e.state.items():
-        bt._add_into(acc, key, qd, 0, sign)
+        target = get(key)
+        if target is None:
+            # a new key gets a new dict, so `acc` shares none with `e`
+            acc[key] = qd.copy() if sign == 1 else {k: -v for k, v in qd.items()}
+            continue
+        at = target.get
+        for k, v in qd.items():
+            v = at(k, 0) + sign * v
+            if v:
+                target[k] = v
+            else:
+                del target[k]
+        if not target:
+            del acc[key]
     _check_term_budget("sum", len(acc))
 
 
@@ -424,12 +440,22 @@ def evaluate(node: Expr) -> BoxElem:
                 rights.append(n.right)
                 n = n.left
             state = walk(n).state
+            # the length of the running state's longest word, read from the
+            # state by the first atom after the start or after a `multiply`
+            # and then raised by each atom's letters, since a product by
+            # one term maps the longest words one to one and none of them
+            # cancels
+            longest = None
             for right in reversed(rights):
                 atom = _atom(right)
                 if atom is None:
                     state = bt.multiply(BoxElem._of(state), walk(right)).state
+                    longest = None
                 else:
-                    state = bt._times_atom(state, atom)
+                    if longest is None:
+                        longest = bt._longest(state) if state else 0
+                    state = bt._times_atom(state, atom, longest)
+                    longest += len(atom[0]) + len(atom[1])
             return BoxElem._of(state)
         if isinstance(n, Pow):
             return walk(n.base) ** n.exponent

@@ -10,7 +10,10 @@ anywhere in the ring itself.
 The three jobs every sparse sum of the package shares live here, once:
 `put` accumulates into a map and drops what cancels, `power` raises by
 repeated squaring, and `render_sum` prints a sum of coefficient-times-body
-pieces, each coefficient in the order `poly_text` prints it.
+pieces, each coefficient in the order `poly_text` prints it.  A coefficient
+reaches `render_sum` in the shape a `boxtilde` state map stores it, as
+(a/b exponents, {q exponent: int}) pairs, and `_split_terms`, the one term
+formatter, prints the terms of `render_sum` and of `poly_text` alike.
 """
 
 from __future__ import annotations
@@ -231,40 +234,57 @@ class LaurentPoly:
         return "<LaurentPoly %s>" % self
 
 
-def _monomial_text(coeff_abs: int, exps: Exponents) -> str:
-    """coeff_abs q^k a^i b^j, with a coefficient of 1 left out before a
-    symbol."""
-    k, i, j = exps
-    factors = []
-    try:
-        if coeff_abs != 1 or not (k or i or j):
-            factors.append(str(coeff_abs))
-        if k:
-            factors.append("q" if k == 1 else "q^%d" % k)
-        if i:
-            factors.append("a" if i == 1 else "a^%d" % i)
-        if j:
-            factors.append("b" if j == 1 else "b^%d" % j)
-    except ValueError:
-        # the interpreter's limit on int-to-str conversion; the widest
-        # number is past it
-        numbers = ((coeff_abs, "a coefficient"), (k, "an exponent of q"), (i, "an exponent of a"), (j, "an exponent of b"))
-        bits, what = max((abs(v).bit_length(), what) for v, what in numbers)
-        raise CoefficientTooLargeError("%s of %d bits is too large to print in decimal" % (what, bits)) from None
-    return "*".join(factors)
+def _too_large(c: int, k: int, ab: tuple) -> CoefficientTooLargeError:
+    """The error for the term c q^k a^i b^j, (i, j) = `ab`, one of whose
+    numbers is past the interpreter's limit on int-to-str conversion: it
+    names the widest of the four."""
+    numbers = ((c, "a coefficient"), (k, "an exponent of q"), (ab[0], "an exponent of a"), (ab[1], "an exponent of b"))
+    bits, what = max((abs(v).bit_length(), what) for v, what in numbers)
+    return CoefficientTooLargeError("%s of %d bits is too large to print in decimal" % (what, bits))
 
 
-def _split_terms(terms: dict) -> tuple:
-    """The texts of the positive terms and of the negated negative terms
-    of the polynomial with map exponents -> coefficient `terms`, each by
-    descending exponents."""
+def _split_terms(coeff) -> tuple:
+    """The texts of the positive terms and of the negated negative terms of
+    a coefficient, each sign by descending exponents of q, a and b; a
+    coefficient of 1 is left out before a symbol.  `coeff` is a sequence of
+    (a/b exponents, q-dict) pairs with distinct a/b exponents, each q-dict a
+    map q exponent -> nonzero int.
+
+    This is the one term formatter of the package.  The terms go in runs
+    that share their a/b exponents, one run per pair when there is one, and
+    the a/b text of a run is built once."""
+    if len(coeff) == 1:
+        ((ab, qd),) = coeff
+        runs = [(ab, sorted(qd.items(), reverse=True))]
+    else:
+        runs = []
+        # distinct (q, a, b) exponents, so the terms sort by them alone
+        for k, ab, c in sorted([(k, ab, c) for ab, qd in coeff for k, c in qd.items()], reverse=True):
+            if runs and runs[-1][0] == ab:
+                runs[-1][1].append((k, c))
+            else:
+                runs.append((ab, [(k, c)]))
     positive, negative = [], []
-    # exponent vectors are distinct, so the items sort by them alone
-    for e, c in sorted(terms.items(), reverse=True):
-        if c > 0:
-            positive.append(_monomial_text(c, e))
-        else:
-            negative.append(_monomial_text(-c, e))
+    for ab, run in runs:
+        i, j = ab
+        try:
+            a_text = ("a" if i == 1 else "a^%d" % i) if i else ""
+            b_text = ("b" if j == 1 else "b^%d" % j) if j else ""
+        except ValueError:
+            # the interpreter's limit on int-to-str conversion, met at the
+            # run's first term, the first of the coefficient that meets it
+            raise _too_large(run[0][1], run[0][0], ab) from None
+        ab_text = a_text + "*" + b_text if a_text and b_text else a_text or b_text
+        tail = "*" + ab_text if ab_text else ""
+        for k, c in run:
+            try:
+                text = ("q" if k == 1 else "q^%d" % k) + tail if k else ab_text
+                if c > 0:
+                    positive.append(("%d*%s" % (c, text) if c != 1 else text) if text else "%d" % c)
+                else:
+                    negative.append(("%d*%s" % (-c, text) if c != -1 else text) if text else "%d" % -c)
+            except ValueError:
+                raise _too_large(c, k, ab) from None
     return positive, negative
 
 
@@ -277,28 +297,41 @@ def _signed_text(positive: list, negative: list) -> str:
     return text + " - " + " - ".join(negative) if negative else text
 
 
+def coefficient_pairs(terms: dict) -> list:
+    """The polynomial with map exponents (q, a, b) -> coefficient `terms`
+    as the (a/b exponents, q-dict) pairs of a `render_sum` coefficient."""
+    pairs: dict = {}
+    for (k, i, j), c in terms.items():
+        pairs.setdefault((i, j), {})[k] = c
+    return list(pairs.items())
+
+
 def poly_text(terms: dict) -> str:
     """The text of the polynomial with map exponents -> coefficient
     `terms`: positive terms first, each sign by descending exponents."""
-    return _signed_text(*_split_terms(terms))
+    return _signed_text(*_split_terms(coefficient_pairs(terms)))
 
 
 def render_sum(pieces, sep: str) -> str:
-    """The text of a sum of (coefficient terms, body) pieces, in the order
-    given.  A coefficient of 1 is left out before a body, one whose terms
-    are all negative is negated after a minus sign, and one of several
-    terms goes in parentheses; `sep` joins a coefficient to its body, and
-    an empty body leaves the coefficient alone."""
+    """The text of a sum of (coefficient, body) pieces, in the order given.
+    A coefficient is a sequence of (a/b exponents, q-dict) pairs with
+    distinct a/b exponents, as the keys of one monomial of a `boxtilde`
+    state map hold it (`coefficient_pairs` turns a polynomial into one),
+    and its terms print as `poly_text` prints them.  A coefficient of 1 is
+    left out before a body, one whose terms are all negative is negated
+    after a minus sign, and one of several terms goes in parentheses; `sep`
+    joins a coefficient to its body, and an empty body leaves the
+    coefficient alone."""
     out = []
-    for terms, body in pieces:
-        positive, negative = _split_terms(terms)
+    for coeff, body in pieces:
+        positive, negative = _split_terms(coeff)
         if positive:
             out.append(" + ")
             text = _signed_text(positive, negative)
         else:
             out.append(" - ")
             text = " + ".join(negative) or "0"
-        if len(terms) > 1:
+        if len(positive) + len(negative) > 1:
             text = "(" + text + ")"
         if body:
             text = body if text == "1" else text + sep + body

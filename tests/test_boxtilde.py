@@ -26,7 +26,7 @@ from qdg.boxtilde import (
     specialize_central,
 )
 from qdg.gradings import pi, zdegrees
-from qdg.qcoeff import DEFAULT_RING, LaurentPoly, NotInvertibleError, power
+from qdg.qcoeff import DEFAULT_RING, CoefficientTooLargeError, LaurentPoly, NotInvertibleError, power
 
 R = DEFAULT_RING
 Q = R.gen("q")
@@ -671,6 +671,167 @@ def test_render_is_deterministic():
     assert bt.zero().render() == "0"
 
 
+# -- the printer against a reference ----------------------------------------
+# A copy of an earlier route from a state map to its text: each monomial's
+# coefficient gathered into a map (q, a, b exponents) -> int, then every
+# term printed on its own.
+
+
+def _reference_by_mono(state):
+    monos = {}
+    for (even, odd, cent, ab), qd in state.items():
+        coeff = monos.setdefault((even, odd, cent), {})
+        for k, v in qd.items():
+            coeff[(k,) + ab] = v
+    return monos
+
+
+def _reference_mono_text(even, odd, central):
+    central_text = "-"
+    if any(central):
+        central_text = ".".join("c%d" % i if e == 1 else "c%d^%d" % (i, e) for i, e in enumerate(central) if e)
+    return "[%s | %s | %s]" % (
+        "x" + ".x".join(map(str, even)) if even else "-",
+        "x" + ".x".join(map(str, odd)) if odd else "-",
+        central_text,
+    )
+
+
+def _reference_monomial_text(coeff_abs, exps):
+    k, i, j = exps
+    factors = []
+    try:
+        if coeff_abs != 1 or not (k or i or j):
+            factors.append(str(coeff_abs))
+        if k:
+            factors.append("q" if k == 1 else "q^%d" % k)
+        if i:
+            factors.append("a" if i == 1 else "a^%d" % i)
+        if j:
+            factors.append("b" if j == 1 else "b^%d" % j)
+    except ValueError:
+        numbers = ((coeff_abs, "a coefficient"), (k, "an exponent of q"), (i, "an exponent of a"), (j, "an exponent of b"))
+        bits, what = max((abs(v).bit_length(), what) for v, what in numbers)
+        raise CoefficientTooLargeError("%s of %d bits is too large to print in decimal" % (what, bits)) from None
+    return "*".join(factors)
+
+
+def _reference_signed_text(positive, negative):
+    if not positive:
+        return "-" + " - ".join(negative) if negative else "0"
+    text = " + ".join(positive)
+    return text + " - " + " - ".join(negative) if negative else text
+
+
+def _reference_render(state):
+    monos = _reference_by_mono(state)
+    order = sorted(monos, key=lambda m: (-(len(m[0]) + len(m[1])), -len(m[0]), m[0], m[1], m[2]))
+    out = []
+    for m in order:
+        terms = monos[m]
+        positive, negative = [], []
+        for e, c in sorted(terms.items(), reverse=True):
+            if c > 0:
+                positive.append(_reference_monomial_text(c, e))
+            else:
+                negative.append(_reference_monomial_text(-c, e))
+        if positive:
+            out.append(" + ")
+            text = _reference_signed_text(positive, negative)
+        else:
+            out.append(" - ")
+            text = " + ".join(negative) or "0"
+        if len(terms) > 1:
+            text = "(" + text + ")"
+        body = _reference_mono_text(*m)
+        if body:
+            text = body if text == "1" else text + " * " + body
+        out.append(text)
+    if not out:
+        return "0"
+    return "".join(out[1:]) if out[0] == " + " else "-" + "".join(out[1:])
+
+
+def _printed(render):
+    """The text `render()` returns, or the message of the
+    CoefficientTooLargeError it raises."""
+    try:
+        return render()
+    except CoefficientTooLargeError as exc:
+        return "error: %s" % exc
+
+
+# numbers past the interpreter's default limit of 4300 digits on
+# int-to-str conversion, of different widths, so an error names one.  The
+# drawn state maps hold their codes, which hypothesis can print, and
+# `_widened` puts the numbers in
+_HUGE = {1000: 10 ** 4300, 1001: -(10 ** 4300), 1002: 3 ** 9500, 1003: -(7 ** 6000), 1004: 2 ** 20000}
+
+
+def _widened(state):
+    def wide(v):
+        return _HUGE.get(v, v)
+
+    return {
+        (even, odd, central, (wide(ab[0]), wide(ab[1]))): {wide(k): wide(c) for k, c in qd.items()}
+        for (even, odd, central, ab), qd in state.items()
+    }
+
+
+@st.composite
+def _state_maps(draw, numbers):
+    """A state map of up to five monomials, each with one to three a/b
+    pairs whose q-dicts hold one to four terms."""
+    monos = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from((0, 2)), max_size=3).map(bytes),
+            st.lists(st.sampled_from((1, 3)), max_size=3).map(bytes),
+            st.one_of(st.just(ZERO_CENTRAL), st.tuples(*[st.integers(-2, 2)] * 4)),
+        ),
+        max_size=5,
+        unique=True,
+    ))
+    state = {}
+    for even, odd, central in monos:
+        for ab in draw(st.lists(st.tuples(numbers, numbers), min_size=1, max_size=3, unique=True)):
+            state[even, odd, central, ab] = draw(st.dictionaries(numbers, numbers.filter(bool), min_size=1, max_size=4))
+    return state
+
+
+_SMALL = st.integers(-2, 2)
+
+
+@given(st.one_of(
+    _state_maps(_SMALL),
+    # all-negative coefficients, and 1 and -1 at q^0
+    _state_maps(st.sampled_from((-3, -1, 0))),
+    _state_maps(st.sampled_from((-1, 0, 1))),
+    # now and then a number too wide to print
+    _state_maps(st.one_of(_SMALL, _SMALL, _SMALL, st.sampled_from(sorted(_HUGE)))),
+))
+@settings(max_examples=300, deadline=None)
+def test_render_matches_the_reference_route(state):
+    state = _widened(state)
+    assert _printed(BoxElem._of(state).render) == _printed(lambda: _reference_render(state))
+
+
+def test_a_number_too_wide_to_print_is_named():
+    # the first term that cannot print names the widest of its four
+    # numbers, which need not be the first one that fails
+    for c, k, ab, what, widest in (
+        (10 ** 5000, 10 ** 4400, (0, 10 ** 4301), "a coefficient", 10 ** 5000),
+        (10 ** 4301, 10 ** 5000, (0, 1), "an exponent of q", 10 ** 5000),
+        (5, -(10 ** 4400), (1, 0), "an exponent of q", 10 ** 4400),
+        (1, 1, (3 ** 9500, 2), "an exponent of a", 3 ** 9500),
+        (-2, 0, (1, -(10 ** 4305)), "an exponent of b", 10 ** 4305),
+    ):
+        state = {(b"", b"\x01", ZERO_CENTRAL, (0, 0)): {0: 1, -1: 3}, (b"", b"\x01", ZERO_CENTRAL, ab): {k: c}}
+        message = "%s of %d bits is too large to print in decimal" % (what, widest.bit_length())
+        with pytest.raises(CoefficientTooLargeError, match="^%s$" % message):
+            BoxElem._of(state).render()
+        assert _printed(lambda: _reference_render(state)) == "error: " + message
+
+
 _ALPHAS = (
     R.gen("a", -1) * Q ** 2,
     central_gen(1, -1) * -R.gen("b"),
@@ -1115,6 +1276,29 @@ def test_the_oracle_refuses_tokens_outside_its_alphabet():
     with pytest.raises(ValueError):
         reduce_word((4,))
     assert module_action_oracle((("c", 3, 5), 2)) == {("y", "", (0, 0, 0, 5)): {0: 1}}
+
+
+def test_the_oracle_bounds_its_central_exponents():
+    top = 2 ** 63 - 1
+    out_of_range = "^central exponent outside the checked 64-bit range$"
+    # central tokens that sum past the bound, either way, as the kernel's
+    # product of the same central powers does
+    for tokens in ([("c", 0, top), ("c", 0, 1)], [("c", 3, -top), ("c", 3, -1)], [("c", 2, 1), ("c", 2, top), 0]):
+        with pytest.raises(OverflowError, match=out_of_range):
+            module_action_oracle(tokens)
+    with pytest.raises(bt.CentralOverflowError, match=out_of_range):
+        central_gen(0, top) * central_gen(0)
+    # a correction term that raises c0 (x1 acting after x0) or c1 (x1
+    # after x2) past it, as the kernel's crossing does
+    for tokens, central in (([1, 0, ("c", 0, top)], (top, 0, 0, 0)), ([2, 1, 2, ("c", 1, top)], (0, top, 0, 0))):
+        with pytest.raises(OverflowError, match=out_of_range):
+            module_action_oracle(tokens)
+        with pytest.raises(bt.CentralOverflowError, match=out_of_range):
+            reduce_word(tokens[:-1], central)
+    # one short of it, the two agree
+    assert oracle_as_box(module_action_oracle([1, 0, ("c", 0, top - 1)])) == reduce_word((1, 0), (top - 1, 0, 0, 0))
+    assert oracle_as_box(module_action_oracle([("c", 0, top), ("c", 0, -1), ("c", 0, 1)])) == central_gen(0, top)
+    assert oracle_as_box(module_action_oracle([("c", 3, -top), 1])) == generator(1) * central_gen(3, -top)
 
 
 def test_sums_and_scalar_products_check_the_term_budget():

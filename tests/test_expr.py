@@ -327,6 +327,46 @@ def test_bracket_monomials_check_the_word_cap():
         assert _nf("x0*x0*x0*x0") == (3, "", "budget exceeded: reduction budget: multiply reached 4 letters (cap 3)\n")
 
 
+def test_a_chain_carries_the_length_its_factors_leave():
+    # after a sum whose longest words cancel, the chain goes on from x1
+    with _limits((2, 1_000_000)):
+        assert _nf("(x0*x2 - x0*x2 + x1)*x0*x0") == (
+            3, "", "budget exceeded: reduction budget: multiply reached 3 letters (cap 2)\n"
+        )
+    # after a `multiply`, from the product's longest words
+    with _limits((3, 1_000_000)):
+        for text in ("(x0 + x1)*(x2 + x3)*x0*x1", "x0*x1*(x2 + x3)*x0"):
+            assert _nf(text) == (3, "", "budget exceeded: reduction budget: multiply reached 4 letters (cap 3)\n")
+        assert _nf("(x0 + x1)*(x2 - x2 + 1)*x0*x1") == (
+            0, "[x0.x0 | x1 | -] + q^2 * [x0 | x1.x1 | -] + (1 - q^2) * [- | x1 | c0]\n", ""
+        )
+
+
+_LETTERS = st.sampled_from(["x0", "x1", "x2", "x3"])
+_WORDS = st.lists(_LETTERS, min_size=1, max_size=3).map("*".join)
+# sums of words, and sums whose longest words cancel, so the words left
+# are shorter than the ones the sum was built from
+_WORD_SUMS = st.builds("(%s + %s)".__mod__, st.tuples(_WORDS, _WORDS))
+_CANCELLING = st.builds(
+    lambda w, v: "(%s - %s + %s)" % (w, w, v),
+    _WORDS.filter(lambda w: "*" in w),
+    st.one_of(_WORDS, st.sampled_from(["q", "c0", "2"])),
+)
+
+
+@given(
+    st.lists(st.one_of(_CANCELLING, _WORD_SUMS, small_sums, st.sampled_from(OTHER_FACTORS)), min_size=1, max_size=2),
+    st.lists(st.one_of(_LETTERS, _LETTERS, atoms, _CANCELLING, _WORD_SUMS), min_size=1, max_size=6),
+    st.integers(1, 6),
+)
+@settings(max_examples=300, deadline=None)
+def test_chains_after_products_and_cancelling_sums_stop_where_multiply_stops(head, tail, word_cap):
+    # each atom of the chain checks the word cap from the length the chain
+    # carries; multiplying factor by factor reads it from each product
+    with _limits((word_cap, 1_000_000)):
+        _check_product(head + tail)
+
+
 def test_products_of_atoms_make_no_multiply(monkeypatch):
     calls = []
     multiply = bt.multiply

@@ -17,7 +17,7 @@ import pytest
 from qdg.expr import ParseError, eval_text, parse, render
 from qdg.freealg import relation_span
 from qdg.gradings import all_ab_words, sharp_lift
-from qdg.qcoeff import DEFAULT_RING, render_sum
+from qdg.qcoeff import DEFAULT_RING, coefficient_pairs, render_sum
 
 from corpus import CORPUS
 
@@ -42,7 +42,7 @@ def test_sharp_lift_renderings_are_unchanged(word):
 
 def _row_text(row: dict) -> str:
     words = sorted(row, key=lambda w: (-len(w), w))
-    return render_sum(((row[w].terms, "*".join(w)) for w in words), "*")
+    return render_sum(((coefficient_pairs(row[w].terms), "*".join(w)) for w in words), "*")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
