@@ -40,7 +40,8 @@ crosses no letter and no later group writes to them.
 A central unit is a one-term `BoxElem` with empty words and coefficient
 +-q^k a^i b^j (`central_gen(i, p)` times a unit scalar), and `e ** -n`
 inverts exactly those.  `scale_auto` and `specialize_central` take their
-factors as ints, LaurentPolys or BoxElems.
+factors as ints, LaurentPolys or BoxElems, and are one substitution
+x_i -> f_i x_i, c_i -> g_i c_i (see `_substitution`).
 """
 
 from __future__ import annotations
@@ -248,7 +249,9 @@ class BoxElem:
         +-q^k a^i b^j c^v with empty words, and raises NotInvertibleError
         for anything else."""
         if n >= 0:
-            _refuse_oversized_power(self.state, n)
+            qds = list(self.state.values())
+            if len(qds) == 1 and len(qds[0]) == 1:
+                _refuse_oversized_power(*qds[0].values(), n)
             _check_power_word_cap(self.state, n)
             return power(self, n, one())
         v, exps, cent = _monomial_parts(self)
@@ -276,21 +279,13 @@ class BoxElem:
 _POWER_BIT_BOUND = 1 << 20
 
 
-def _refuse_oversized_power(state: dict, n: int) -> None:
-    """Raises CoefficientTooLargeError when the n-th power of a one-term
-    element is sure to carry a coefficient past `_POWER_BIT_BOUND` bits,
-    before it is built.
-
-    The term of the power with the longest word has coefficient c^n, and
+def _refuse_oversized_power(c: int, n: int) -> None:
+    """Raises CoefficientTooLargeError when c^n, for an int c and n >= 0,
+    is sure to have more than `_POWER_BIT_BOUND` bits, before it is built:
     |c|^n >= 2^(n (b - 1)) for a b-bit c, a number of at least n (b - 1) + 1
-    bits.
+    bits.  The n-th power of a one-term element with coefficient c has c^n
+    on the term with the longest word.
     """
-    if len(state) != 1:
-        return
-    (qd,) = state.values()
-    if len(qd) != 1:
-        return
-    (c,) = qd.values()
     bits = n * (abs(c).bit_length() - 1)
     if bits >= _POWER_BIT_BOUND:
         # a count of 2^64 or more is named by its size, which also keeps it
@@ -750,29 +745,18 @@ def _monomial_parts(e: BoxElem) -> tuple:
     raise NotInvertibleError("not invertible")
 
 
-def scale_auto(*alphas) -> Callable[[BoxElem], BoxElem]:
-    """The substitution x_i -> alpha_i x_i, c_i -> alpha_i alpha_{i+1} c_i.
-
-    Each alpha, an int, LaurentPoly or BoxElem, must be a unit monomial
-    +-q^k a^i b^j c^v; returns the induced algebra map.  The map raises
-    CentralOverflowError for a term whose image has a central exponent
-    outside the checked 64-bit range.
+def _substitution(images: Sequence[tuple]) -> Callable[[BoxElem], BoxElem]:
+    """The algebra map x_i -> f_i x_i, c_i -> g_i c_i, with `images` the
+    `_monomial_parts` of f_0..f_3, g_0..g_3.  A term's factor is their
+    product to the powers of its letter counts and central exponents, one
+    column per exponent.  A coefficient -1 flips the sign by parity; any
+    other but 1 needs a power of at least 0 (else NotInvertibleError).  The
+    central bound is checked on the image only (CentralOverflowError).
     """
-    if len(alphas) != 4:
-        raise ValueError("scale_auto expects four scaling factors")
-    alphas = tuple(one() * a for a in alphas)
-    letters = [_monomial_parts(a) for a in alphas]
-    if any(sign not in (1, -1) for sign, _, _ in letters):
-        raise NotInvertibleError("not invertible")
-    pairs = [_monomial_parts(alphas[i] * alphas[(i + 1) % 4]) for i in range(4)]
-    # A term's factor is the product of the four letter factors to the
-    # powers of its letter counts and of the four pair factors to the
-    # powers of its central exponents.  One column per exponent of the
-    # factor holds its entry in each of those eight.
-    factors = letters + pairs
-    odd_sign = tuple(int(s < 0) for s, _, _ in factors)
-    q_col, a_col, b_col = zip(*(x for _, x, _ in factors))
-    central_cols = tuple(zip(*(z for _, _, z in factors)))
+    odd_sign = tuple(int(v == -1) for v, _, _ in images)
+    others = [(j, v) for j, (v, _, _) in enumerate(images) if v not in (1, -1)]
+    q_col, a_col, b_col = zip(*(x for _, x, _ in images))
+    central_cols = tuple(zip(*(z for _, _, z in images)))
     scales_central = any(map(any, central_cols))
 
     def apply(e: BoxElem) -> BoxElem:
@@ -781,21 +765,41 @@ def scale_auto(*alphas) -> Callable[[BoxElem], BoxElem]:
             n0 = even.count(0)
             n1 = odd.count(1)
             powers = (n0, n1, len(even) - n0, len(odd) - n1) + cent
-            sign = -1 if sum(map(mul, powers, odd_sign)) & 1 else 1
+            factor = -1 if sum(map(mul, powers, odd_sign)) & 1 else 1
+            for j, v in others:
+                if powers[j] < 0:
+                    raise NotInvertibleError("not invertible")
+                _refuse_oversized_power(v, powers[j])
+                factor *= v ** powers[j]
             ab = (ab[0] + sum(map(mul, powers, a_col)), ab[1] + sum(map(mul, powers, b_col)))
             if scales_central:
-                # the bound is checked on the result only
                 cent = add_central(cent, [sum(map(mul, powers, col)) for col in central_cols])
-            _add_into(out, (even, odd, cent, ab), qd, sum(map(mul, powers, q_col)), sign)
+            _add_into(out, (even, odd, cent, ab), qd, sum(map(mul, powers, q_col)), factor)
         return BoxElem._of(out)
 
     return apply
 
 
+def scale_auto(*alphas) -> Callable[[BoxElem], BoxElem]:
+    """The substitution x_i -> alpha_i x_i, c_i -> alpha_i alpha_{i+1} c_i.
+
+    Each alpha, an int, LaurentPoly or BoxElem, must be a unit monomial
+    +-q^k a^i b^j c^v; returns the induced algebra map.
+    """
+    if len(alphas) != 4:
+        raise ValueError("scale_auto expects four scaling factors")
+    alphas = tuple(one() * a for a in alphas)
+    letters = [_monomial_parts(a) for a in alphas]
+    if any(sign not in (1, -1) for sign, _, _ in letters):
+        raise NotInvertibleError("not invertible")
+    return _substitution(letters + [_monomial_parts(alphas[i] * alphas[(i + 1) % 4]) for i in range(4)])
+
+
 def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
     """Substitute each c_i by a central monomial (an int, LaurentPoly or
     BoxElem that is one term with empty words), folding the result into
-    the coefficients; a negative power of c_i needs a unit value.
+    the coefficients (c_i -> (c_i^-1 v_i) c_i, letters fixed); a negative
+    power of c_i needs a unit value.
 
     The image is only a *representative* of the corresponding quotient
     element: equality in the quotient algebra is not decided here.
@@ -803,22 +807,8 @@ def specialize_central(e: BoxElem, values: Sequence) -> BoxElem:
     vals = tuple(one() * v for v in values)
     if len(vals) != 4:
         raise ValueError("need one value per central generator")
-    for v in vals:
-        _monomial_parts(v)
-    out: dict = {}
-    # central vector -> (coefficient, coefficient exponents, central part)
-    factors: dict = {}
-    for (even, odd, cent, ab), qd in e.state.items():
-        f = factors.get(cent)
-        if f is None:
-            factor = one()
-            for i, n in enumerate(cent):
-                if n:
-                    factor = factor * vals[i] ** n
-            f = factors[cent] = _monomial_parts(factor)
-        v, exps, central = f
-        _add_into(out, (even, odd, central, tuple(map(add, ab, exps[1:]))), qd, exps[0], v)
-    return BoxElem._of(out)
+    fixed = (1, (0, 0, 0), ZERO_CENTRAL)
+    return _substitution([fixed] * 4 + [_monomial_parts(central_gen(i, -1) * v) for i, v in enumerate(vals)])(e)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,6 @@ def cmd_dims(args) -> int:
     rows = []
     for n in range(args.max + 1):
         try:
-            freealg.check_span_budgets(n)
             freealg.add_serre_rules(rules, n)
         except (ReductionBudgetError, TermBudgetError) as exc:
             print("budget exceeded: %s" % exc, file=sys.stderr)

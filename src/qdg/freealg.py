@@ -1,10 +1,12 @@
 """The free algebra on two generators x, y with its length grading.
 
-Provides the degree-4 q-Serre combinations, the spanning sets of the
-relation ideal in each degree, a rewriting system for that ideal built one
-degree at a time, an exact rank over Q(q) for rows with coefficients in q
-alone, a rank at random points mod a prime, and the lead words of the
-ideal at one such point, grown one degree at a time.  A q-Serre
+Provides the degree-4 q-Serre combinations, a rewriting system for the
+ideal they generate, built one degree at a time, and the lead words of
+that ideal at a random point mod a prime, grown one degree at a time:
+`qdg dims` runs these two.  The spanning sets of the ideal in each
+degree, an exact rank over Q(q) for rows with coefficients in q alone
+and a rank at random points mod the prime serve the tests and
+perfbench's traced `dims` round; no command calls them.  A q-Serre
 combination and a row of a span are plain dicts word -> `LaurentPoly`
 over the package's one ring Z[q^+-1, a^+-1, b^+-1], and a zero
 coefficient counts as an absent word.  The exact rank holds the
@@ -45,26 +47,20 @@ def serre_elements() -> tuple:
     return s_x, s_y
 
 
-def check_span_budgets(n: int) -> None:
-    """The budgets of the degree-n span, under the name `relation_span`:
-    the word cap on n and the term budget on a q-Serre combination.  None
-    apply below degree 4, where the span is empty."""
-    if n > 3:
-        _check_word_cap("relation_span", n)
-        _check_term_budget("relation_span", max(map(len, serre_elements())))
-
-
 def relation_span(n: int) -> list:
     """Spanning set of the ideal's degree-n slice: w1 * S_g * w2, |w1|+|w2| = n-4.
 
     Each row joins w1 and w2 onto the words of S_g and shares its
     coefficients.  Deterministic order: left length ascending, then left
-    word, generator (x before y), right word, all lexicographic.
+    word, generator (x before y), right word, all lexicographic.  The word
+    cap applies to n and the term budget to a q-Serre combination, under
+    the name `relation_span`; neither applies below degree 4.
     """
     if n <= 3:
         return []
-    check_span_budgets(n)
     gens = serre_elements()
+    _check_word_cap("relation_span", n)
+    _check_term_budget("relation_span", max(map(len, gens)))
     out = []
     for r in range(n - 3):
         for w1 in words_of_length(r):
@@ -525,15 +521,6 @@ def _echelon_add(pivots: dict, row: dict) -> None:
                 del row[w]
 
 
-def _pivot_leads_mod_p(rows: list) -> set:
-    """The lead words of an echelon form of the residue rows: the smallest
-    word of each pivot, which are the leading words of the rows' span."""
-    pivots: dict = {}
-    for row in rows:
-        _echelon_add(pivots, row)
-    return set(pivots)
-
-
 def span_leads_mod_p(point: tuple):
     """Yields, for n = 0, 1, 2, ..., the leading words of the degree-n
     slice of the q-Serre ideal at the point, as the `keys()` view of the
@@ -545,6 +532,10 @@ def span_leads_mod_p(point: tuple):
     keeps the order of words of one length, so the degree-(n-1) pivots,
     each copied with x and with y appended, are an echelon form with
     distinct leads, and only the rows w * S_g are reduced into it.
+
+    A word leads exactly when adding its column raises the rank of the
+    columns of smaller words, and a rank at a random point is the one over
+    Q(q) off the roots of a nonzero minor: so are the leads.
     """
     gens = _residue_rows(serre_elements(), 4, point)
     pivots: dict = {}
@@ -560,20 +551,12 @@ def span_leads_mod_p(point: tuple):
         yield pivots.keys()
 
 
-def _leads_at_points(rows: Sequence[dict], n: int, rng: Optional[random.Random] = None):
-    """The pivot leads of the rows at each of _POINTS random points, drawn
-    from rng (by default a fixed seed) one point at a time."""
-    rng = rng or random.Random(0x51DE)
-    for _ in range(_POINTS):
-        yield _pivot_leads_mod_p(_residue_rows(rows, n, random_residue_point(rng)))
-
-
 def rank_by_specialization(
     rows: Sequence[dict], n: int, rng: Optional[random.Random] = None
 ) -> int:
-    """Max rank over _POINTS random points mod 2^61 - 1.  It shares no code
-    with `_rewrite`, so it checks the exact rank and the rules, which both
-    reduce by that step.
+    """Max rank over _POINTS random points mod 2^61 - 1, drawn from rng (by
+    default a fixed seed) one point at a time.  It shares no code with
+    `_rewrite`, so it checks the exact rank, which reduces by that step.
 
     Evaluation at a point is a ring map Z[q^+-1, a^+-1, b^+-1] -> F_p, so
     the result is a lower bound for the rank over the fraction field.  It
@@ -583,24 +566,14 @@ def rank_by_specialization(
     """
     if not rows:
         return 0
-    return max(map(len, _leads_at_points(rows, n, rng)))
-
-
-def specialization_agrees(
-    rows: Sequence[dict], n: int, reducible: set, rng: Optional[random.Random] = None
-) -> bool:
-    """Whether the pivot leads of the rows at a random point mod 2^61 - 1
-    are exactly the words in `reducible`; tries up to _POINTS points and
-    stops at the first that agrees.
-
-    A word w is the smallest word of some element of the span exactly when
-    the columns of the words <= w have a larger rank than those of the words
-    < w.  Each such rank at a point is at most the one over the fraction
-    field, and equal to it away from the roots of a nonzero minor, so at a
-    random point the pivot leads are those of the span over Q(q): for the
-    q-Serre span, the words reducible by a complete rewriting system.
-    """
-    return any(leads == reducible for leads in _leads_at_points(rows, n, rng))
+    rng = rng or random.Random(0x51DE)
+    rank = 0
+    for _ in range(_POINTS):
+        pivots: dict = {}
+        for row in _residue_rows(rows, n, random_residue_point(rng)):
+            _echelon_add(pivots, row)
+        rank = max(rank, len(pivots))
+    return rank
 
 
 def dim_uplus(n: int) -> int:

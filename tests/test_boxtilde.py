@@ -296,6 +296,77 @@ def test_specialize_central():
         specialize_central(e, (Q + 1, 1, 1, 1))
 
 
+def _specialize_by_powers(e, values):
+    """`specialize_central` as it was when each central vector's factor was
+    the product of the values' `BoxElem` powers, memoised per vector: the
+    reference for the substitution."""
+    vals = tuple(bt.one() * v for v in values)
+    for v in vals:
+        bt._monomial_parts(v)
+    out, factors = {}, {}
+    for (even, odd, cent, ab), qd in e.state.items():
+        if cent not in factors:
+            factor = bt.one()
+            for i, n in enumerate(cent):
+                if n:
+                    factor = factor * vals[i] ** n
+            factors[cent] = bt._monomial_parts(factor)
+        v, exps, central = factors[cent]
+        bt._add_into(out, (even, odd, central, tuple(map(add, ab, exps[1:]))), qd, exps[0], v)
+    return BoxElem._of(out)
+
+
+_SPECIALIZATIONS = (
+    # units, with c3 -> c2 and signs
+    (-1, Q * R.gen("a"), central_gen(0) * R.gen("b", -1), central_gen(2)),
+    (central_gen(1, -1) * -Q, 1, -R.gen("a", 2), central_gen(2) * central_gen(3, -2)),
+    (1, 1, 1, 1),
+    tuple(central_gen(i) for i in range(4)),
+    # non-units, taken at positive powers only
+    (2, -Q ** 2, R.gen("b", 3) * 3, central_gen(2)),
+    (-2 * central_gen(1), 5 * Q, -1, central_gen(2) * -3),
+)
+
+
+def test_specialize_central_matches_the_powers_of_the_values():
+    rng = random.Random(33)
+    elements = [bt.random_element(rng, max_terms=4, max_word=5, central_range=3) for _ in range(30)]
+    elements += [elements[i] * elements[i + 1] for i in range(0, 16, 2)]
+    # every central exponent at least 0, for the values that are no units
+    lift = central_gen(0, 6) * central_gen(1, 6) * central_gen(2, 6) * central_gen(3, 6)
+    positive = [e * lift for e in elements] + [bt.zero(), bt.one(), central_gen(3, 4) * generator(2)]
+    for values in _SPECIALIZATIONS:
+        units = all(abs(bt._monomial_parts(bt.one() * v)[0]) == 1 for v in values)
+        for e in positive + (elements if units else []):
+            image = specialize_central(e, values)
+            assert image.state == _specialize_by_powers(e, values).state
+
+
+def test_specialize_central_refusals():
+    values = (2 * Q, 1, 1, 1)
+    for e in (central_gen(0, -1), central_gen(0, -2) * generator(1)):
+        for specialize in (specialize_central, _specialize_by_powers):
+            with pytest.raises(NotInvertibleError):
+                specialize(e, values)
+    # 3^n has at least n + 1 bits
+    n = bt._POWER_BIT_BOUND
+    e = central_gen(0, n) * generator(0)
+    messages = set()
+    for specialize in (specialize_central, _specialize_by_powers):
+        with pytest.raises(CoefficientTooLargeError) as info:
+            specialize(e, (3, 1, 1, 1))
+        messages.add(str(info.value))
+    assert messages == {"a power with a coefficient of at least %d bits is past the bound of %d bits" % (n + 1, n)}
+    assert specialize_central(central_gen(0, n - 1), (3, 1, 1, 1)) == bt.one() * 3 ** (n - 1)
+    # the powers checked the central bound on each partial product, the
+    # substitution checks it on the image only
+    e = central_gen(0, 2 ** 62) * central_gen(1, 2 ** 62)
+    values = (central_gen(2, 2), central_gen(2, -2), 1, 1)
+    with pytest.raises(bt.CentralOverflowError):
+        _specialize_by_powers(e, values)
+    assert specialize_central(e, values) == bt.one()
+
+
 def test_negative_powers_invert_unit_monomials():
     u = central_gen(0, 2) * central_gen(3, -1) * (-Q ** 3 * R.gen("a") * R.gen("b", -2))
     for n in range(1, 6):

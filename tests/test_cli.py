@@ -334,8 +334,8 @@ def test_dims_json_and_cap(capsys):
 @pytest.mark.parametrize(
     "var, value, message",
     [
-        ("QDG_WORD_CAP", "4", "budget exceeded: reduction budget: relation_span reached 5 letters (cap 4)"),
-        ("QDG_TERM_BUDGET", "3", "budget exceeded: term budget: relation_span reached 4 terms (limit 3)"),
+        ("QDG_WORD_CAP", "4", "budget exceeded: reduction budget: serre_rules reached 5 letters (cap 4)"),
+        ("QDG_TERM_BUDGET", "3", "budget exceeded: term budget: serre_rules reached 4 terms (limit 3)"),
     ],
 )
 def test_dims_budget_errors_exit_3(capsys, monkeypatch, var, value, message):
@@ -347,7 +347,8 @@ def test_dims_budget_errors_exit_3(capsys, monkeypatch, var, value, message):
 
 
 def test_dims_rule_budget_exits_3(capsys, monkeypatch):
-    # the span fits in 10 terms; a remainder of the rewriting step does not
+    # the q-Serre combinations fit in 10 terms; a remainder of the rewriting
+    # step does not
     monkeypatch.setenv("QDG_TERM_BUDGET", "10")
     code, out, err = run(capsys, ["dims", "--max", "9"])
     assert (code, out) == (3, "")

@@ -24,7 +24,6 @@ from qdg.freealg import (
     relation_span,
     serre_elements,
     serre_rules,
-    specialization_agrees,
     words_of_length,
 )
 from qdg.boxtilde import LIMITS, ReductionBudgetError, TermBudgetError
@@ -134,12 +133,13 @@ def test_the_dims_path_does_no_laurent_arithmetic(monkeypatch):
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
     rules = []
+    walk = freealg.span_leads_mod_p(freealg.random_residue_point(random.Random(0)))
     for n, rank in enumerate(KNOWN_RANKS):
         span = relation_span(n)
         assert rank_over_fraction_field(span, n) == rank
         assert rank_by_specialization(span, n, rng=random.Random(n)) == rank
         add_serre_rules(rules, n)
-        assert specialization_agrees(span, n, _reducible(rules, n), rng=random.Random(n))
+        assert next(walk) == _reducible(rules, n)
 
 
 def test_relation_span_checks_the_budgets_once(monkeypatch):
@@ -659,11 +659,12 @@ def test_irreducible_words_are_products_of_good_lyndon_words():
 def test_perturbed_serre_coefficient_moves_a_lead_and_is_caught(monkeypatch):
     # negative control: S_x with -[3] - 1 in place of -[3] on xxyx
     true_rules = serre_rules(9)
-    spans = {n: relation_span(n) for n in range(10)}
     s_x, s_y = serre_elements()
     bad_s_x = {**s_x, "xxyx": s_x["xxyx"] - 1}
     monkeypatch.setattr(freealg, "serre_elements", lambda: (bad_s_x, s_y))
     bad_rules = serre_rules(9)
+    point = freealg.random_residue_point(random.Random(3))
+    bad_walk = _walk(point, 9)
     monkeypatch.undo()
     degree_6 = lambda rules: [lead for lead, _ in rules if len(lead) == 6]
     assert degree_6(true_rules) == ["xxyyxy"]
@@ -672,46 +673,12 @@ def test_perturbed_serre_coefficient_moves_a_lead_and_is_caught(monkeypatch):
     # through degree 8 the counts agree, so only the lead sets tell them apart
     for n in range(9):
         assert len(irreducible_words(bad_rules, n)) == len(irreducible_words(true_rules, n))
-    rng = random.Random(3)
-    for n in range(6, 10):
-        assert specialization_agrees(spans[n], n, _reducible(true_rules, n), rng=rng)
-        assert not specialization_agrees(spans[n], n, _reducible(bad_rules, n), rng=rng)
-
-
-def test_specialization_stops_at_the_first_agreeing_point(monkeypatch):
-    calls = []
-    real = freealg._pivot_leads_mod_p
-
-    def spy(rows):
-        calls.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(freealg, "_pivot_leads_mod_p", spy)
-    rules = serre_rules(8)
-    span, reducible = relation_span(8), _reducible(rules, 8)
-    assert specialization_agrees(span, 8, reducible, rng=random.Random(1))
-    assert len(calls) == 1
-    # a lead set one word short disagrees at every point
-    del calls[:]
-    assert not specialization_agrees(span, 8, reducible - {min(reducible)}, rng=random.Random(1))
-    assert len(calls) == freealg._POINTS
-    # the pivot leads are the reducible words, not only as many of them
-    del calls[:]
-    swapped = (reducible - {min(reducible)}) | {irreducible_words(rules, 8)[0]}
-    assert len(swapped) == len(reducible)
-    assert not specialization_agrees(span, 8, swapped, rng=random.Random(1))
-    # a point where the elimination loses a pivot is passed over
-    del calls[:]
-    losses = iter([True])
-    monkeypatch.setattr(
-        freealg,
-        "_pivot_leads_mod_p",
-        lambda rows: spy(rows) - ({min(reducible)} if next(losses, False) else set()),
-    )
-    assert specialization_agrees(span, 8, reducible, rng=random.Random(1))
-    assert len(calls) == 2
-    # no rows, no reducible words
-    assert specialization_agrees([], 3, set())
+    # the walk of the true ideal has the true leads, not the perturbed
+    # ones, and the walk of the perturbed ideal has the perturbed leads
+    for n, leads in enumerate(_walk(point, 9)):
+        assert leads == _reducible(true_rules, n), n
+        assert (leads == _reducible(bad_rules, n)) == (n < 6), n
+        assert bad_walk[n] == _reducible(bad_rules, n), n
 
 
 def _walk(point, n_max):
@@ -726,8 +693,10 @@ def test_the_walk_has_the_leads_of_the_whole_span():
     for seed in (1, 2):
         point = freealg.random_residue_point(random.Random(seed))
         for n, leads in enumerate(_walk(point, 10)):
-            rows = freealg._residue_rows(relation_span(n), n, point)
-            assert leads == freealg._pivot_leads_mod_p(rows), (seed, n)
+            pivots = {}
+            for row in freealg._residue_rows(relation_span(n), n, point):
+                freealg._echelon_add(pivots, row)
+            assert leads == pivots.keys(), (seed, n)
             assert len(leads) == 2 ** n - dim_uplus(n)
 
 
@@ -774,7 +743,6 @@ def test_a_zero_coefficient_counts_as_an_absent_word():
     zero = R.zero()
     assert rank_over_fraction_field([{**s_x, "xyxy": zero}], 4) == 1
     assert rank_by_specialization([{**s_x, "xyxy": zero}], 4) == 1
-    rules = serre_rules(7)
     for n in range(4, 8):
         # no row of the span has the word y^n, and x^n is the all-zero row
         span = relation_span(n)
@@ -785,9 +753,8 @@ def test_a_zero_coefficient_counts_as_an_absent_word():
             assert rank_by_specialization(padded, n, rng=random.Random(seed)) == rank_by_specialization(
                 span, n, rng=random.Random(seed)
             )
-        reducible = _reducible(rules, n)
-        assert specialization_agrees(padded, n, reducible, rng=random.Random(n))
-        assert not specialization_agrees(padded, n, reducible - {min(reducible)}, rng=random.Random(n))
+        point = freealg.random_residue_point(random.Random(n))
+        assert freealg._residue_rows(padded, n, point) == freealg._residue_rows(span, n, point)
     # a zero coefficient on a word of another length is still refused
     for rank in (rank_over_fraction_field, rank_by_specialization):
         with pytest.raises(ValueError, match="not homogeneous of degree 4"):
@@ -800,10 +767,8 @@ def test_the_rank_functions_leave_their_rows_alone():
     rng = random.Random(19)
     rows = relation_span(7) + _unit_scaled(relation_span(7), rng)
     snapshot = copy.deepcopy(rows)
-    reducible = _reducible(serre_rules(7), 7)
     assert rank_over_fraction_field(rows, 7) == 2 ** 7 - 64
     assert rank_by_specialization(rows, 7, rng=rng) == 2 ** 7 - 64
-    assert specialization_agrees(rows, 7, reducible, rng=rng)
     assert rows == snapshot
 
 
