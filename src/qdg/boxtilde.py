@@ -19,7 +19,9 @@ gives q^{e_1+...+e_k} (E u | o_1...o_k) plus, for each i,
 q^{e_{i+1}+...+e_k} (1 - q^{e_i}) c_{(u, o_i)} (E | the odd word without
 o_i), with e_j the pairing exponent of (u, o_j).  Every term is normal, so
 `reduce_word`, `multiply` and `rho` fold letters one at a time into a map
-of normal states, and each letter is handled in one pass.
+of normal states, and each letter is handled in one pass.  Folds only
+append: a fold from the left (`reduce_word(strategy="rightmost")`) is the
+mirror image of one, under the antiautomorphism `_mirror`.
 
 Coefficients lie in the package's one ring Z[q^+-1, a^+-1, b^+-1].  A
 `BoxElem` stores only its state map, (even word, odd word, central, a/b
@@ -213,13 +215,11 @@ class BoxElem:
     __hash__ = None
 
     def _plus(self, other: "BoxElem", sign: int) -> "BoxElem":
+        # shares the q-dicts of `self` that the sum leaves as they are
         state = dict(self.state)
-        for key, qd in other.state.items():
-            mine = state.pop(key, None)
-            if mine is not None:
-                # a copy, so the sum leaves both summands' q-dicts as they are
-                _add_into(state, key, mine, 0, 1)
-            _add_into(state, key, qd, 0, sign)
+        for key in other.state.keys() & state.keys():
+            state[key] = state[key].copy()
+        _accumulate(state, other.state, sign)
         _check_term_budget("sum", len(state))
         return BoxElem._of(state)
 
@@ -248,6 +248,8 @@ class BoxElem:
         """The n-th power; a negative power exists only for a unit monomial
         +-q^k a^i b^j c^v with empty words, and raises NotInvertibleError
         for anything else."""
+        if not isinstance(n, int):
+            raise TypeError("exponent must be an integer")
         if n >= 0:
             qds = list(self.state.values())
             if len(qds) == 1 and len(qds[0]) == 1:
@@ -344,7 +346,7 @@ def generator(i: int) -> BoxElem:
 def central_gen(i: int, power: int = 1) -> BoxElem:
     exps = [0, 0, 0, 0]
     exps[i % 4] = power
-    return _basis(b"", b"", scale_central(tuple(exps), 1))
+    return _basis(b"", b"", _checked_central(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +359,13 @@ def central_gen(i: int, power: int = 1) -> BoxElem:
 # rewrite factors are pure powers of q, so a crossing only shifts q
 # exponents and the a/b exponents ride along.
 
-# letter crossed -> (pairing exponent, central correction index), one table
-# for an even letter u moving left over odd letters and one for an odd
-# letter v moving right over even letters
-_CROSS_ODD = {u: {v: (PAIRING[u, v], CORRECTION[u, v]) for v in ODD_LETTERS} for u in EVEN_LETTERS}
-_CROSS_EVEN = {v: {u: (PAIRING[u, v], CORRECTION[u, v]) for u in EVEN_LETTERS} for v in ODD_LETTERS}
-
-
 # the same (letter, word) pairs recur: over 99 % of the crossings in
 # `qdg verify --all` and in a stream of `qdg nf` inputs find their closed
 # form here, from fewer than 700 distinct pairs
 @lru_cache(maxsize=1 << 10)
-def _crossing(letter: int, word: bytes, append: bool) -> tuple:
-    """The closed form of `letter` crossing `word`: appended on the right,
-    an even letter moves left over an odd word; prepended on the left, an
-    odd letter moves right over an even word.
+def _crossing(letter: int, word: bytes) -> tuple:
+    """The closed form of the even `letter`, appended on the right, moving
+    left over the odd `word`.
 
     Returns (total shift, drops), where the letter ends past the word with
     factor q^{total}, and each drop (shorter word, correction index, lo,
@@ -380,13 +374,12 @@ def _crossing(letter: int, word: bytes, append: bool) -> tuple:
     with s the exponents crossed before it; a run of r equal letters
     removes to the same word, and its terms telescope to q^s (1 - q^{re}).
     """
-    table = (_CROSS_ODD if append else _CROSS_EVEN)[letter]
     total = 0
     drops: list = []
     previous = None
-    for i in range(len(word) - 1, -1, -1) if append else range(len(word)):
+    for i in range(len(word) - 1, -1, -1):
         crossed = word[i]
-        e, index = table[crossed]
+        e, index = PAIRING[letter, crossed], CORRECTION[letter, crossed]
         if crossed == previous:
             drops[-1][3] += e
         else:
@@ -418,11 +411,11 @@ def _add_into(acc: dict, key, qd: dict, shift: int, factor: int) -> None:
         del acc[key]
 
 
-def _cross(state: dict, letter: int, append: bool, op: str, tail: bytes = b"", shift: tuple = (0, 0)) -> dict:
-    """The state map times x_letter (append) or x_letter times it, for a
-    letter that must cross the opposite word.  Appended, the letter may be
-    followed by the odd word `tail` times a^i b^j, with (i, j) = `shift`,
-    which join every term of the result without a crossing.
+def _cross(state: dict, letter: int, op: str, tail: bytes = b"", shift: tuple = (0, 0)) -> dict:
+    """The state map times x_letter, for an even letter, which crosses the
+    odd word.  The letter may be followed by the odd word `tail` times
+    a^i b^j, with (i, j) = `shift`, which join every term of the result
+    without a crossing.
 
     Each term, the moved q^total qd and each drop (q^lo - q^hi) qd, is
     added straight into the output map, dropping entries and keys that
@@ -436,10 +429,10 @@ def _cross(state: dict, letter: int, append: bool, op: str, tail: bytes = b"", s
     get = out.get
     bumps: dict = {}  # (central, index) -> central with c_index raised by 1
     for (even, odd, cent, ab), qd in state.items():
-        total, drops = _crossing(letter, odd if append else even, append)
+        total, drops = _crossing(letter, odd)
         if shifted:
             ab = (ab[0] + shift[0], ab[1] + shift[1])
-        key = (even + unit, odd + tail, cent, ab) if append else (even, unit + odd, cent, ab)
+        key = (even + unit, odd + tail, cent, ab)
         target = get(key)
         if target is None:
             if total:
@@ -465,7 +458,7 @@ def _cross(state: dict, letter: int, append: bool, op: str, tail: bytes = b"", s
                 if cent[index] + 1 >= _CENTRAL_BOUND:
                     raise CentralOverflowError("central exponent outside the checked 64-bit range")
                 bumped = bumps[cent, index] = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
-            key = (even, word + tail, bumped, ab) if append else (word, odd, bumped, ab)
+            key = (even, word + tail, bumped, ab)
             target = get(key)
             if target is None:
                 target = out[key] = {}
@@ -490,20 +483,37 @@ def _cross(state: dict, letter: int, append: bool, op: str, tail: bytes = b"", s
     return out
 
 
-def _fold(state: dict, letters: bytes, append: bool, op: str) -> dict:
-    """The state map times x_letters (append) or x_letters times it
-    (prepend), one letter at a time from the side it joins."""
-    free = 1 if append else 0  # the parity that joins by concatenation
-    for letter in letters if append else reversed(letters):
-        if letter & 1 != free:
-            state = _cross(state, letter, append, op)
-        elif append:
+def _fold(state: dict, letters: bytes, op: str) -> dict:
+    """The state map times x_letters, one letter at a time from the left:
+    an even letter crosses the odd word, an odd one joins it."""
+    for letter in letters:
+        if letter & 1:
             unit = bytes((letter,))
             state = {(e, o + unit, c, ab): qd for (e, o, c, ab), qd in state.items()}
         else:
-            unit = bytes((letter,))
-            state = {(unit + e, o, c, ab): qd for (e, o, c, ab), qd in state.items()}
+            state = _cross(state, letter, op)
     return state
+
+
+def _accumulate(acc: dict, state: dict, sign: int) -> None:
+    """acc += sign * state, sharing no q-dict with `state`; the caller
+    checks the term budget under its own name."""
+    for key, qd in state.items():
+        _add_into(acc, key, qd, 0, sign)
+
+
+_SIGMA = bytes.maketrans(bytes((0, 1, 2, 3)), bytes((1, 0, 3, 2)))
+
+
+def _mirror(state: dict) -> dict:
+    """The state map under sigma: x_i -> x_{1-i}, c_1 <-> c_3, an
+    involutive antiautomorphism, since e(sigma v, sigma u) = e(u, v) and
+    sigma maps each correction index.  (E | O | C) goes to the normal
+    (sigma O reversed | sigma E reversed | sigma C); q-dicts are shared."""
+    return {
+        (odd.translate(_SIGMA)[::-1], even.translate(_SIGMA)[::-1], (c0, c3, c2, c1), ab): qd
+        for (even, odd, (c0, c1, c2, c3), ab), qd in state.items()
+    }
 
 
 def _enter(state: dict, even: bytes, odd: bytes, central: tuple, coeff: LaurentPoly) -> None:
@@ -537,10 +547,11 @@ def reduce_word(
     The letters are folded into the normal form one at a time: from the
     left with `strategy="leftmost"`, each even letter crossing the odd word
     built so far, or from the right with `"rightmost"`, each odd letter
-    crossing the even word.  The two orders cross different words, so
-    comparing them checks one computation against another.  The letters
-    must be ints in 0..3 and `central` four int exponents (ValueError
-    otherwise).
+    crossing the even word, as the mirror image x_w s = sigma(sigma(s)
+    x_{sigma(w reversed)}) of a left fold (see `_mirror`).  The two orders
+    cross different words, so comparing them checks one computation
+    against another.  The letters must be ints in 0..3 and `central` four
+    int exponents (ValueError otherwise), `coeff` an int or LaurentPoly.
     """
     word = tuple(letters)
     if not all(isinstance(l, int) and l in (0, 1, 2, 3) for l in word):
@@ -554,9 +565,11 @@ def reduce_word(
         start = {(b"", b"", central, (0, 0)): {0: 1}}
     else:
         start = {}
-        _enter(start, b"", b"", central, coeff)
-    append = strategy == "leftmost"
-    return BoxElem._of(_fold(start, bytes(word), append, "reduce_word"))
+        _enter(start, b"", b"", central, DEFAULT_RING.coerce(coeff))
+    if strategy == "leftmost":
+        return BoxElem._of(_fold(start, bytes(word), "reduce_word"))
+    mirrored = bytes(word).translate(_SIGMA)[::-1]
+    return BoxElem._of(_mirror(_fold(_mirror(start), mirrored, "reduce_word")))
 
 
 def _longest(state: dict) -> int:
@@ -571,7 +584,7 @@ def _times_monomial(state: dict, even: bytes, odd: bytes, central: tuple, ab: tu
     c q^k = 1 and checks the term budget after it."""
     same = k == 0 and c == 1
     if even:
-        state = _cross(_fold(state, even[:-1], True, "multiply"), even[-1], True, "multiply", odd, ab)
+        state = _cross(_fold(state, even[:-1], "multiply"), even[-1], "multiply", odd, ab)
         if same and central == ZERO_CENTRAL:
             return state
         odd, ab = b"", (0, 0)
@@ -659,7 +672,7 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
                     del out[key]
             _check_term_budget("multiply", len(out))
             continue
-        product = _fold(lhs.state, even_word, True, "multiply")
+        product = _fold(lhs.state, even_word, "multiply")
         get = out.get
         for odd_word, central, ab2, qd2 in monos:
             shifted = any(ab2)
@@ -702,7 +715,7 @@ def s_element(i: int) -> BoxElem:
     out = reduce_word((i, i, i, j))
     out = out + reduce_word((i, i, j, i), coeff=-three)
     out = out + reduce_word((i, j, i, i), coeff=three)
-    out = out + reduce_word((j, i, i, i), coeff=-DEFAULT_RING.one())
+    out = out + reduce_word((j, i, i, i), coeff=-1)
     return out
 
 
@@ -727,8 +740,7 @@ def rho(e: BoxElem) -> BoxElem:
         groups.setdefault(odd.translate(_SHIFT), {})[key] = qd
     out: dict = {}
     for even, start in groups.items():
-        for key, qd in _fold(start, even, True, "rho").items():
-            _add_into(out, key, qd, 0, 1)
+        _accumulate(out, _fold(start, even, "rho"), 1)
         _check_term_budget("rho", len(out))
     return BoxElem._of(out)
 
@@ -946,7 +958,7 @@ def random_element(rng, max_terms: int = 3, max_word: int = 4, central_range: in
         c = rng.choice((1, -1, 2))
         _check_word_cap("reduce_word", len(word))
         start = {(b"", b"", _checked_central(central), tuple(ab)): {k: c}}
-        out = out + BoxElem._of(_fold(start, bytes(word), True, "reduce_word"))
+        out = out + BoxElem._of(_fold(start, bytes(word), "reduce_word"))
     return out
 
 

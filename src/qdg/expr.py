@@ -349,28 +349,6 @@ def parse(text: str, mode: str = "box") -> Expr:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _accumulate(acc: dict, e: BoxElem, sign: int) -> None:
-    """acc += sign * e, on state maps; then the term budget is checked under
-    the name `sum`, as a `BoxElem` sum checks it."""
-    get = acc.get
-    for key, qd in e.state.items():
-        target = get(key)
-        if target is None:
-            # a new key gets a new dict, so `acc` shares none with `e`
-            acc[key] = qd.copy() if sign == 1 else {k: -v for k, v in qd.items()}
-            continue
-        at = target.get
-        for k, v in qd.items():
-            v = at(k, 0) + sign * v
-            if v:
-                target[k] = v
-            else:
-                del target[k]
-        if not target:
-            del acc[key]
-    _check_term_budget("sum", len(acc))
-
-
 # each name an atom may be, as the arguments (even, odd, central, a/b
 # exponents, q exponent, integer) of `boxtilde._times_monomial`
 _NAME_ATOMS = {
@@ -427,9 +405,11 @@ def evaluate(node: Expr) -> BoxElem:
                 rights.append(n)
                 n = n.left
             acc: dict = {}
-            _accumulate(acc, walk(n), 1)
+            bt._accumulate(acc, walk(n).state, 1)
+            _check_term_budget("sum", len(acc))
             for link in reversed(rights):
-                _accumulate(acc, walk(link.right), -1 if isinstance(link, Sub) else 1)
+                bt._accumulate(acc, walk(link.right).state, -1 if isinstance(link, Sub) else 1)
+                _check_term_budget("sum", len(acc))
             return BoxElem._of(acc)
         if isinstance(n, Mul):
             # a chain a * b * c nests to the left as well; multiply it out

@@ -1150,22 +1150,18 @@ def _reference_add_drop(acc, key, qd, lo, hi):
         del acc[key]
 
 
-def _reference_cross(state, letter, append, op, tail=b"", shift=(0, 0)):
+def _reference_cross(state, letter, op, tail=b"", shift=(0, 0)):
     """`bt._cross` with one helper call per term, the reference for the
     crossing that adds each term inline."""
     unit = bytes((letter,))
     out = {}
     for (even, odd, cent, ab), qd in state.items():
-        total, drops = bt._crossing(letter, odd if append else even, append)
+        total, drops = bt._crossing(letter, odd)
         ab = (ab[0] + shift[0], ab[1] + shift[1])
-        if append:
-            _reference_add_into(out, (even + unit, odd + tail, cent, ab), qd, total, 1)
-        else:
-            _reference_add_into(out, (even, unit + odd, cent, ab), qd, total, 1)
+        _reference_add_into(out, (even + unit, odd + tail, cent, ab), qd, total, 1)
         for word, index, lo, hi in drops:
             bumped = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
-            key = (even, word + tail, bumped, ab) if append else (word, odd, bumped, ab)
-            _reference_add_drop(out, key, qd, lo, hi)
+            _reference_add_drop(out, (even, word + tail, bumped, ab), qd, lo, hi)
         bt._check_term_budget(op, len(out))
     return out
 
@@ -1184,34 +1180,27 @@ _STATES = st.dictionaries(
     max_size=8,
 )
 # two states whose terms cancel under one key: x0 appended to
-# (x0 | x1 | -) drops (1 - q^2) (x0 | - | c0), and x1 prepended to it
-# drops (1 - q^2) (- | x1 | c0); the moved term of (- | - | c0), whose
-# q-dict is q^2 - 1, takes either back to zero
+# (x0 | x1 | -) drops (1 - q^2) (x0 | - | c0), and the moved term of
+# (- | - | c0), whose q-dict is q^2 - 1, takes it back to zero
 _CANCELLING = {(b"\x00", b"\x01", ZERO_CENTRAL, (0, 0)): {0: 1}, (b"", b"", (1, 0, 0, 0), (0, 0)): {0: -1, 2: 1}}
 
 
 @given(
     _STATES,
-    st.sampled_from((True, False)),
-    st.sampled_from((0, 1)),
+    st.sampled_from((0, 2)),
     st.lists(st.sampled_from((1, 3)), max_size=2).map(bytes),
     st.sampled_from(((0, 0), (1, 0), (0, -1))),
     st.integers(1, 12),
 )
-@example(_CANCELLING, True, 0, b"", (0, 0), 12)
-@example(dict(reversed(_CANCELLING.items())), True, 0, b"", (0, 0), 12)
-@example(_CANCELLING, False, 0, b"", (0, 0), 12)
-@example(dict(reversed(_CANCELLING.items())), False, 0, b"", (0, 0), 12)
+@example(_CANCELLING, 0, b"", (0, 0), 12)
+@example(dict(reversed(_CANCELLING.items())), 0, b"", (0, 0), 12)
 @settings(max_examples=300, deadline=None)
-def test_cross_adds_its_terms_as_the_helper_per_term_loop(state, append, parity, tail, shift, term_budget):
-    # an even letter is appended, with an odd tail, and an odd one prepended
-    letter = 2 * parity + (0 if append else 1)
-    if not append:
-        tail = b""
+def test_cross_adds_its_terms_as_the_helper_per_term_loop(state, letter, tail, shift, term_budget):
+    # an even letter is appended, with an odd tail
     before = copy.deepcopy(state)
     with _limits(64, term_budget):
-        expected = _outcome(lambda: _reference_cross(state, letter, append, "multiply", tail, shift))
-        got = _outcome(lambda: bt._cross(state, letter, append, "multiply", tail, shift))
+        expected = _outcome(lambda: _reference_cross(state, letter, "multiply", tail, shift))
+        got = _outcome(lambda: bt._cross(state, letter, "multiply", tail, shift))
     assert got == expected
     assert state == before
     if isinstance(got, dict):
@@ -1516,3 +1505,133 @@ def test_constructor_drops_zero_coefficients_and_terms_is_a_view():
     view[mono((0,))] = ONE
     assert e.terms == {mono((), (1,)): ONE}
     assert "terms" not in BoxElem.__slots__
+
+
+# the prepend fold the kernel ran for `strategy="rightmost"` before that
+# became the mirror of an append fold: each letter joins from the left, an
+# even one by concatenation and an odd one crossing the even word from
+# left to right, with its correction drops added per state and the term
+# budget checked after each state
+_PREPEND_TABLE = {v: {u: (PAIRING[u, v], CORRECTION[u, v]) for u in (0, 2)} for v in (1, 3)}
+
+
+def _reference_prepend_fold(state, letters, op):
+    for letter in reversed(letters):
+        unit = bytes((letter,))
+        if not letter & 1:
+            state = {(unit + e, o, c, ab): qd for (e, o, c, ab), qd in state.items()}
+            continue
+        table = _PREPEND_TABLE[letter]
+        out = {}
+        for (even, odd, cent, ab), qd in state.items():
+            total, drops, previous = 0, [], None
+            for i, crossed in enumerate(even):
+                e, index = table[crossed]
+                if crossed == previous:
+                    drops[-1][3] += e
+                else:
+                    drops.append([even[:i] + even[i + 1 :], index, total, total + e])
+                total += e
+                previous = crossed
+            _reference_add_into(out, (even, unit + odd, cent, ab), qd, total, 1)
+            for word, index, lo, hi in drops:
+                if cent[index] + 1 >= 2 ** 63:
+                    raise bt.CentralOverflowError("central exponent outside the checked 64-bit range")
+                bumped = cent[:index] + (cent[index] + 1,) + cent[index + 1 :]
+                _reference_add_drop(out, (word, odd, bumped, ab), qd, lo, hi)
+            bt._check_term_budget(op, len(out))
+        state = out
+    return state
+
+
+def _items_or_error(compute):
+    """The (key, q-dict) pairs of the state map `compute()` returns, in
+    order, or the type and text of the error it raises."""
+    try:
+        return list(compute().items())
+    except (bt.TermBudgetError, bt.CentralOverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_mirror_maps_generators_and_centrals_by_sigma():
+    for i in range(4):
+        assert bt._mirror(generator(i).state) == generator(1 - i).state
+        assert bt._mirror(central_gen(i).state) == central_gen((-i) % 4).state
+    assert bt._mirror(central_gen(1, 5).state) == central_gen(3, 5).state
+    assert bt._mirror(central_gen(0).state) == central_gen(0).state
+
+
+@given(_STATES)
+@settings(max_examples=200, deadline=None)
+def test_mirror_is_an_involution(state):
+    mirrored = bt._mirror(state)
+    assert bt._mirror(mirrored) == state
+    assert len(mirrored) == len(state)
+
+
+@given(_ELEMENTS, _ELEMENTS)
+@settings(max_examples=150, deadline=None)
+def test_mirror_is_an_antiautomorphism(x, y):
+    mx, my = BoxElem._of(bt._mirror(x.state)), BoxElem._of(bt._mirror(y.state))
+    assert bt._mirror(multiply(x, y).state) == multiply(my, mx).state
+    assert bt._mirror((x + y).state) == (mx + my).state
+
+
+@given(
+    st.lists(st.integers(0, 3), max_size=9).map(tuple),
+    st.tuples(*[st.sampled_from((-1, 0, 1, 2 ** 63 - 2, 2 ** 63 - 1))] * 4),
+    st.one_of(st.none(), _COEFFICIENTS),
+    st.one_of(st.just(1_000_000), st.integers(1, 14)),
+)
+@example((1, 1, 3, 0, 2, 0, 2, 0), ZERO_CENTRAL, None, 5)
+@example((3, 2), (0, 0, 2 ** 63 - 1, 0), None, 1_000_000)
+@example((1, 2), (0, 2 ** 63 - 1, 0, 0), None, 1_000_000)
+@settings(max_examples=300, deadline=None)
+def test_rightmost_is_the_prepend_fold(word, central, coeff, term_budget):
+    # the same terms in the same order, the same budget error and the same
+    # central overflow as the prepend fold
+    start = {}
+    if coeff is None:
+        start[b"", b"", central, (0, 0)] = {0: 1}
+    else:
+        bt._enter(start, b"", b"", central, coeff)
+    with _limits(64, term_budget):
+        expected = _items_or_error(lambda: _reference_prepend_fold(start, bytes(word), "reduce_word"))
+        got = _items_or_error(lambda: reduce_word(word, central, coeff, strategy="rightmost").state)
+    assert got == expected
+
+
+def test_central_gen_takes_an_int_power_only():
+    assert central_gen(1, 2) == central_gen(1) * central_gen(1)
+    with pytest.raises(ValueError, match="integer exponents"):
+        central_gen(1, 2.7)
+    with pytest.raises(ValueError):
+        central_gen(0, "2")
+    with pytest.raises(bt.CentralOverflowError):
+        central_gen(2, 2 ** 63)
+
+
+def test_reduce_word_coerces_its_coefficient():
+    assert reduce_word((1, 0), coeff=3) == 3 * reduce_word((1, 0))
+    assert reduce_word((1, 0), coeff=-1) == -reduce_word((1, 0))
+    assert reduce_word((2, 1), (0, 1, 0, 0), coeff=Q, strategy="rightmost") == Q * reduce_word((2, 1), (0, 1, 0, 0))
+    assert not reduce_word((3, 2), coeff=0)
+    for bad in (2.5, "3", generator(0)):
+        with pytest.raises(TypeError):
+            reduce_word((1, 0), coeff=bad)
+    # the q-Serre combination of degree 4, with integer coefficients +-1
+    three = R.qint(3)
+    for i in range(4):
+        j = (i + 2) % 4
+        assert s_element(i) == (
+            reduce_word((i, i, i, j)) - three * reduce_word((i, i, j, i))
+            + three * reduce_word((i, j, i, i)) - reduce_word((j, i, i, i))
+        )
+
+
+def test_a_power_needs_an_integer_exponent():
+    for e in (generator(0), bt.zero(), bt.one(), central_gen(1)):
+        for n in (1.5, 2.0, "2"):
+            with pytest.raises(TypeError, match="^exponent must be an integer$"):
+                e ** n
+    assert generator(0) ** 2 == reduce_word((0, 0))

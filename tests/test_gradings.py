@@ -97,9 +97,9 @@ def test_sharp_lifts_fold_no_letter_into_a_map_of_its_own(monkeypatch):
     calls = []
     fold = bt._fold
 
-    def recording(state, letters, append, op):
+    def recording(state, letters, op):
         calls.append(letters)
-        return fold(state, letters, append, op)
+        return fold(state, letters, op)
 
     monkeypatch.setattr(bt, "_fold", recording)
     lift = sharp_lift("AB")
