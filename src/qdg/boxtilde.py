@@ -21,7 +21,10 @@ o_i), with e_j the pairing exponent of (u, o_j).  Every term is normal, so
 `reduce_word`, `multiply` and `rho` fold letters one at a time into a map
 of normal states, and each letter is handled in one pass.  Folds only
 append: a fold from the left (`reduce_word(strategy="rightmost")`) is the
-mirror image of one, under the antiautomorphism `_mirror`.
+mirror image of one, under the antiautomorphism `_mirror`.  A product is
+one loop over the right factor's terms grouped by even word, whose first
+group, when it is one term, is `_times_monomial`; a right factor of one
+term is such a group.
 
 Coefficients lie in the package's one ring Z[q^+-1, a^+-1, b^+-1].  A
 `BoxElem` stores only its state map, (even word, odd word, central, a/b
@@ -214,7 +217,10 @@ class BoxElem:
 
     __hash__ = None
 
-    def _plus(self, other: "BoxElem", sign: int) -> "BoxElem":
+    def _plus(self, other, sign: int) -> "BoxElem":
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         # shares the q-dicts of `self` that the sum leaves as they are
         state = dict(self.state)
         for key in other.state.keys() & state.keys():
@@ -223,26 +229,26 @@ class BoxElem:
         _check_term_budget("sum", len(state))
         return BoxElem._of(state)
 
-    def __add__(self, other: "BoxElem") -> "BoxElem":
+    def __add__(self, other) -> "BoxElem":
         return self._plus(other, 1)
 
-    def __sub__(self, other: "BoxElem") -> "BoxElem":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "BoxElem":
         return self._plus(other, -1)
+
+    def __rsub__(self, other) -> "BoxElem":
+        return (-self)._plus(other, 1)
 
     def __neg__(self) -> "BoxElem":
         return BoxElem._of({key: {k: -v for k, v in qd.items()} for key, qd in self.state.items()})
 
     def __mul__(self, other) -> "BoxElem":
-        if isinstance(other, (int, LaurentPoly)):
-            other = BoxElem._of(_scalar_state(DEFAULT_RING.coerce(other)))
-        if isinstance(other, BoxElem):
-            return multiply(self, other)
-        return NotImplemented
+        other = _operand(other)
+        return other if other is NotImplemented else multiply(self, other)
 
-    def __rmul__(self, other) -> "BoxElem":
-        if isinstance(other, (int, LaurentPoly)):
-            return self * other
-        return NotImplemented
+    # a left operand that is not a BoxElem is a scalar, which is central
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BoxElem":
         """The n-th power; a negative power exists only for a unit monomial
@@ -254,7 +260,7 @@ class BoxElem:
             qds = list(self.state.values())
             if len(qds) == 1 and len(qds[0]) == 1:
                 _refuse_oversized_power(*qds[0].values(), n)
-            _check_power_word_cap(self.state, n)
+            power(_WordLength(_longest(self.state)), n, None)
             return power(self, n, one())
         v, exps, cent = _monomial_parts(self)
         if v not in (1, -1):
@@ -270,6 +276,17 @@ class BoxElem:
 
     def __repr__(self) -> str:
         return "<BoxElem %s>" % self
+
+
+def _operand(other):
+    """The other operand of a `BoxElem` operator as a `BoxElem`: an int or
+    LaurentPoly becomes its scalar state, and anything else
+    NotImplemented."""
+    if isinstance(other, BoxElem):
+        return other
+    if isinstance(other, (int, LaurentPoly)):
+        return BoxElem._of(_scalar_state(DEFAULT_RING.coerce(other)))
+    return NotImplemented
 
 
 # a power of a one-term element whose coefficient would have more bits
@@ -298,29 +315,22 @@ def _refuse_oversized_power(c: int, n: int) -> None:
         )
 
 
-def _check_power_word_cap(state: dict, n: int) -> None:
-    """Raises the ReductionBudgetError of the first `multiply` in
-    `power(e, n, one())` past the word cap, from word lengths alone; as
-    in the power loop, the first set bit takes its factor with no product.
+class _WordLength(int):
+    """The length of an element's longest word, whose product is the sum of
+    the lengths, checked against the word cap as `multiply` checks it: so
+    `power(_WordLength(n), ...)` makes the word-cap checks of the real
+    power, in the same order and with the same messages, with no product.
 
     The associated graded algebra, a twisted tensor product of two free
     algebras, is a domain, so the longest word of a nonzero product is the
-    sum of its factors' longest words, and every product of the power has
-    a length known in advance."""
-    if not state:
-        return
-    result, base = None, _longest(state)
-    while n:
-        if n & 1:
-            if result is None:
-                result = base
-            else:
-                result += base
-                _check_word_cap("multiply", result)
-        n >>= 1
-        if n:
-            base *= 2
-            _check_word_cap("multiply", base)
+    sum of its factors' longest words."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: int) -> "_WordLength":
+        length = _WordLength(int.__add__(self, other))
+        _check_word_cap("multiply", length)
+        return length
 
 
 def _basis(even: bytes, odd: bytes, central: tuple) -> BoxElem:
@@ -573,7 +583,8 @@ def reduce_word(
 
 
 def _longest(state: dict) -> int:
-    return max(len(even) + len(odd) for even, odd, _, _ in state)
+    """The length of the longest word of a state map; 0 for zero."""
+    return max((len(even) + len(odd) for even, odd, _, _ in state), default=0)
 
 
 def _times_monomial(state: dict, even: bytes, odd: bytes, central: tuple, ab: tuple, k: int = 0, c: int = 1) -> dict:
@@ -621,23 +632,20 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     right-hand monomial is folded into the state map of `lhs`, and its odd
     word is appended.  Monomials sharing an even word share the fold.
 
-    A right factor of one term goes to `_times_monomial`.  Every other
-    factor is grouped, a scalar on either side included (on the right it
-    is one group with an empty even word, which folds nothing), and a
-    first group that is one monomial with coefficient a^i b^j and no
-    central part goes to `_times_monomial` too.  As the last group with an empty even word, such a
-    monomial takes the q-dicts of `lhs` under the new keys, and a key an
+    The right factor is taken in groups by even word, a scalar on either
+    side included (on the right it is one group with an empty even word,
+    which folds nothing).  A first group of one term c q^k a^i b^j (even |
+    odd | central) goes to `_times_monomial`, unless its even word is empty
+    and another group follows, since that product may share the q-dicts of
+    `lhs`; a right factor of one term is such a group.  As the last group
+    with an empty even word, a monomial with coefficient a^i b^j and no
+    central part takes the q-dicts of `lhs` under the new keys, and a key an
     earlier group made takes the q-dict of `lhs` added into it in place.
     No later group writes to the q-dicts of `lhs`, so only dicts made in
     this call change."""
     if not lhs.state or not rhs.state:
         return zero()
     _check_word_cap("multiply", _longest(lhs.state) + _longest(rhs.state))
-    if len(rhs.state) == 1:
-        (((even, odd, central, ab), qd),) = rhs.state.items()
-        if len(qd) == 1:
-            ((k, c),) = qd.items()
-            return BoxElem._of(_times_monomial(lhs.state, even, odd, central, ab, k, c))
     groups: dict = {}
     for (even, odd, central, ab2), qd2 in rhs.state.items():
         groups.setdefault(even, []).append((odd, central, ab2, qd2))
@@ -645,11 +653,11 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     last = len(groups) - 1
     for g, (even_word, monos) in enumerate(groups.items()):
         odd_word, central, ab2, qd2 = monos[0]
-        plain = len(monos) == 1 and qd2 == _ONE_Q and central == ZERO_CENTRAL
-        if plain and even_word and not out:
-            out = _times_monomial(lhs.state, even_word, odd_word, central, ab2)
+        if not out and len(monos) == 1 and len(qd2) == 1 and (even_word or g == last):
+            ((k, c),) = qd2.items()
+            out = _times_monomial(lhs.state, even_word, odd_word, central, ab2, k, c)
             continue
-        if plain and not even_word and g == last:
+        if g == last and not even_word and len(monos) == 1 and qd2 == _ONE_Q and central == ZERO_CENTRAL:
             shifted = any(ab2)
             get = out.get
             for (even, odd, cent, ab), qd in lhs.state.items():
@@ -707,16 +715,16 @@ def multiply(lhs: BoxElem, rhs: BoxElem) -> BoxElem:
     return BoxElem._of(out)
 
 
+def serre(p: BoxElem, r: BoxElem) -> BoxElem:
+    """The q-Serre polynomial p^3 r - [3] p^2 r p + [3] p r p^2 - r p^3."""
+    three = DEFAULT_RING.qint(3)
+    p2 = p * p
+    return p2 * p * r - three * (p2 * r * p) + three * (p * r * p2) - r * p * p2
+
+
 def s_element(i: int) -> BoxElem:
     """The degree-4 q-Serre combination in x_i, x_{i+2}; one parity only."""
-    i = i % 4
-    j = (i + 2) % 4
-    three = DEFAULT_RING.qint(3)
-    out = reduce_word((i, i, i, j))
-    out = out + reduce_word((i, i, j, i), coeff=-three)
-    out = out + reduce_word((i, j, i, i), coeff=three)
-    out = out + reduce_word((j, i, i, i), coeff=-1)
-    return out
+    return serre(generator(i), generator(i + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +946,8 @@ def module_action_oracle(tokens: Sequence) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def random_word(rng, max_len: int = 10, min_len: int = 0) -> tuple:
-    n = rng.randint(min_len, max_len)
+def random_word(rng, max_len: int = 10) -> tuple:
+    n = rng.randint(0, max_len)
     return tuple(rng.randrange(4) for _ in range(n))
 
 

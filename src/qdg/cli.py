@@ -123,9 +123,6 @@ def cmd_nf(args) -> int:
     except NotInvertibleError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ReductionBudgetError, TermBudgetError) as exc:
-        print("budget exceeded: %s" % exc, file=sys.stderr)
-        return 3
     except (CentralOverflowError, CoefficientTooLargeError) as exc:
         print("overflow: %s" % exc, file=sys.stderr)
         return 3
@@ -160,11 +157,7 @@ def cmd_dims(args) -> int:
     walks: list = []  # the span's leads at each point drawn, one degree a step
     rows = []
     for n in range(args.max + 1):
-        try:
-            freealg.add_serre_rules(rules, n)
-        except (ReductionBudgetError, TermBudgetError) as exc:
-            print("budget exceeded: %s" % exc, file=sys.stderr)
-            return 3
+        freealg.add_serre_rules(rules, n)
         irreducible = freealg.irreducible_words(rules, n)
         rank = 2 ** n - len(irreducible)  # the words a rule rewrites
         # every walk takes its step; on a disagreement a new point is
@@ -267,6 +260,9 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except (ReductionBudgetError, TermBudgetError) as exc:
+        print("budget exceeded: %s" % exc, file=sys.stderr)
+        return 3
     except OSError as exc:
         # a closed pipe or a full device: stdout is pointed at devnull, so
         # the interpreter's flush at exit writes what is left without a

@@ -433,7 +433,7 @@ def evaluate(node: Expr) -> BoxElem:
                     longest = None
                 else:
                     if longest is None:
-                        longest = bt._longest(state) if state else 0
+                        longest = bt._longest(state)
                     state = bt._times_atom(state, atom, longest)
                     longest += len(atom[0]) + len(atom[1])
             return BoxElem._of(state)

@@ -512,11 +512,6 @@ def _s_commutation_checks() -> List[Check]:
 _SIDES = ("first", "second")
 
 
-def _serre_comb(p: BoxElem, r: BoxElem) -> BoxElem:
-    p2 = p * p
-    return p2 * p * r - _THREE * (p2 * r * p) + _THREE * (p * r * p2) - r * p * p2
-
-
 def _qdg_diff(
     k: int,
     alphas: Optional[Sequence] = None,
@@ -543,7 +538,7 @@ def _qdg_diff(
         serre_coeff = serre_coeff * _qp(1)
     factor = (_qp(2) - _qp(-2)) ** 2
     return (
-        _serre_comb(p, r)
+        bt.serre(p, r)
         + factor * (c[i] * c[i + 1] * comm)
         - serre_coeff * s_element(i)
         - c[i + 1] ** 3 * c[j + 1] * s_element(i + 1)

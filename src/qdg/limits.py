@@ -20,10 +20,6 @@ class EngineLimits:
     word_cap = 64
     term_budget = 1_000_000
 
-    def __init__(self, word_cap: int = word_cap, term_budget: int = term_budget):
-        self.word_cap = word_cap
-        self.term_budget = term_budget
-
 
 LIMITS = EngineLimits()
 

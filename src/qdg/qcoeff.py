@@ -89,19 +89,19 @@ class LaurentRing:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "LaurentPoly":
-        if n == 0:
-            return LaurentPoly(self, {})
-        return LaurentPoly(self, {(0,) * self.width: int(n)})
+        return self.monomial(n)
 
     def monomial(self, coeff: int = 1, exps: Exponents = None) -> "LaurentPoly":
-        if exps is None:
-            exps = (0,) * self.width
-        exps = tuple(int(e) for e in exps)
+        """coeff q^k a^i b^j for exps = (k, i, j); TypeError for a
+        coefficient or an exponent that is not an int."""
+        exps = (0,) * self.width if exps is None else tuple(exps)
+        if not isinstance(coeff, int) or not all(isinstance(e, int) for e in exps):
+            raise TypeError("a coefficient and its exponents must be integers, not %r and %r" % (coeff, exps))
         if len(exps) != self.width:
             raise ValueError("exponent vector has wrong width for this ring")
         if coeff == 0:
             return self.zero()
-        return LaurentPoly(self, {exps: int(coeff)})
+        return LaurentPoly(self, {tuple(map(int, exps)): int(coeff)})
 
     def gen(self, name: str, power: int = 1) -> "LaurentPoly":
         i = _INDEX.get(name)

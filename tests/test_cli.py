@@ -297,6 +297,17 @@ def test_verify_reports_budget_errors(capsys, monkeypatch):
     assert report["summary"]["pass"] + len(errors) == len(report["checks"])
 
 
+def test_a_budget_error_outside_a_check_exits_3(capsys, monkeypatch):
+    # `main` maps a budget error from any command to exit 3, so one raised
+    # while the registry is built is one line, not a traceback
+    def over_budget(seed):
+        raise bt.TermBudgetError("term budget: sum reached 4 terms (limit 3)")
+
+    monkeypatch.setattr("qdg.cli.build_checks", over_budget)
+    code, out, err = run(capsys, ["verify", "--all"])
+    assert (code, out, err) == (3, "", "budget exceeded: term budget: sum reached 4 terms (limit 3)\n")
+
+
 def test_malformed_env_limits(capsys, monkeypatch):
     for var, value in (("QDG_WORD_CAP", "abc"), ("QDG_TERM_BUDGET", "0"), ("QDG_WORD_CAP", "-5")):
         with monkeypatch.context() as m:

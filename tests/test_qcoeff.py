@@ -163,3 +163,19 @@ def test_no_zero_coefficients_stored():
     p = Q - Q
     assert not p.terms
     assert (Q + (-1) * Q).terms == {}
+
+
+def test_constructors_refuse_a_coefficient_or_an_exponent_that_is_not_an_int():
+    for make in (
+        lambda: R.monomial(2.5),
+        lambda: R.from_int(0.5),
+        lambda: R.gen("q", 1.5),
+        lambda: R.monomial(1, (0.9, 0, 0)),
+        lambda: R.monomial("2"),
+        lambda: R.qpow(1.0),
+    ):
+        with pytest.raises(TypeError, match="must be integers"):
+            make()
+    assert R.monomial(3, (1, -2, 0)).terms == {(1, -2, 0): 3}
+    assert R.from_int(0) == R.zero() and R.from_int(-2) == -2
+    assert R.gen("b", -1) * R.gen("b") == 1
